@@ -24,53 +24,6 @@ using namespace deco;
 
 namespace {
 
-/// Blanks the JSON object around each occurrence of `marker` (flat
-/// objects only — the self-metering spans are deliberately kept flat so
-/// this stays trivial). `object_starts_after` picks between a marker that
-/// precedes its object (`"obs_self": {...}`) and one inside it
-/// (`{"name": "obs.self...", ...}`).
-void BlankObjectSpans(std::string* text, const std::string& marker,
-                      bool object_starts_after) {
-  size_t pos = 0;
-  while ((pos = text->find(marker, pos)) != std::string::npos) {
-    const size_t begin = object_starts_after
-                             ? text->find('{', pos + marker.size())
-                             : text->rfind('{', pos);
-    if (begin == std::string::npos) break;
-    const size_t end = text->find('}', begin);
-    if (end == std::string::npos) break;
-    // Fixed-width token: the spans differ in length across runs (e.g.
-    // "node_detail_limit": 64 vs 0), so in-place blanking is not enough.
-    text->replace(begin, end - begin + 1, "#");
-    pos = begin + 1;
-  }
-}
-
-/// Telemetry JSON minus its wall-clock carriers: the
-/// obs.self.sampler_tick_nanos sketch snapshots inside samples and the
-/// flat obs_self document section.
-std::string ScrubTelemetryJson(std::string json) {
-  BlankObjectSpans(&json, "obs.self.sampler_tick_nanos", false);
-  BlankObjectSpans(&json, "\"obs_self\"", true);
-  return json;
-}
-
-/// /metrics exposition minus every deco_obs_self_* line (scrape counts
-/// and wall-clock self-metering differ per run even under --sim).
-std::string ScrubExposition(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  size_t pos = 0;
-  while (pos < text.size()) {
-    size_t eol = text.find('\n', pos);
-    if (eol == std::string::npos) eol = text.size() - 1;
-    const std::string line = text.substr(pos, eol - pos + 1);
-    if (line.find("deco_obs_self") == std::string::npos) out += line;
-    pos = eol + 1;
-  }
-  return out;
-}
-
 struct RunArtifacts {
   RunReport report;
   TelemetryLog log;

@@ -4,17 +4,16 @@
 
 #include "common/logging.h"
 #include "node/apportion.h"
-#include "obs/metric_registry.h"
 #include "obs/provenance.h"
-#include "obs/trace.h"
 
 namespace deco {
 
 ApproxLocalNode::ApproxLocalNode(NetworkFabric* fabric, NodeId id,
-                                 Clock* clock, const Topology& topology,
+                                 Clock* clock, RunContext* run,
+                                 const Topology& topology,
                                  const IngestConfig& ingest,
                                  const QueryConfig& query)
-    : Actor(fabric, id, clock),
+    : Actor(fabric, id, clock, run),
       topology_(topology),
       ingest_config_(ingest),
       query_(query) {}
@@ -59,7 +58,7 @@ Status ApproxLocalNode::Run() {
   EventVec batch;
   while (!stop_requested() && !source.exhausted()) {
     // One fixed-size local window: aggregate `local_window` events.
-    DECO_TRACE_SPAN(id_, TracePhase::kWindowOpen, window_index,
+    DECO_TRACE_SPAN(*run_, id_, TracePhase::kWindowOpen, window_index,
                     static_cast<int64_t>(local_window));
     Partial partial = func->CreatePartial();
     SliceSummary summary;
@@ -74,6 +73,8 @@ Status ApproxLocalNode::Run() {
           std::min<uint64_t>(remaining, ingest_config_.batch_size), &batch,
           &create_time);
       if (pulled == 0) break;  // budget exhausted mid-window
+      metrics()->counter("local.events_ingested")->Add(
+          static_cast<int64_t>(pulled));
       for (const Event& e : batch) func->Accumulate(&partial, e.value);
       if (first) {
         summary.min_ts = batch.front().timestamp;
@@ -114,9 +115,9 @@ Status ApproxLocalNode::Run() {
 }
 
 ApproxRoot::ApproxRoot(NetworkFabric* fabric, NodeId id, Clock* clock,
-                       const Topology& topology, const QueryConfig& query,
-                       RunReport* report)
-    : Actor(fabric, id, clock),
+                       RunContext* run, const Topology& topology,
+                       const QueryConfig& query, RunReport* report)
+    : Actor(fabric, id, clock, run),
       topology_(topology),
       query_(query),
       report_(report) {}
@@ -249,13 +250,10 @@ void ApproxRoot::TryEmitWindows() {
     report_->consumption.AddWindow(counts);
     report_->events_processed += events;
     ++report_->windows_emitted;
-    static Counter* windows_counter =
-        MetricRegistry::Global()->counter("root.windows_emitted");
-    static Counter* events_counter =
-        MetricRegistry::Global()->counter("root.events_emitted");
-    windows_counter->Increment();
-    events_counter->Add(static_cast<int64_t>(events));
-    DECO_TRACE_SPAN_MSG(id_, TracePhase::kEmit, record.window_index,
+    metrics()->counter("root.windows_emitted")->Increment();
+    metrics()->counter("root.events_emitted")->Add(
+        static_cast<int64_t>(events));
+    DECO_TRACE_SPAN_MSG(*run_, id_, TracePhase::kEmit, record.window_index,
                         static_cast<int64_t>(events), causal_msg_id_);
     if (provenance_ != nullptr) {
       provenance_->OnWindowEmitted(next_window_, record.window_index,

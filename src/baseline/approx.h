@@ -27,8 +27,8 @@ class ProvenanceTracker;
 class ApproxLocalNode final : public Actor {
  public:
   ApproxLocalNode(NetworkFabric* fabric, NodeId id, Clock* clock,
-                  const Topology& topology, const IngestConfig& ingest,
-                  const QueryConfig& query);
+                  RunContext* run, const Topology& topology,
+                  const IngestConfig& ingest, const QueryConfig& query);
 
  protected:
   Status Run() override;
@@ -44,8 +44,8 @@ class ApproxLocalNode final : public Actor {
 class ApproxRoot final : public Actor {
  public:
   ApproxRoot(NetworkFabric* fabric, NodeId id, Clock* clock,
-             const Topology& topology, const QueryConfig& query,
-             RunReport* report);
+             RunContext* run, const Topology& topology,
+             const QueryConfig& query, RunReport* report);
 
   /// \brief Provenance collection point (src/obs/provenance.h); may be
   /// null (the default — no recording). Not owned. Approx ships exactly

@@ -3,17 +3,16 @@
 #include <algorithm>
 
 #include "common/logging.h"
-#include "obs/metric_registry.h"
 #include "obs/provenance.h"
-#include "obs/trace.h"
 
 namespace deco {
 
 CentralizedRoot::CentralizedRoot(NetworkFabric* fabric, NodeId id,
-                                 Clock* clock, const Topology& topology,
+                                 Clock* clock, RunContext* run,
+                                 const Topology& topology,
                                  const QueryConfig& query,
                                  CentralizedMode mode, RunReport* report)
-    : Actor(fabric, id, clock),
+    : Actor(fabric, id, clock, run),
       topology_(topology),
       query_(query),
       mode_(mode),
@@ -211,13 +210,10 @@ void CentralizedRoot::EmitWindow(double value, uint64_t event_count,
   ++report_->windows_emitted;
   create_sum_ = 0.0;
   open_events_ = 0;
-  static Counter* windows_counter =
-      MetricRegistry::Global()->counter("root.windows_emitted");
-  static Counter* events_counter =
-      MetricRegistry::Global()->counter("root.events_emitted");
-  windows_counter->Increment();
-  events_counter->Add(static_cast<int64_t>(event_count));
-  DECO_TRACE_SPAN_MSG(id_, TracePhase::kEmit, record.window_index,
+  metrics()->counter("root.windows_emitted")->Increment();
+  metrics()->counter("root.events_emitted")->Add(
+      static_cast<int64_t>(event_count));
+  DECO_TRACE_SPAN_MSG(*run_, id_, TracePhase::kEmit, record.window_index,
                       static_cast<int64_t>(event_count), causal_msg_id_);
 }
 

@@ -47,8 +47,9 @@ class CentralizedRoot final : public Actor {
   /// \param report output record; filled on the actor thread, must only be
   ///        read after `Join`. Not owned.
   CentralizedRoot(NetworkFabric* fabric, NodeId id, Clock* clock,
-                  const Topology& topology, const QueryConfig& query,
-                  CentralizedMode mode, RunReport* report);
+                  RunContext* run, const Topology& topology,
+                  const QueryConfig& query, CentralizedMode mode,
+                  RunReport* report);
 
   /// \brief Provenance collection point (src/obs/provenance.h); may be
   /// null (the default — no recording). Not owned. The centralized

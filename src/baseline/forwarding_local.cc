@@ -3,11 +3,11 @@
 namespace deco {
 
 ForwardingLocalNode::ForwardingLocalNode(NetworkFabric* fabric, NodeId id,
-                                         Clock* clock,
+                                         Clock* clock, RunContext* run,
                                          const Topology& topology,
                                          const IngestConfig& ingest,
                                          WireFormat format)
-    : Actor(fabric, id, clock),
+    : Actor(fabric, id, clock, run),
       topology_(topology),
       ingest_config_(ingest),
       format_(format) {}
@@ -21,6 +21,8 @@ Status ForwardingLocalNode::Run() {
     const uint64_t from_offset = source.position();
     const size_t pulled =
         source.Pull(ingest_config_.batch_size, &batch, &create_time);
+    metrics()->counter("local.events_ingested")->Add(
+        static_cast<int64_t>(pulled));
     const bool eos = source.exhausted();
 
     EventBatchPayload payload;

@@ -25,8 +25,8 @@ enum class WireFormat : uint8_t {
 class ForwardingLocalNode final : public Actor {
  public:
   ForwardingLocalNode(NetworkFabric* fabric, NodeId id, Clock* clock,
-                      const Topology& topology, const IngestConfig& ingest,
-                      WireFormat format);
+                      RunContext* run, const Topology& topology,
+                      const IngestConfig& ingest, WireFormat format);
 
  protected:
   Status Run() override;

@@ -5,7 +5,6 @@
 #include <sstream>
 
 #include "common/logging.h"
-#include "obs/metric_registry.h"
 
 namespace deco {
 
@@ -18,8 +17,9 @@ std::string ChaosAuditEntry::Describe() const {
   return out.str();
 }
 
-ChaosController::ChaosController(NetworkFabric* fabric, Clock* clock)
-    : fabric_(fabric), clock_(clock) {}
+ChaosController::ChaosController(NetworkFabric* fabric, Clock* clock,
+                                 MetricRegistry* metrics)
+    : fabric_(fabric), clock_(clock), metrics_(metrics) {}
 
 ChaosController::~ChaosController() { Stop(); }
 
@@ -148,13 +148,13 @@ Status ChaosController::ApplyAction(const Action& action,
     case FaultKind::kCrash:
       status = fabric_->SetNodeDown(action.node, true);
       detail = "node down";
-      MetricRegistry::Global()->counter("chaos.crashes")->Increment();
+      metrics_->counter("chaos.crashes")->Increment();
       break;
     case FaultKind::kRestart:
       status = fabric_->SetNodeDown(action.node, false);
       detail = "node up, incarnation " +
                std::to_string(fabric_->node_incarnation(action.node));
-      MetricRegistry::Global()->counter("chaos.restarts")->Increment();
+      metrics_->counter("chaos.restarts")->Increment();
       break;
     case FaultKind::kDropBurst:
     case FaultKind::kLatencySpike:
@@ -191,7 +191,7 @@ Status ChaosController::ApplyAction(const Action& action,
     std::lock_guard<std::mutex> lock(mu_);
     audit_.push_back(std::move(entry));
   }
-  MetricRegistry::Global()->counter("chaos.events_fired")->Increment();
+  metrics_->counter("chaos.events_fired")->Increment();
   return Status::OK();
 }
 

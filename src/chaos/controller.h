@@ -12,6 +12,7 @@
 #include "chaos/schedule.h"
 #include "common/clock.h"
 #include "net/fabric.h"
+#include "obs/metric_registry.h"
 
 /// \file controller.h
 /// \brief Actor that applies a `ChaosSchedule` to a live `NetworkFabric`.
@@ -53,7 +54,10 @@ class ChaosController {
  public:
   /// \param fabric fabric to mutate; not owned, must outlive the controller
   /// \param clock time source for firing offsets; not owned
-  ChaosController(NetworkFabric* fabric, Clock* clock);
+  /// \param metrics the run's registry, which counts fired faults; not
+  ///        owned, must outlive the controller
+  ChaosController(NetworkFabric* fabric, Clock* clock,
+                  MetricRegistry* metrics);
   ~ChaosController();
 
   ChaosController(const ChaosController&) = delete;
@@ -126,6 +130,7 @@ class ChaosController {
 
   NetworkFabric* fabric_;
   Clock* clock_;
+  MetricRegistry* metrics_;
   SimScheduler* sim_ = nullptr;
 
   std::map<std::string, std::shared_ptr<std::atomic<double>>> rate_handles_;

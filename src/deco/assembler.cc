@@ -5,7 +5,6 @@
 
 #include "common/logging.h"
 #include "obs/provenance.h"
-#include "obs/trace.h"
 
 namespace deco {
 namespace {
@@ -489,8 +488,6 @@ WindowAssembler::Outcome WindowAssembler::TryAssemble(WindowAssembly* out) {
   out->create_count = create_count;
 
   pending_.erase(next_window_);
-  DECO_TRACE_SPAN_MSG(trace_node_, TracePhase::kAssemble, next_window_,
-                      static_cast<int64_t>(global_size_), causal_msg_id_);
   ++next_window_;
   return Outcome::kAssembled;
 }
@@ -635,8 +632,6 @@ WindowAssembler::CorrectionOutcome WindowAssembler::TryAssembleCorrected(
   out->watermark = last_selected;
 
   correcting_ = false;
-  DECO_TRACE_SPAN_MSG(trace_node_, TracePhase::kAssemble, next_window_,
-                      static_cast<int64_t>(global_size_), causal_msg_id_);
   ++next_window_;
   return CorrectionOutcome::kAssembled;
 }

@@ -217,14 +217,6 @@ class WindowAssembler {
     return node < leftover_.size() ? leftover_[node].size() : 0;
   }
 
-  /// \brief Fabric id the assembler's trace spans are attributed to (the
-  /// owning root node). Defaults to node 0, the harness's root id.
-  void set_trace_node(NodeId node) { trace_node_ = node; }
-
-  /// \brief Causal id of the message the owning root is currently
-  /// processing; assemble spans carry it (critical-path join key).
-  void set_causal_msg_id(uint64_t msg_id) { causal_msg_id_ = msg_id; }
-
   /// \brief Installs the multi-query slot bank (serve layer, DESIGN.md
   /// §11); may be null (the default — single-aggregate assembly, `slots`
   /// left empty). Not owned. When set, every verified or corrected window
@@ -272,8 +264,6 @@ class WindowAssembler {
   uint64_t global_size_;
   uint64_t next_window_ = 0;
   bool expect_front_ = false;
-  NodeId trace_node_ = 0;
-  uint64_t causal_msg_id_ = 0;
   ProvenanceTracker* provenance_ = nullptr;
   const SlotBank* slot_bank_ = nullptr;
 

@@ -4,24 +4,8 @@
 
 #include "common/logging.h"
 #include "node/apportion.h"
-#include "obs/metric_registry.h"
-#include "obs/trace.h"
 
 namespace deco {
-namespace {
-
-Counter* LocalWindowsProducedCounter() {
-  static Counter* c =
-      MetricRegistry::Global()->counter("local.windows_produced");
-  return c;
-}
-Counter* LocalCorrectionRepliesCounter() {
-  static Counter* c =
-      MetricRegistry::Global()->counter("local.correction_replies");
-  return c;
-}
-
-}  // namespace
 
 const char* DecoSchemeToString(DecoScheme scheme) {
   switch (scheme) {
@@ -36,11 +20,11 @@ const char* DecoSchemeToString(DecoScheme scheme) {
 }
 
 DecoLocalNode::DecoLocalNode(NetworkFabric* fabric, NodeId id, Clock* clock,
-                             const Topology& topology,
+                             RunContext* run, const Topology& topology,
                              const IngestConfig& ingest,
                              const QueryConfig& query, DecoScheme scheme,
                              DecoLocalOptions options)
-    : Actor(fabric, id, clock),
+    : Actor(fabric, id, clock, run),
       topology_(topology),
       ingest_config_(ingest),
       query_(query),
@@ -109,6 +93,8 @@ bool DecoLocalNode::PullIntoRetained() {
   const size_t pulled =
       source_->Pull(ingest_config_.batch_size, &batch, &create_time);
   if (pulled == 0) return false;
+  metrics()->counter("local.events_ingested")->Add(
+      static_cast<int64_t>(pulled));
   for (const Event& e : batch) {
     retained_.push_back(TimedEvent{e, static_cast<double>(create_time)});
   }
@@ -184,11 +170,11 @@ Status DecoLocalNode::SendRateReport(uint64_t w) {
 }
 
 Status DecoLocalNode::ProduceWindow(uint64_t w, const SlicePlan& plan) {
-  DECO_TRACE_SPAN_MSG(id_, TracePhase::kWindowOpen, w,
+  DECO_TRACE_SPAN_MSG(*run_, id_, TracePhase::kWindowOpen, w,
                       static_cast<int64_t>(plan.front_buffer + plan.slice +
                                            plan.end_buffer),
                       assignment_msg_id_);
-  LocalWindowsProducedCounter()->Increment();
+  metrics()->counter("local.windows_produced")->Increment();
   // Front buffer (async layout only; empty plans ship nothing).
   if (plan.front_buffer > 0) {
     std::vector<TimedEvent> front;
@@ -491,10 +477,10 @@ Status DecoLocalNode::HandleCorrectionRequest(const Message& msg) {
     }
   }
   response.end_of_stream = source_->exhausted();
-  DECO_TRACE_SPAN_MSG(id_, TracePhase::kCorrect, request.window_index,
+  DECO_TRACE_SPAN_MSG(*run_, id_, TracePhase::kCorrect, request.window_index,
                       static_cast<int64_t>(response.events.size()),
                       MessageCausalId(msg));
-  LocalCorrectionRepliesCounter()->Increment();
+  metrics()->counter("local.correction_replies")->Increment();
   BinaryWriter writer;
   EncodeCorrectionResponse(response, &writer);
   out.type = MessageType::kCorrectionResult;
@@ -545,7 +531,7 @@ Status DecoLocalNode::Run() {
                         MakeAggregate(query_.aggregate, query_.quantile_q));
   if (serve_ != nullptr) {
     DECO_RETURN_NOT_OK(slice_store_.Init(serve_));
-    DECO_RETURN_NOT_OK(accounting_.Init(serve_));
+    DECO_RETURN_NOT_OK(accounting_.Init(serve_, metrics()));
     pane_length_ = serve_->PaneLength();
   } else {
     pane_length_ = ProtocolWindowLength(query_.window);

@@ -69,9 +69,9 @@ struct DecoLocalOptions {
 class DecoLocalNode final : public Actor {
  public:
   DecoLocalNode(NetworkFabric* fabric, NodeId id, Clock* clock,
-                const Topology& topology, const IngestConfig& ingest,
-                const QueryConfig& query, DecoScheme scheme,
-                DecoLocalOptions options = {});
+                RunContext* run, const Topology& topology,
+                const IngestConfig& ingest, const QueryConfig& query,
+                DecoScheme scheme, DecoLocalOptions options = {});
 
   /// \brief Installs the multi-query serving registry (DESIGN.md §11);
   /// must be called before the actor starts, must match the root's, and

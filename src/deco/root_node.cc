@@ -5,61 +5,15 @@
 #include "common/logging.h"
 #include "deco/planner.h"
 #include "node/apportion.h"
-#include "obs/metric_registry.h"
 #include "obs/provenance.h"
-#include "obs/trace.h"
 
 namespace deco {
-namespace {
-
-// Global-registry instruments the telemetry sampler snapshots. Pointers are
-// stable for the process lifetime, so sites hoist the name lookup.
-Counter* WindowsEmittedCounter() {
-  static Counter* c =
-      MetricRegistry::Global()->counter("root.windows_emitted");
-  return c;
-}
-Counter* EventsEmittedCounter() {
-  static Counter* c =
-      MetricRegistry::Global()->counter("root.events_emitted");
-  return c;
-}
-Counter* CorrectionsCounter() {
-  static Counter* c = MetricRegistry::Global()->counter("root.corrections");
-  return c;
-}
-Counter* NodesRemovedCounter() {
-  static Counter* c = MetricRegistry::Global()->counter("root.nodes_removed");
-  return c;
-}
-Counter* NodesRejoinedCounter() {
-  static Counter* c =
-      MetricRegistry::Global()->counter("root.nodes_rejoined");
-  return c;
-}
-// Live-progress gauges the ops plane scrapes (/statusz, watchdog): the
-// assembly frontier, whether a correction is in flight, and how many
-// locals the failure detector currently believes are alive.
-Gauge* NextWindowGauge() {
-  static Gauge* g = MetricRegistry::Global()->gauge("root.next_window");
-  return g;
-}
-Gauge* CorrectingGauge() {
-  static Gauge* g = MetricRegistry::Global()->gauge("root.correcting");
-  return g;
-}
-Gauge* NodesLiveGauge() {
-  static Gauge* g = MetricRegistry::Global()->gauge("root.nodes_live");
-  return g;
-}
-
-}  // namespace
 
 DecoRootNode::DecoRootNode(NetworkFabric* fabric, NodeId id, Clock* clock,
-                           const Topology& topology,
+                           RunContext* run, const Topology& topology,
                            const QueryConfig& query, DecoScheme scheme,
                            RunReport* report, DecoRootOptions options)
-    : Actor(fabric, id, clock),
+    : Actor(fabric, id, clock, run),
       topology_(topology),
       query_(query),
       scheme_(scheme),
@@ -133,7 +87,6 @@ Status DecoRootNode::Run() {
   assembler_ =
       std::make_unique<WindowAssembler>(m, func_.get(), pane_length_);
   assembler_->set_expect_front(scheme_ == DecoScheme::kAsync);
-  assembler_->set_trace_node(id_);
   assembler_->set_provenance(provenance_);
   assembler_->set_slot_bank(&slot_bank_);
   if (serve_sync_needed_) {
@@ -178,20 +131,24 @@ Status DecoRootNode::Run() {
 }
 
 void DecoRootNode::UpdateOpsGauges() {
-  NextWindowGauge()->Set(static_cast<int64_t>(assembler_->next_window()));
-  CorrectingGauge()->Set(assembler_->correcting() ? 1 : 0);
+  if (nodes_live_gauge_ == nullptr) {
+    next_window_gauge_ = metrics()->gauge("root.next_window");
+    correcting_gauge_ = metrics()->gauge("root.correcting");
+    nodes_live_gauge_ = metrics()->gauge("root.nodes_live");
+  }
+  next_window_gauge_->Set(static_cast<int64_t>(assembler_->next_window()));
+  correcting_gauge_->Set(assembler_->correcting() ? 1 : 0);
   int64_t live = 0;
   for (size_t n = 0; n < topology_.num_locals(); ++n) {
     if (!assembler_->IsRemoved(n)) ++live;
   }
-  NodesLiveGauge()->Set(live);
+  nodes_live_gauge_->Set(live);
 }
 
 Status DecoRootNode::Dispatch(const Message& msg) {
   DECO_ASSIGN_OR_RETURN(size_t node, topology_.OrdinalOf(msg.src));
   last_heard_[node] = NowNanos();
   causal_msg_id_ = MessageCausalId(msg);
-  assembler_->set_causal_msg_id(causal_msg_id_);
   if (provenance_ != nullptr) provenance_->set_now_nanos(NowNanos());
   if (assembler_->IsRemoved(node) && msg.type != MessageType::kRejoin) {
     // False suspicion: a removed node is still talking, so it was
@@ -229,7 +186,7 @@ Status DecoRootNode::Dispatch(const Message& msg) {
     }
     case MessageType::kPartialResult: {
       if (msg.epoch != epoch_) return Status::OK();  // stale after rollback
-      DECO_TRACE_SPAN_MSG(id_, TracePhase::kPartialReceived,
+      DECO_TRACE_SPAN_MSG(*run_, id_, TracePhase::kPartialReceived,
                           msg.window_index, static_cast<int64_t>(node),
                           MessageCausalId(msg));
       BinaryReader reader(msg.payload);
@@ -349,9 +306,10 @@ Status DecoRootNode::Progress() {
 Status DecoRootNode::StartCorrection() {
   DECO_LOG(DEBUG) << "root: correction for window "
                   << assembler_->next_window();
-  DECO_TRACE_SPAN_MSG(id_, TracePhase::kCorrect, assembler_->next_window(),
+  DECO_TRACE_SPAN_MSG(*run_, id_, TracePhase::kCorrect,
+                      assembler_->next_window(),
                       static_cast<int64_t>(epoch_ + 1), causal_msg_id_);
-  CorrectionsCounter()->Increment();
+  metrics()->counter("root.corrections")->Increment();
   ++report_->correction_steps;
   correction_window_ = assembler_->next_window();
   assembler_->BeginCorrection();
@@ -414,7 +372,7 @@ Status DecoRootNode::HandleRejoin(size_t node, const RateReport& report) {
   }
   report_->membership.push_back(
       MembershipEvent{NowNanos(), node, /*rejoined=*/true});
-  NodesRejoinedCounter()->Increment();
+  metrics()->counter("root.nodes_rejoined")->Increment();
   if (serve_sync_needed_) {
     // The reborn local lost every in-flight add/remove broadcast; restore
     // its slot schedule before re-soliciting its retained stream.
@@ -478,9 +436,12 @@ Status DecoRootNode::EmitProtocolWindow(const WindowAssembly& assembly,
       report_->latency.Record(
           static_cast<int64_t>(record.mean_latency_nanos));
       ++report_->windows_emitted;
-      WindowsEmittedCounter()->Increment();
-      EventsEmittedCounter()->Add(static_cast<int64_t>(record.event_count));
-      DECO_TRACE_SPAN_MSG(id_, TracePhase::kEmit, record.window_index,
+      metrics()->counter("root.windows_emitted")->Increment();
+      metrics()
+          ->counter("root.events_emitted")
+          ->Add(static_cast<int64_t>(record.event_count));
+      DECO_TRACE_SPAN_MSG(*run_, id_, TracePhase::kEmit,
+                          record.window_index,
                           static_cast<int64_t>(record.event_count),
                           causal_msg_id_);
     }
@@ -592,6 +553,12 @@ Status DecoRootNode::SendServeSnapshot(size_t node) {
 
 Status DecoRootNode::FinishWindow(const WindowAssembly& assembly,
                                   bool corrected) {
+  // `TryAssemble`/`TryAssembleCorrected` just verified and advanced past
+  // this window.
+  DECO_TRACE_SPAN_MSG(*run_, id_, TracePhase::kAssemble,
+                      assembler_->next_window() - 1,
+                      static_cast<int64_t>(assembly.event_count),
+                      causal_msg_id_);
   if (GetLogLevel() <= LogLevel::kDebug) {
     std::string leftovers;
     for (size_t n = 0; n < topology_.num_locals(); ++n) {
@@ -752,7 +719,7 @@ Status DecoRootNode::MaybeSendAssignments() {
       DECO_RETURN_NOT_OK(SendAssignment(n, assignment));
     }
     DECO_LOG(DEBUG) << "root: sent assignments for window " << w;
-    DECO_TRACE_SPAN(id_, TracePhase::kWindowOpen, w,
+    DECO_TRACE_SPAN(*run_, id_, TracePhase::kWindowOpen, w,
                     static_cast<int64_t>(m));
     ++assignment_window_;
   }
@@ -831,7 +798,7 @@ Status DecoRootNode::CheckNodeTimeouts() {
       assembler_->RemoveNode(n);
       report_->membership.push_back(
           MembershipEvent{now, n, /*rejoined=*/false});
-      NodesRemovedCounter()->Increment();
+      metrics()->counter("root.nodes_removed")->Increment();
       removed_any = true;
     } else if (assembler_->correcting() && !correction_responded_[n] &&
                now - correction_requested_at_[n] >

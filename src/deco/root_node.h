@@ -68,8 +68,8 @@ class DecoRootNode final : public Actor {
   /// \param report filled on the actor thread; read after `Join`. Not
   ///        owned.
   DecoRootNode(NetworkFabric* fabric, NodeId id, Clock* clock,
-               const Topology& topology, const QueryConfig& query,
-               DecoScheme scheme, RunReport* report,
+               RunContext* run, const Topology& topology,
+               const QueryConfig& query, DecoScheme scheme, RunReport* report,
                DecoRootOptions options = {});
 
   /// \brief Installs a provenance collection point (src/obs/provenance.h);
@@ -227,6 +227,14 @@ class DecoRootNode final : public Actor {
   // fires; a stalled window is repaired with a correction instead.
   uint64_t stall_window_ = 0;
   TimeNanos stall_since_ = 0;
+
+  // Live-progress gauges the ops plane scrapes (/statusz, watchdog): the
+  // assembly frontier, whether a correction is in flight, and how many
+  // locals the failure detector believes alive. Set on every loop pass, so
+  // they are looked up once, on the first pass.
+  Gauge* next_window_gauge_ = nullptr;
+  Gauge* correcting_gauge_ = nullptr;
+  Gauge* nodes_live_gauge_ = nullptr;
 };
 
 }  // namespace deco

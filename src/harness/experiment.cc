@@ -18,12 +18,10 @@
 #include "harness/oracle.h"
 #include "node/runtime.h"
 #include "obs/export.h"
-#include "obs/metric_registry.h"
 #include "obs/ops_server.h"
 #include "obs/perfetto_export.h"
-#include "obs/profiler.h"
 #include "obs/provenance.h"
-#include "obs/trace.h"
+#include "obs/run_context.h"
 
 namespace deco {
 
@@ -268,6 +266,11 @@ Result<RunReport> RunExperiment(const ExperimentConfig& input) {
   ExperimentConfig config = input;
   if (serving) config.query = registry.queries()[0].query;
 
+  // Everything the run counts and records (DESIGN.md §5). Declared first
+  // so it outlives every actor, controller and ops-plane object that
+  // holds a pointer into it.
+  RunContext run;
+
   // Sim mode: one scheduler owns the virtual clock and every scheduling
   // decision. Declared before the fabric so it outlives it (the fabric may
   // hold queued delivery events referencing fabric state).
@@ -312,7 +315,7 @@ Result<RunReport> RunExperiment(const ExperimentConfig& input) {
   std::unique_ptr<ChaosController> chaos;
   std::vector<std::shared_ptr<std::atomic<double>>> rate_handles;
   if (!config.chaos.schedule.empty()) {
-    chaos = std::make_unique<ChaosController>(&fabric, clock);
+    chaos = std::make_unique<ChaosController>(&fabric, clock, &run.metrics);
     if (sim != nullptr) chaos->SetSimScheduler(sim.get());
     for (size_t i = 0; i < config.num_locals; ++i) {
       rate_handles.push_back(std::make_shared<std::atomic<double>>(1.0));
@@ -376,26 +379,27 @@ Result<RunReport> RunExperiment(const ExperimentConfig& input) {
                                     ? WireFormat::kText
                                     : WireFormat::kBinary;
       auto central = std::make_unique<CentralizedRoot>(
-          &fabric, topology.root, clock, topology, config.query, mode,
+          &fabric, topology.root, clock, &run, topology, config.query, mode,
           &report);
       central->set_provenance(provenance_tracker.get());
       add_root(std::move(central));
       for (size_t i = 0; i < config.num_locals; ++i) {
         runtime.AddActor(std::make_unique<ForwardingLocalNode>(
-            &fabric, topology.locals[i], clock, topology, ingest_for(i),
-            format));
+            &fabric, topology.locals[i], clock, &run, topology,
+            ingest_for(i), format));
       }
       break;
     }
     case Scheme::kApprox: {
       auto approx = std::make_unique<ApproxRoot>(
-          &fabric, topology.root, clock, topology, config.query, &report);
+          &fabric, topology.root, clock, &run, topology, config.query,
+          &report);
       approx->set_provenance(provenance_tracker.get());
       add_root(std::move(approx));
       for (size_t i = 0; i < config.num_locals; ++i) {
         runtime.AddActor(std::make_unique<ApproxLocalNode>(
-            &fabric, topology.locals[i], clock, topology, ingest_for(i),
-            config.query));
+            &fabric, topology.locals[i], clock, &run, topology,
+            ingest_for(i), config.query));
       }
       break;
     }
@@ -417,15 +421,15 @@ Result<RunReport> RunExperiment(const ExperimentConfig& input) {
         local_options.peer_rate_exchange = true;
       }
       auto deco_root = std::make_unique<DecoRootNode>(
-          &fabric, topology.root, clock, topology, config.query, scheme,
-          &report, root_options);
+          &fabric, topology.root, clock, &run, topology, config.query,
+          scheme, &report, root_options);
       deco_root->set_provenance(provenance_tracker.get());
       if (serving) deco_root->set_serve(&registry);
       add_root(std::move(deco_root));
       for (size_t i = 0; i < config.num_locals; ++i) {
         auto local = std::make_unique<DecoLocalNode>(
-            &fabric, topology.locals[i], clock, topology, ingest_for(i),
-            config.query, scheme, local_options);
+            &fabric, topology.locals[i], clock, &run, topology,
+            ingest_for(i), config.query, scheme, local_options);
         if (serving) local->set_serve(&registry);
         runtime.AddActor(std::move(local));
       }
@@ -433,12 +437,11 @@ Result<RunReport> RunExperiment(const ExperimentConfig& input) {
     }
   }
 
-  // Live telemetry: reset the process-global registry so counters cover
-  // this run only, install a trace sink for the window-lifecycle spans, and
-  // sample the fabric in the background for the duration of the run. The
-  // live ops plane (DESIGN.md §12) shares the substrate: any ops piece
-  // being on also resets the registry and runs the sampler (without a
-  // trace sink) so the watchdog has a tick and the endpoints fresh state.
+  // Live telemetry (DESIGN.md §5) and the live ops plane (§12) share one
+  // substrate: either being on runs a sampler over the fabric and the
+  // run's registry, so the watchdog has a tick and the endpoints fresh
+  // state. Spans need a trace sink; alert trips and crash dumps want a
+  // flight recorder; the fabric stamps hops while either records them.
   const bool ops_on = config.ops.Any();
   const bool watchdog_on =
       ops_on && (config.ops.watchdog || config.ops.ops_port >= 0);
@@ -449,40 +452,45 @@ Result<RunReport> RunExperiment(const ExperimentConfig& input) {
   const std::string flight_path = config.ops.flight_recorder_out.empty()
                                       ? "deco_flight_recorder.json"
                                       : config.ops.flight_recorder_out;
-  std::unique_ptr<TraceSink> trace_sink;
-  std::unique_ptr<Sampler> sampler;
-  if (config.telemetry.enabled || ops_on) {
-    MetricRegistry::Global()->Reset();
-    sampler = std::make_unique<Sampler>(
-        clock, &fabric, MetricRegistry::Global(),
-        config.telemetry.sample_interval_nanos, sim.get());
-    sampler->SetGovernance(config.obs_governance);
-  }
   if (config.telemetry.enabled) {
-    trace_sink =
+    run.trace =
         std::make_unique<TraceSink>(clock, config.telemetry.trace_capacity);
-    TraceSink::Install(trace_sink.get());
   }
-
-  std::unique_ptr<FlightRecorder> flight_recorder;
   if (recorder_on) {
-    flight_recorder = std::make_unique<FlightRecorder>(
+    run.flight_recorder = std::make_unique<FlightRecorder>(
         clock, config.ops.flight_recorder_options);
-    FlightRecorder::Install(flight_recorder.get());
     if (config.ops.crash_handler) {
-      FlightRecorder::InstallCrashHandler(flight_path);
+      run.flight_recorder->InstallCrashHandler(flight_path);
     }
   }
+  // The profiler exists before the actors start so every actor thread
+  // registers its slot in Start's body.
+  if (config.profile.enabled) {
+    run.profiler = std::make_unique<Profiler>(config.profile.count_allocs);
+  }
+  fabric.SetHopStamping(run.trace != nullptr ||
+                        run.flight_recorder != nullptr);
+
+  // Declared before the sampler, whose final snapshot it observes.
   std::unique_ptr<Watchdog> watchdog;
   if (watchdog_on) {
     watchdog = std::make_unique<Watchdog>(config.ops.watchdog_options,
-                                          MetricRegistry::Global());
-    if (flight_recorder != nullptr) {
-      watchdog->SetFlightRecorder(flight_recorder.get(), flight_path);
+                                          &run.metrics);
+    if (run.flight_recorder != nullptr) {
+      watchdog->SetFlightRecorder(run.flight_recorder.get(), flight_path);
     }
-    sampler->SetObserver([w = watchdog.get()](const TelemetrySample& s) {
-      w->OnSample(s);
-    });
+  }
+  std::unique_ptr<Sampler> sampler;
+  if (config.telemetry.enabled || ops_on) {
+    sampler = std::make_unique<Sampler>(
+        clock, &fabric, &run.metrics,
+        config.telemetry.sample_interval_nanos, sim.get());
+    sampler->SetGovernance(config.obs_governance);
+    if (watchdog != nullptr) {
+      sampler->SetObserver([w = watchdog.get()](const TelemetrySample& s) {
+        w->OnSample(s);
+      });
+    }
   }
   if (sampler != nullptr) sampler->Start();
 
@@ -500,7 +508,7 @@ Result<RunReport> RunExperiment(const ExperimentConfig& input) {
     server_options.port = std::max(config.ops.ops_port, 0);
     server_options.clock = clock;
     server_options.fabric = &fabric;
-    server_options.registry = MetricRegistry::Global();
+    server_options.registry = &run.metrics;
     server_options.watchdog = watchdog.get();
     server_options.sim = config.sim;
     server_options.governance = config.obs_governance;
@@ -539,12 +547,7 @@ Result<RunReport> RunExperiment(const ExperimentConfig& input) {
     };
     ops_server = std::make_unique<OpsServer>(std::move(server_options));
     if (config.ops.ops_port >= 0) {
-      const Status server_started = ops_server->Start();
-      if (!server_started.ok()) {
-        if (trace_sink != nullptr) TraceSink::Install(nullptr);
-        if (flight_recorder != nullptr) FlightRecorder::Install(nullptr);
-        return server_started;
-      }
+      DECO_RETURN_NOT_OK(ops_server->Start());
       if (config.ops.bound_port != nullptr) {
         *config.ops.bound_port = ops_server->port();
       }
@@ -555,7 +558,7 @@ Result<RunReport> RunExperiment(const ExperimentConfig& input) {
   // pointers are stable, so hoist the lookups out of the tick.
   std::unique_ptr<StatusTicker> status_ticker;
   if (config.ops.status_interval_nanos > 0) {
-    MetricRegistry* reg = MetricRegistry::Global();
+    MetricRegistry* reg = &run.metrics;
     Counter* events_in = reg->counter("local.events_ingested");
     Counter* panes = reg->counter("local.windows_produced");
     Counter* windows = reg->counter("root.windows_emitted");
@@ -604,77 +607,56 @@ Result<RunReport> RunExperiment(const ExperimentConfig& input) {
     });
   }
 
-  // In-run profiler: installed before the actors start so every actor
-  // thread registers its slot in Start's body; collected after the joins
-  // below so every slot has finished.
-  std::unique_ptr<Profiler> profiler;
-  if (config.profile.enabled) {
-    profiler = std::make_unique<Profiler>(config.profile.count_allocs);
-    Profiler::Install(profiler.get());
-  }
-
-  // Per-tenant accounting baseline: the `serve.tenant.*` counters live in
-  // the process-global registry (so telemetry samples see them), which
-  // accumulates across runs in one process — diff a before/after reading
-  // to isolate this run. Hoisted after the telemetry Reset above.
-  struct TenantBaseline {
+  // Per-tenant usage is read straight off the run's `serve.tenant.*`
+  // counters. Looked up before the actors start, so every served tenant
+  // appears in the run's telemetry and /metrics even if it never used a
+  // byte.
+  struct TenantCounters {
     Counter* bytes = nullptr;
     Counter* agg_ops = nullptr;
-    int64_t bytes_before = 0;
-    int64_t agg_ops_before = 0;
   };
-  std::vector<TenantBaseline> tenant_baselines;
+  std::vector<TenantCounters> tenant_counters;
   if (serving) {
     for (const std::string& tenant : registry.tenants()) {
-      TenantBaseline b;
-      b.bytes = MetricRegistry::Global()->counter(
-          "serve.tenant." + tenant + ".bytes");
-      b.agg_ops = MetricRegistry::Global()->counter(
-          "serve.tenant." + tenant + ".agg_ops");
-      b.bytes_before = b.bytes->value();
-      b.agg_ops_before = b.agg_ops->value();
-      tenant_baselines.push_back(b);
+      tenant_counters.push_back(
+          {run.metrics.counter("serve.tenant." + tenant + ".bytes"),
+           run.metrics.counter("serve.tenant." + tenant + ".agg_ops")});
     }
   }
 
   const TimeNanos start = clock->NowNanos();
   runtime.StartAll();
-  if (chaos != nullptr) {
-    const Status chaos_started = chaos->Start();
-    if (!chaos_started.ok()) {
-      // The profiler, trace sink and flight recorder are process-global;
-      // never leave a dangling install. The ops surfaces reference the
-      // fabric, so they stop here too.
-      if (profiler != nullptr) Profiler::Install(nullptr);
-      if (trace_sink != nullptr) TraceSink::Install(nullptr);
-      if (flight_recorder != nullptr) FlightRecorder::Install(nullptr);
-      run_done.store(true, std::memory_order_release);
-      if (interrupt_watcher.joinable()) interrupt_watcher.join();
-      if (status_ticker != nullptr) status_ticker->Stop();
-      if (ops_server != nullptr) ops_server->Stop();
-      return chaos_started;
-    }
-  }
+  const Status chaos_started =
+      chaos != nullptr ? chaos->Start() : Status::OK();
   Status sim_run = Status::OK();
-  if (sim != nullptr) {
-    // Drive the simulation until the root finishes. On a sim error
-    // (deadlock, virtual-time limit) the root task never completes, so its
-    // thread must not be joined before the teardown below unblocks it.
-    sim_run = sim->RunUntilTaskDone(root_actor->sim_task());
-    if (sim_run.ok()) root_actor->Join();
-  } else {
-    root_actor->Join();
+  if (chaos_started.ok()) {
+    if (sim != nullptr) {
+      // Drive the simulation until the root finishes. On a sim error
+      // (deadlock, virtual-time limit) the root task never completes, so
+      // its thread must not be joined before the teardown below unblocks
+      // it.
+      sim_run = sim->RunUntilTaskDone(root_actor->sim_task());
+      if (sim_run.ok()) root_actor->Join();
+    } else {
+      root_actor->Join();
+    }
   }
   const TimeNanos end = clock->NowNanos();
 
-  // Stop fault injection before tearing the topology down: a crash fired
-  // during shutdown would wedge the joins below.
+  // Teardown: every run whose actors started ends here, failed or not.
+  // Stop fault injection first: a crash fired during shutdown would wedge
+  // the joins below.
   if (chaos != nullptr) chaos->Stop();
-
-  // Uninstall before the sink can go out of scope on any early return;
-  // straggler threads then see a null sink and skip recording.
   if (sampler != nullptr) sampler->Stop();
-  if (trace_sink != nullptr) TraceSink::Install(nullptr);
+  // The run's trace ends with the root: spans and hops of the shutdown
+  // that follows are not part of it.
+  TelemetryLog log;
+  if (run.trace != nullptr) {
+    log.spans = run.trace->Drain();
+    log.spans_dropped = run.trace->dropped();
+    log.hops = run.trace->DrainHops();
+    log.hops_dropped = run.trace->hops_dropped();
+  }
 
   runtime.StopAll();
   fabric.Shutdown();
@@ -686,28 +668,23 @@ Result<RunReport> RunExperiment(const ExperimentConfig& input) {
     if (sim_run.ok() && !drained.ok()) sim_run = drained;
   }
   Status joined = runtime.JoinAll();
-  // Collect after every actor thread has joined (so each slot is final)
-  // but before the error returns below: a failed run still uninstalls.
-  if (profiler != nullptr) {
-    Profiler::Install(nullptr);
-    report.profile = profiler->Collect();
-  }
+  // Every actor thread has joined, so every profiler slot is final.
+  if (run.profiler != nullptr) report.profile = run.profiler->Collect();
 
   // Ops-plane teardown: the run is over, so retire the watcher and the
-  // live surfaces, dump the black box if asked (a watchdog trip already
-  // dumped once on its own), and uninstall the global recorder.
+  // live surfaces, and dump the black box if asked (a watchdog trip
+  // already dumped once on its own).
   run_done.store(true, std::memory_order_release);
   if (interrupt_watcher.joinable()) interrupt_watcher.join();
   if (status_ticker != nullptr) status_ticker->Stop();
   if (ops_server != nullptr) ops_server->Stop();
-  if (flight_recorder != nullptr) {
-    FlightRecorder::Install(nullptr);
-    if (config.ops.dump_flight_recorder || interrupted.load()) {
-      flight_recorder->DumpJson(
-          flight_path, interrupted.load() ? "interrupt" : "requested");
-      DECO_LOG(INFO) << "flight recorder dumped to " << flight_path;
-    }
+  if (run.flight_recorder != nullptr &&
+      (config.ops.dump_flight_recorder || interrupted.load())) {
+    run.flight_recorder->DumpJson(
+        flight_path, interrupted.load() ? "interrupt" : "requested");
+    DECO_LOG(INFO) << "flight recorder dumped to " << flight_path;
   }
+  DECO_RETURN_NOT_OK(chaos_started);
   if (config.ops.alerts != nullptr && watchdog != nullptr) {
     *config.ops.alerts = watchdog->Alerts();
   }
@@ -763,9 +740,9 @@ Result<RunReport> RunExperiment(const ExperimentConfig& input) {
   report.network = fabric.Stats();
   report.delivery_hash = fabric.delivery_hash();
 
-  // Serving summary + per-tenant accounting (counter diff; CPU estimated
-  // by scaling the profiler's measured local-node CPU by each tenant's
-  // share of aggregate ops — an attribution, not a measurement).
+  // Serving summary + per-tenant accounting (CPU estimated by scaling the
+  // profiler's measured local-node CPU by each tenant's share of aggregate
+  // ops — an attribution, not a measurement).
   if (serving) {
     report.serving.enabled = true;
     report.serving.pane_length = registry.PaneLength();
@@ -780,14 +757,12 @@ Result<RunReport> RunExperiment(const ExperimentConfig& input) {
     }
     uint64_t total_ops = 0;
     std::vector<TenantUsage> usages;
-    for (size_t t = 0; t < tenant_baselines.size(); ++t) {
-      const TenantBaseline& b = tenant_baselines[t];
+    for (size_t t = 0; t < tenant_counters.size(); ++t) {
       TenantUsage usage;
       usage.tenant = registry.tenants()[t];
-      usage.bytes = static_cast<uint64_t>(
-          std::max<int64_t>(0, b.bytes->value() - b.bytes_before));
-      usage.agg_ops = static_cast<uint64_t>(
-          std::max<int64_t>(0, b.agg_ops->value() - b.agg_ops_before));
+      usage.bytes = static_cast<uint64_t>(tenant_counters[t].bytes->value());
+      usage.agg_ops =
+          static_cast<uint64_t>(tenant_counters[t].agg_ops->value());
       total_ops += usage.agg_ops;
       for (const ServedQuery& q : registry.queries()) {
         if (q.tenant == usage.tenant) ++usage.queries;
@@ -841,12 +816,7 @@ Result<RunReport> RunExperiment(const ExperimentConfig& input) {
   }
 
   if (config.telemetry.enabled) {
-    TelemetryLog log;
     log.samples = sampler->Samples();
-    log.spans = trace_sink->Drain();
-    log.spans_dropped = trace_sink->dropped();
-    log.hops = trace_sink->DrainHops();
-    log.hops_dropped = trace_sink->hops_dropped();
     log.provenance = provenance_log;
     // Schema v6: the alert history rides the telemetry document whenever
     // both telemetry and the watchdog were on.

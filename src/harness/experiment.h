@@ -44,10 +44,10 @@ bool IsDecentralized(Scheme scheme);
 
 /// \brief Live-telemetry options of one experiment run.
 ///
-/// When enabled, the harness installs a process-global trace sink, resets
-/// the global metric registry, and runs a background sampler over the
-/// fabric for the duration of the run; the collected time series and spans
-/// are exported to the configured paths and/or copied into `sink`.
+/// When enabled, the run's context gets a trace sink and a background
+/// sampler snapshots the fabric and the run's own metric registry for the
+/// duration of the run; the collected time series and spans are exported
+/// to the configured paths and/or copied into `sink`.
 struct TelemetryOptions {
   /// Master switch; off by default so benchmarks measure the undisturbed
   /// system. Setting any output path below implies interest, but `enabled`
@@ -82,10 +82,10 @@ struct TelemetryOptions {
 
 /// \brief In-run profiler options (DESIGN.md §9, deco_run `--profile`).
 ///
-/// When enabled, the harness installs a process-global `Profiler` for the
-/// duration of the run; every actor thread registers with it, and the
-/// collected per-thread CPU/alloc profile lands in `RunReport::profile`
-/// (and from there in telemetry and bench JSON).
+/// When enabled, the run's context gets a `Profiler`; every actor thread
+/// of the run registers with it, and the collected per-thread CPU/alloc
+/// profile lands in `RunReport::profile` (and from there in telemetry and
+/// bench JSON).
 struct ProfilerOptions {
   /// Master switch; off by default so benchmarks measure the undisturbed
   /// system (measured overhead is within ~2% on fig7 either way).
@@ -200,8 +200,9 @@ struct OpsOptions {
   bool flight_recorder = false;
   FlightRecorder::Options flight_recorder_options;
 
-  /// Dump path for the flight recorder; empty = `deco_flight_<nanos>.json`
-  /// next to the working directory when a dump triggers.
+  /// Dump path for the flight recorder; empty = `deco_flight_recorder.json`
+  /// in the working directory when a dump triggers (deco_run passes its
+  /// own timestamped name).
   std::string flight_recorder_out;
 
   /// Always dump the flight recorder at the end of the run (deco_run
@@ -209,7 +210,9 @@ struct OpsOptions {
   bool dump_flight_recorder = false;
 
   /// Install SIGSEGV/SIGABRT handlers that dump the flight recorder
-  /// before re-raising (deco_run turns this on with the recorder).
+  /// before re-raising (deco_run turns this on with the recorder). The
+  /// handlers are process-wide: the latest run to ask for them is the one
+  /// a crash dumps.
   bool crash_handler = false;
 
   /// Cooperative-interrupt flag (deco_run's SIGINT/SIGTERM handlers set

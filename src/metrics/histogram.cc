@@ -81,12 +81,4 @@ int64_t Histogram::Percentile(double q) const {
   return max_;
 }
 
-void Histogram::Reset() {
-  std::fill(buckets_.begin(), buckets_.end(), 0);
-  count_ = 0;
-  sum_ = 0.0;
-  min_ = 0;
-  max_ = 0;
-}
-
 }  // namespace deco

@@ -39,8 +39,6 @@ class Histogram {
   /// \brief Value at quantile `q` in [0, 1]; 0 when empty.
   int64_t Percentile(double q) const;
 
-  void Reset();
-
  private:
   size_t BucketIndex(int64_t value) const;
   int64_t BucketRepresentative(size_t index) const;

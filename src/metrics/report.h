@@ -72,7 +72,7 @@ struct ThreadProfile {
 /// "disabled, empty", so every consumer can read the fields without
 /// checking `enabled` first.
 struct ProfileReport {
-  bool enabled = false;        ///< profiler installed for this run
+  bool enabled = false;        ///< this run was profiled
   bool alloc_counted = false;  ///< counting allocator hook was active
   std::vector<ThreadProfile> threads;  ///< actor threads, registration order
 

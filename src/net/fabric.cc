@@ -6,21 +6,6 @@
 
 namespace deco {
 
-namespace {
-// Hop-stamping switch. It lives here (not in the TraceSink) so the net
-// layer stays free of an obs dependency; `TraceSink::Install` toggles
-// the switch.
-std::atomic<bool> g_hop_stamping{false};
-}  // namespace
-
-void SetHopStampingEnabled(bool enabled) {
-  g_hop_stamping.store(enabled, std::memory_order_release);
-}
-
-bool HopStampingEnabled() {
-  return g_hop_stamping.load(std::memory_order_acquire);
-}
-
 NetworkFabric::NetworkFabric(Clock* clock, uint64_t seed)
     : clock_(clock), rng_(seed) {}
 
@@ -184,7 +169,7 @@ Status NetworkFabric::Send(Message msg) {
   }
 
 #if DECO_TRACE_ENABLED
-  const bool stamp_hop = HopStampingEnabled();
+  const bool stamp_hop = hop_stamping_;
   if (stamp_hop) {
     msg.hop.msg_id = next_msg_id_.fetch_add(1, std::memory_order_relaxed);
     msg.hop.enqueue_nanos = clock_->NowNanos();

@@ -75,15 +75,6 @@ struct NetworkStats {
 /// \brief Mailbox type nodes receive from.
 using Mailbox = BlockingQueue<Message>;
 
-/// \brief Process-global switch for causal hop stamping (DESIGN.md §7).
-///
-/// Owned by the net layer so the fabric need not depend on the observability
-/// library; `TraceSink::Install` flips it. While enabled (and
-/// `DECO_TRACE_ENABLED` is compiled in), `NetworkFabric::Send` assigns each
-/// message a process-unique id and fills in its `MessageHop` timestamps.
-void SetHopStampingEnabled(bool enabled);
-bool HopStampingEnabled();
-
 /// \brief The in-process network.
 ///
 /// Lifecycle: register nodes and configure links, then exchange messages;
@@ -171,6 +162,13 @@ class NetworkFabric {
   /// \brief The attached scheduler, or nullptr outside sim mode.
   SimScheduler* sim() const { return sim_; }
 
+  /// \brief Causal hop stamping (DESIGN.md §7), off by default. While on
+  /// (and `DECO_TRACE_ENABLED` is compiled in), `Send` gives each message
+  /// an id unique within this fabric and fills in its `MessageHop`
+  /// timestamps. Set before any traffic flows; the harness turns it on
+  /// when the run records hops.
+  void SetHopStamping(bool enabled) { hop_stamping_ = enabled; }
+
   /// \brief Order-sensitive FNV-1a digest over every delivered message's
   /// (virtual deliver time, src, dst, type, wire size). Only maintained in
   /// sim mode, where deliveries are serialized on the driver thread; two
@@ -249,6 +247,7 @@ class NetworkFabric {
 
   Clock* clock_;
   SimScheduler* sim_ = nullptr;
+  bool hop_stamping_ = false;
   // Per-fabric so message ids restart at 1 for every experiment: a
   // process running several back-to-back runs (benches, the serving
   // layer's tests) would otherwise leak the previous run's id offset

@@ -84,20 +84,20 @@ const char* MessageTypeToString(MessageType type);
 /// \brief Causal hop record carried by every message while tracing is
 /// compiled in (CMake option `DECO_TRACE=ON`, the default).
 ///
-/// The fabric stamps the record as the message moves: `Send` assigns a
-/// process-unique id and the enqueue time, measures how long the sender
-/// blocked on egress shaping / flow control, and `Deliver` stamps the
-/// mailbox-arrival time. The *receiving* actor stamps the dequeue time and
-/// hands the finished record to the installed `TraceSink` — so node code
-/// stays untouched on the hot path. Like the latency side-channel, the hop
-/// record is excluded from wire-byte accounting: a real deployment would
-/// fold these ~12 bytes into the RPC framing or reconstruct them from
-/// per-host clocks.
+/// The fabric stamps the record as the message moves: `Send` assigns an
+/// id unique within the fabric and the enqueue time, measures how long
+/// the sender blocked on egress shaping / flow control, and `Deliver`
+/// stamps the mailbox-arrival time. The *receiving* actor stamps the
+/// dequeue time and hands the finished record to its run's hop recorders
+/// — so node code stays untouched on the hot path. Like the latency
+/// side-channel, the hop record is excluded from wire-byte accounting: a
+/// real deployment would fold these ~12 bytes into the RPC framing or
+/// reconstruct them from per-host clocks.
 ///
-/// All fields stay zero unless a sink is installed (`msg_id == 0` means
-/// "not traced").
+/// All fields stay zero unless the fabric stamps hops (`msg_id == 0`
+/// means "not traced").
 struct MessageHop {
-  uint64_t msg_id = 0;            ///< process-unique causal id; 0 = untraced
+  uint64_t msg_id = 0;            ///< fabric-unique causal id; 0 = untraced
   int64_t enqueue_nanos = 0;      ///< sender entered `Send`
   int64_t deliver_nanos = 0;      ///< fabric pushed into the dst mailbox
   int64_t dequeue_nanos = 0;      ///< receiver popped from its mailbox
@@ -132,8 +132,8 @@ struct Message {
   uint64_t lat_event_count = 0;
 
 #if DECO_TRACE_ENABLED
-  /// Causal tracing side-channel (DESIGN.md §7); zero unless a `TraceSink`
-  /// is installed. Compiled out entirely with `DECO_TRACE=OFF`.
+  /// Causal tracing side-channel (DESIGN.md §7); zero unless the fabric
+  /// stamps hops. Compiled out entirely with `DECO_TRACE=OFF`.
   MessageHop hop;
 #endif
 

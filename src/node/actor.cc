@@ -33,9 +33,8 @@ void Actor::Start() {
   const auto body = [this] {
     // Register with the in-run profiler on the actor thread itself so the
     // slot's CPU baseline is this thread's CLOCK_THREAD_CPUTIME_ID.
-    Profiler* profiler = Profiler::Active();
-    if (profiler != nullptr) {
-      prof_ = profiler->RegisterThread(fabric_->node_name(id_));
+    if (run_->profiler != nullptr) {
+      prof_ = run_->profiler->RegisterThread(fabric_->node_name(id_));
     }
     Status status = Run();
     if (prof_ != nullptr) prof_->Finish();

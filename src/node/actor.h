@@ -8,8 +8,7 @@
 #include "common/clock.h"
 #include "common/status.h"
 #include "net/fabric.h"
-#include "obs/profiler.h"
-#include "obs/trace.h"
+#include "obs/run_context.h"
 
 /// \file actor.h
 /// \brief Thread-per-node actor base class.
@@ -28,8 +27,10 @@ class Actor {
   /// \param fabric the network; not owned, must outlive the actor
   /// \param id this node's fabric id
   /// \param clock wall-clock used for latency measurement and timeouts
-  Actor(NetworkFabric* fabric, NodeId id, Clock* clock)
-      : fabric_(fabric), id_(id), clock_(clock) {}
+  /// \param run the run's observability state (metrics, spans, hops,
+  ///        profile); not owned, must outlive the actor thread
+  Actor(NetworkFabric* fabric, NodeId id, Clock* clock, RunContext* run)
+      : fabric_(fabric), id_(id), clock_(clock), run_(run) {}
 
   virtual ~Actor() = default;
 
@@ -113,17 +114,17 @@ class Actor {
   }
 
   /// \brief Completes a stamped message's hop record at dequeue time and
-  /// hands it to the installed trace sink. Compiles to nothing with
-  /// `DECO_TRACE=OFF`; costs one relaxed load per receive otherwise.
+  /// hands it to the run's hop recorders. The fabric stamps only when the
+  /// run records hops, so an unstamped message costs one branch. Compiles
+  /// to nothing with `DECO_TRACE=OFF`.
 #if DECO_TRACE_ENABLED
   void FinishHop(std::optional<Message>& msg) {
     if (!msg.has_value() || msg->hop.msg_id == 0) return;
-    TraceSink* sink = TraceSink::Active();
-    const bool record_flight = ActiveFlightRecorder() != nullptr;
-    if (sink == nullptr && !record_flight) return;
     msg->hop.dequeue_nanos = clock_->NowNanos();
-    if (sink != nullptr) sink->RecordHop(*msg);
-    if (record_flight) FlightRecorderHop(*msg);
+    if (run_->trace != nullptr) run_->trace->RecordHop(*msg);
+    if (run_->flight_recorder != nullptr) {
+      run_->flight_recorder->RecordHop(*msg);
+    }
   }
 #else
   void FinishHop(std::optional<Message>&) {}
@@ -132,8 +133,8 @@ class Actor {
   /// \brief Profiler hooks around the receive calls (DESIGN.md §9). The
   /// handler interval opened at dequeue closes on re-entry into the next
   /// receive, so handler cost includes any follow-up work the actor does
-  /// between receives. One null check each when no profiler is installed
-  /// (`prof_` is only set while one is).
+  /// between receives. One null check each in an unprofiled run (`prof_`
+  /// is only set in a profiled one).
   void ProfileReceiveEnter() {
     if (prof_ != nullptr) prof_->HandlerEnd();
   }
@@ -152,12 +153,16 @@ class Actor {
 
   TimeNanos NowNanos() const { return clock_->NowNanos(); }
 
+  /// \brief The run's metric registry; instruments are looked up at
+  /// first use, so each appears in the run's telemetry from then on.
+  MetricRegistry* metrics() const { return &run_->metrics; }
+
   NetworkFabric* fabric_;
   NodeId id_;
   Clock* clock_;
+  RunContext* run_;
 
-  /// This actor thread's profiler slot; null unless a `Profiler` was
-  /// installed when the actor started.
+  /// This actor thread's profiler slot; null unless the run is profiled.
   Profiler::ThreadSlot* prof_ = nullptr;
 
  private:

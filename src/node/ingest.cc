@@ -2,20 +2,7 @@
 
 #include <algorithm>
 
-#include "obs/metric_registry.h"
-
 namespace deco {
-namespace {
-
-// Fleet-wide ingress counter the ops plane's status line and watchdogs
-// read ("events in"); one relaxed add per pulled batch, not per event.
-Counter* EventsIngestedCounter() {
-  static Counter* c =
-      MetricRegistry::Global()->counter("local.events_ingested");
-  return c;
-}
-
-}  // namespace
 
 IngestSource::IngestSource(const IngestConfig& config, Clock* clock)
     : config_(config), clock_(clock), streams_(config.streams) {
@@ -46,7 +33,6 @@ size_t IngestSource::Pull(size_t n, EventVec* out,
   *create_wall_nanos = clock_->NowNanos();
   streams_.NextBatch(take, out);
   produced_ += take;
-  EventsIngestedCounter()->Add(static_cast<int64_t>(take));
   return take;
 }
 

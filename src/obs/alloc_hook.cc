@@ -6,8 +6,8 @@
 
 /// \file alloc_hook.cc
 /// \brief Opt-in counting allocator: global `operator new`/`delete`
-/// replacements that tally per-thread allocation count and bytes while
-/// `SetAllocCountingEnabled(true)` is in effect.
+/// replacements that tally per-thread allocation count and bytes while a
+/// `RetainAllocCounting` hold is live.
 ///
 /// The replacements and the accessor functions live in the SAME
 /// translation unit on purpose: `profiler.cc` references the accessors, so
@@ -29,8 +29,9 @@
 namespace deco {
 namespace {
 
-// Constant-initialized: allocations can happen before any static ctor runs.
-std::atomic<bool> g_alloc_counting{false};
+// Live `RetainAllocCounting` holds. Constant-initialized: allocations can
+// happen before any static ctor runs.
+std::atomic<int> g_alloc_counting_holds{0};
 
 // Trivially-destructible POD so TLS access needs no guard and thread exit
 // runs no destructor that could itself allocate.
@@ -44,8 +45,12 @@ thread_local ThreadTally t_alloc_tally;  // zero-initialized
 
 bool AllocCountingCompiledIn() { return DECO_ALLOC_HOOK_ENABLED != 0; }
 
-void SetAllocCountingEnabled(bool enabled) {
-  g_alloc_counting.store(enabled, std::memory_order_relaxed);
+void RetainAllocCounting() {
+  g_alloc_counting_holds.fetch_add(1, std::memory_order_relaxed);
+}
+
+void ReleaseAllocCounting() {
+  g_alloc_counting_holds.fetch_sub(1, std::memory_order_relaxed);
 }
 
 AllocCounters ThreadAllocCounters() {
@@ -72,7 +77,7 @@ void* CountedAlloc(std::size_t size, std::size_t align) noexcept {
     if (posix_memalign(&ptr, effective, request) != 0) ptr = nullptr;
   }
   if (ptr != nullptr &&
-      deco::g_alloc_counting.load(std::memory_order_relaxed)) {
+      deco::g_alloc_counting_holds.load(std::memory_order_relaxed) > 0) {
     ++deco::t_alloc_tally.count;
     deco::t_alloc_tally.bytes += size;
   }

@@ -133,4 +133,15 @@ Status WriteSamplesCsv(const std::string& path, const TelemetryLog& log);
 /// \brief Writes the span list as CSV: t_ms,node,phase,window,value,msg_id.
 Status WriteSpansCsv(const std::string& path, const TelemetryLog& log);
 
+/// \brief `TelemetryToJson` output with its wall-clock carriers blanked:
+/// the `obs.self.sampler_tick_nanos` sketch snapshots inside samples and
+/// the flat `obs_self` section. What remains replays byte-identically
+/// under `--sim`, so replays compare on it.
+std::string ScrubTelemetryJson(std::string json);
+
+/// \brief A `/metrics` exposition minus every `deco_obs_self_*` line
+/// (scrape counts and wall-clock self-metering differ per run even under
+/// `--sim`).
+std::string ScrubExposition(const std::string& text);
+
 }  // namespace deco

@@ -6,26 +6,8 @@
 
 #include "common/json.h"
 #include "common/logging.h"
-#include "net/fabric.h"
 
 namespace deco {
-
-namespace internal {
-std::atomic<FlightRecorder*> g_flight_recorder{nullptr};
-}  // namespace internal
-
-void FlightRecorderSpan(NodeId node, TracePhase phase, uint64_t window_index,
-                        int64_t value, uint64_t msg_id) {
-  FlightRecorder* recorder = FlightRecorder::Active();
-  if (recorder != nullptr) {
-    recorder->RecordSpan(node, phase, window_index, value, msg_id);
-  }
-}
-
-void FlightRecorderHop(const Message& msg) {
-  FlightRecorder* recorder = FlightRecorder::Active();
-  if (recorder != nullptr) recorder->RecordHop(msg);
-}
 
 FlightRecorder::FlightRecorder(Clock* clock, Options options)
     : clock_(clock), options_(options) {}
@@ -243,22 +225,16 @@ uint64_t FlightRecorder::alerts_recorded() const {
   return alerts_.total;
 }
 
-FlightRecorder* FlightRecorder::Install(FlightRecorder* recorder) {
-  FlightRecorder* previous = internal::g_flight_recorder.exchange(
-      recorder, std::memory_order_acq_rel);
-  internal::RefreshHopStamping();
-  return previous;
-}
-
 namespace {
 
 // Crash-handler state: captured at install time so the handler itself
-// only reads plain buffers.
+// only reads plain buffers and one atomic pointer.
 char g_crash_dump_path[512] = {0};
+std::atomic<FlightRecorder*> g_crash_dump_target{nullptr};
 std::atomic<bool> g_crash_handler_installed{false};
 
 void CrashHandler(int signo) {
-  FlightRecorder* recorder = FlightRecorder::Active();
+  FlightRecorder* recorder = g_crash_dump_target.load();
   if (recorder != nullptr && g_crash_dump_path[0] != '\0') {
     const char* name = signo == SIGSEGV ? "SIGSEGV"
                        : signo == SIGABRT ? "SIGABRT"
@@ -276,10 +252,16 @@ void CrashHandler(int signo) {
 
 }  // namespace
 
+FlightRecorder::~FlightRecorder() {
+  FlightRecorder* self = this;
+  g_crash_dump_target.compare_exchange_strong(self, nullptr);
+}
+
 void FlightRecorder::InstallCrashHandler(const std::string& path) {
   std::strncpy(g_crash_dump_path, path.c_str(),
                sizeof(g_crash_dump_path) - 1);
   g_crash_dump_path[sizeof(g_crash_dump_path) - 1] = '\0';
+  g_crash_dump_target.store(this);
   if (g_crash_handler_installed.exchange(true)) return;
   struct sigaction action;
   std::memset(&action, 0, sizeof(action));

@@ -19,10 +19,10 @@
 /// recorder keeps only the most recent N records of each kind and can be
 /// dumped at any moment: on a watchdog trip, on SIGINT/SIGTERM shutdown,
 /// on a fatal signal (`InstallCrashHandler`), or explicitly via
-/// `deco_run --dump_flight_recorder`. Recording reuses the existing taps:
-/// `Actor::FinishHop` feeds hops, the `DECO_TRACE_SPAN*` macros feed spans
-/// (both behind one relaxed atomic load when no recorder is installed) and
-/// the watchdog feeds alert transitions.
+/// `deco_run --dump_flight_recorder`. A run owns its recorder through its
+/// `RunContext` and records with the existing taps: `Actor::FinishHop`
+/// feeds hops, the `DECO_TRACE_SPAN*` macros feed spans and the watchdog
+/// feeds alert transitions.
 ///
 /// The fatal-signal dump is best-effort, not strictly async-signal-safe:
 /// it snapshots the rings under `try_lock` (skipping any ring whose lock
@@ -53,6 +53,10 @@ class FlightRecorder {
   /// \param clock time source for dump timestamps; not owned
   explicit FlightRecorder(Clock* clock) : FlightRecorder(clock, Options()) {}
   FlightRecorder(Clock* clock, Options options);
+  ~FlightRecorder();
+
+  FlightRecorder(const FlightRecorder&) = delete;
+  FlightRecorder& operator=(const FlightRecorder&) = delete;
 
   /// \brief Records a completed hop from a dequeued, stamped message.
   /// No-op when tracing is compiled out (the hop fields do not exist).
@@ -85,21 +89,14 @@ class FlightRecorder {
 
   const Options& options() const { return options_; }
 
-  /// \brief Installs `recorder` as the process-global recording target
-  /// (nullptr uninstalls; returns the previous one). Also refreshes the
-  /// fabric's hop stamping: messages carry causal ids while either a
-  /// trace sink or a flight recorder is live.
-  static FlightRecorder* Install(FlightRecorder* recorder);
-
-  /// \brief The currently installed recorder, or nullptr.
-  static FlightRecorder* Active() {
-    return internal::g_flight_recorder.load(std::memory_order_acquire);
-  }
-
-  /// \brief Installs SIGSEGV/SIGABRT handlers that best-effort dump the
-  /// active recorder to `path`, then restore the default disposition and
-  /// re-raise. Idempotent; the path is captured at install time.
-  static void InstallCrashHandler(const std::string& path);
+  /// \brief Installs SIGSEGV/SIGABRT handlers that best-effort dump this
+  /// recorder to `path`, then restore the default disposition and re-raise.
+  ///
+  /// Process-wide, because the OS keeps one disposition per signal: the
+  /// dump target is a single slot, the most recent call wins, and this
+  /// recorder's destructor empties the slot if it still holds it. The path
+  /// is captured at call time.
+  void InstallCrashHandler(const std::string& path);
 
  private:
   std::string ToJsonLocked(const std::string& reason, bool best_effort) const;

@@ -17,14 +17,14 @@ size_t ThisThreadOrdinal() {
 template <typename Map>
 typename Map::mapped_type::element_type* GetOrCreate(std::shared_mutex* mu,
                                                      Map* map,
-                                                     const std::string& name) {
+                                                     std::string_view name) {
   {
     std::shared_lock<std::shared_mutex> lock(*mu);
     auto it = map->find(name);
     if (it != map->end()) return it->second.get();
   }
   std::unique_lock<std::shared_mutex> lock(*mu);
-  auto& slot = (*map)[name];
+  auto& slot = (*map)[std::string(name)];
   if (!slot) {
     slot = std::make_unique<typename Map::mapped_type::element_type>();
   }
@@ -50,26 +50,19 @@ Histogram ShardedHistogram::Merged() const {
   return merged;
 }
 
-void ShardedHistogram::Reset() {
-  for (Stripe& s : stripes_) {
-    std::lock_guard<std::mutex> lock(s.mu);
-    s.h.Reset();
-  }
-}
-
-Counter* MetricRegistry::counter(const std::string& name) {
+Counter* MetricRegistry::counter(std::string_view name) {
   return GetOrCreate(&mu_, &counters_, name);
 }
 
-Gauge* MetricRegistry::gauge(const std::string& name) {
+Gauge* MetricRegistry::gauge(std::string_view name) {
   return GetOrCreate(&mu_, &gauges_, name);
 }
 
-ShardedHistogram* MetricRegistry::histogram(const std::string& name) {
+ShardedHistogram* MetricRegistry::histogram(std::string_view name) {
   return GetOrCreate(&mu_, &histograms_, name);
 }
 
-SketchMetric* MetricRegistry::sketch(const std::string& name) {
+SketchMetric* MetricRegistry::sketch(std::string_view name) {
   return GetOrCreate(&mu_, &sketches_, name);
 }
 
@@ -101,14 +94,6 @@ MetricsSnapshot MetricRegistry::Snapshot() const {
     snapshot.sketches.push_back(sketch->Snapshot().Snapshot(name));
   }
   return snapshot;
-}
-
-void MetricRegistry::Reset() {
-  std::shared_lock<std::shared_mutex> lock(mu_);
-  for (auto& [name, counter] : counters_) counter->Reset();
-  for (auto& [name, gauge] : gauges_) gauge->Reset();
-  for (auto& [name, histogram] : histograms_) histogram->Reset();
-  for (auto& [name, sketch] : sketches_) sketch->Reset();
 }
 
 MetricRegistry* MetricRegistry::Global() {

@@ -8,6 +8,7 @@
 #include <mutex>
 #include <shared_mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "metrics/histogram.h"
@@ -44,10 +45,6 @@ class Counter {
     return total;
   }
 
-  void Reset() {
-    for (Shard& s : shards_) s.v.store(0, std::memory_order_relaxed);
-  }
-
  private:
   static constexpr size_t kShards = 16;
   struct alignas(64) Shard {
@@ -63,7 +60,6 @@ class Gauge {
   void Set(int64_t value) { v_.store(value, std::memory_order_relaxed); }
   void Add(int64_t delta) { v_.fetch_add(delta, std::memory_order_relaxed); }
   int64_t value() const { return v_.load(std::memory_order_relaxed); }
-  void Reset() { Set(0); }
 
  private:
   std::atomic<int64_t> v_{0};
@@ -75,7 +71,6 @@ class ShardedHistogram {
  public:
   void Record(int64_t value);
   Histogram Merged() const;
-  void Reset();
 
  private:
   static constexpr size_t kStripes = 8;
@@ -103,10 +98,6 @@ class SketchMetric {
     std::lock_guard<std::mutex> lock(mu_);
     return sketch_;
   }
-  void Reset() {
-    std::lock_guard<std::mutex> lock(mu_);
-    sketch_.Reset();
-  }
 
  private:
   mutable std::mutex mu_;
@@ -133,33 +124,35 @@ struct MetricsSnapshot {
 
 /// \brief Name -> instrument registry. Instrument pointers are stable for
 /// the registry's lifetime, so callers hoist the lookup out of their loops.
+/// Looking up an existing name allocates nothing (a shared lock and a map
+/// search), so per-window and per-batch sites may look up at each use.
 class MetricRegistry {
  public:
   MetricRegistry() = default;
   MetricRegistry(const MetricRegistry&) = delete;
   MetricRegistry& operator=(const MetricRegistry&) = delete;
 
-  Counter* counter(const std::string& name);
-  Gauge* gauge(const std::string& name);
-  ShardedHistogram* histogram(const std::string& name);
-  SketchMetric* sketch(const std::string& name);
+  Counter* counter(std::string_view name);
+  Gauge* gauge(std::string_view name);
+  ShardedHistogram* histogram(std::string_view name);
+  SketchMetric* sketch(std::string_view name);
 
   /// \brief Merged point-in-time values of every instrument, name-sorted.
   MetricsSnapshot Snapshot() const;
 
-  /// \brief Zeroes every instrument (instruments stay registered, pointers
-  /// stay valid) — used between telemetry runs sharing the global registry.
-  void Reset();
-
-  /// \brief Process-global registry the node instrumentation writes to.
+  /// \brief A process-wide registry for code that times the instruments
+  /// outside any run. No run writes to it: each run counts into the
+  /// registry of its own `RunContext`.
   static MetricRegistry* Global();
 
  private:
   mutable std::shared_mutex mu_;
-  std::map<std::string, std::unique_ptr<Counter>> counters_;
-  std::map<std::string, std::unique_ptr<Gauge>> gauges_;
-  std::map<std::string, std::unique_ptr<ShardedHistogram>> histograms_;
-  std::map<std::string, std::unique_ptr<SketchMetric>> sketches_;
+  std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_;
+  std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges_;
+  std::map<std::string, std::unique_ptr<ShardedHistogram>, std::less<>>
+      histograms_;
+  std::map<std::string, std::unique_ptr<SketchMetric>, std::less<>>
+      sketches_;
 };
 
 }  // namespace deco

@@ -25,7 +25,13 @@ TimeNanos ThreadCpuNanos() {
   return static_cast<TimeNanos>(ts.tv_sec) * kNanosPerSecond + ts.tv_nsec;
 }
 
-std::atomic<Profiler*> Profiler::active_{nullptr};
+Profiler::Profiler(bool count_allocs) : count_allocs_(count_allocs) {
+  if (alloc_counting()) RetainAllocCounting();
+}
+
+Profiler::~Profiler() {
+  if (alloc_counting()) ReleaseAllocCounting();
+}
 
 void Profiler::ThreadSlot::HandlerBegin(MessageType type) {
   open_ = true;
@@ -96,12 +102,6 @@ ProfileReport Profiler::Collect() const {
     report.threads.push_back(std::move(thread));
   }
   return report;
-}
-
-Profiler* Profiler::Install(Profiler* profiler) {
-  Profiler* previous = active_.exchange(profiler, std::memory_order_acq_rel);
-  SetAllocCountingEnabled(profiler != nullptr && profiler->alloc_counting());
-  return previous;
 }
 
 }  // namespace deco

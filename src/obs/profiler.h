@@ -15,10 +15,10 @@
 /// \file profiler.h
 /// \brief Low-overhead in-run CPU/allocation profiler (DESIGN.md §9).
 ///
-/// One `Profiler` is installed process-wide per run (same atomic-pointer
-/// pattern as `TraceSink::Install`). Each actor thread registers a
-/// `ThreadSlot` at startup; the slot samples `CLOCK_THREAD_CPUTIME_ID` at
-/// actor start/stop and around every message-handler dispatch, yielding
+/// A profiled run owns one `Profiler` through its `RunContext`. Each actor
+/// thread registers a `ThreadSlot` at startup; the slot samples
+/// `CLOCK_THREAD_CPUTIME_ID` at actor start/stop and around every
+/// message-handler dispatch, yielding
 ///  - per-thread CPU/wall totals ("root saturates under Central, locals do
 ///    the work under Deco" as a measured table),
 ///  - handler-level wall/cpu attribution keyed by `MessageType`, and
@@ -31,17 +31,17 @@
 /// non-message work between receives (a local node's ingest loop) fold that
 /// work into the preceding handler, making the split an upper bound there.
 ///
-/// Overhead: with no profiler installed, each receive costs one
-/// null-pointer check (the actor caches the slot pointer); no clock is
-/// read, no sample is recorded. With a profiler installed, each dispatch
-/// costs two `clock_gettime` calls. Allocation counting costs one relaxed
-/// atomic load per `operator new` in every binary that links the hook,
-/// whether or not a profiler is live.
+/// Overhead: in an unprofiled run, each receive costs one null-pointer
+/// check (the actor caches the slot pointer); no clock is read, no sample
+/// is recorded. In a profiled run, each dispatch costs two
+/// `clock_gettime` calls. Allocation counting costs one relaxed atomic
+/// load per `operator new` in every binary that links the hook, whether
+/// or not a profiler is live.
 ///
 /// Thread-safety contract: `ThreadSlot` methods are called only by the
 /// owning actor thread; `Collect` may run concurrently with registration
 /// but reads a slot's totals only after its `Finish` (release/acquire on
-/// `finished_`). The harness installs the profiler before `StartAll` and
+/// `finished_`). The harness creates the profiler before `StartAll` and
 /// collects after `JoinAll`, so in practice there is no overlap.
 
 namespace deco {
@@ -62,9 +62,15 @@ struct AllocCounters {
 /// two functions are inert and every counter stays zero.
 bool AllocCountingCompiledIn();
 
-/// \brief Process-wide gate for the counting allocator. Flipped by
-/// `Profiler::Install`; costs one relaxed atomic load per allocation.
-void SetAllocCountingEnabled(bool enabled);
+/// \brief Holds the counting allocator on; counting runs while at least
+/// one hold is live. Process-wide because the replaced `operator new` is:
+/// it cannot tell which run an allocation belongs to, so it counts for
+/// every thread while any profiled run that asked for counting is live.
+/// Costs one relaxed atomic load per allocation.
+void RetainAllocCounting();
+
+/// \brief Releases one `RetainAllocCounting` hold.
+void ReleaseAllocCounting();
 
 /// \brief Snapshot of the calling thread's allocation counters.
 AllocCounters ThreadAllocCounters();
@@ -117,10 +123,10 @@ class Profiler {
     std::atomic<bool> finished_{false};
   };
 
-  /// \param count_allocs also enable the counting allocator while this
-  ///        profiler is installed (if compiled in)
-  explicit Profiler(bool count_allocs = true)
-      : count_allocs_(count_allocs) {}
+  /// \param count_allocs also hold the counting allocator on for this
+  ///        profiler's lifetime (if compiled in)
+  explicit Profiler(bool count_allocs = true);
+  ~Profiler();
 
   Profiler(const Profiler&) = delete;
   Profiler& operator=(const Profiler&) = delete;
@@ -140,22 +146,10 @@ class Profiler {
     return count_allocs_ && AllocCountingCompiledIn();
   }
 
-  /// \brief Installs `profiler` as the process-global target (nullptr
-  /// uninstalls) and toggles the counting allocator to match. Returns the
-  /// previous profiler.
-  static Profiler* Install(Profiler* profiler);
-
-  /// \brief The currently installed profiler, or nullptr.
-  static Profiler* Active() {
-    return active_.load(std::memory_order_acquire);
-  }
-
  private:
   bool count_allocs_;
   mutable std::mutex mu_;
   std::vector<std::unique_ptr<ThreadSlot>> slots_;
-
-  static std::atomic<Profiler*> active_;
 };
 
 }  // namespace deco

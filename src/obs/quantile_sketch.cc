@@ -102,15 +102,6 @@ double QuantileSketch::Quantile(double q) const {
   return max_;
 }
 
-void QuantileSketch::Reset() {
-  zero_count_ = 0;
-  buckets_.clear();
-  count_ = 0;
-  sum_ = 0.0;
-  min_ = 0.0;
-  max_ = 0.0;
-}
-
 SketchSnapshot QuantileSketch::Snapshot(const std::string& name) const {
   SketchSnapshot s;
   s.name = name;

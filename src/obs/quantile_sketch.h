@@ -69,8 +69,6 @@ class QuantileSketch {
   double alpha() const { return alpha_; }
   size_t bucket_count() const { return buckets_.size(); }
 
-  void Reset();
-
   /// \brief Snapshot with the standard governance quantiles filled in.
   SketchSnapshot Snapshot(const std::string& name) const;
 

@@ -2,11 +2,7 @@
 
 #include <algorithm>
 
-#include "net/fabric.h"
-
 namespace deco {
-
-std::atomic<TraceSink*> TraceSink::active_{nullptr};
 
 std::string_view TracePhaseToString(TracePhase phase) {
   switch (phase) {
@@ -131,24 +127,5 @@ size_t TraceSink::size() const {
   }
   return n;
 }
-
-TraceSink* TraceSink::Install(TraceSink* sink) {
-  TraceSink* previous = active_.exchange(sink, std::memory_order_acq_rel);
-  internal::RefreshHopStamping();
-  return previous;
-}
-
-namespace internal {
-
-void RefreshHopStamping() {
-  // Hop stamping follows the listeners' lifetimes: messages carry causal
-  // ids exactly while a trace sink or a flight recorder is live. The flag
-  // lives in the net layer so the fabric does not depend on this library.
-  SetHopStampingEnabled(TraceSink::Active() != nullptr ||
-                        g_flight_recorder.load(std::memory_order_acquire) !=
-                            nullptr);
-}
-
-}  // namespace internal
 
 }  // namespace deco

@@ -15,13 +15,11 @@
 /// local and baseline nodes as a global window moves through the protocol
 /// (open -> partial-received -> assemble -> correct -> emit).
 ///
-/// Recording sites use the `DECO_TRACE_SPAN` macro, which
-///  - compiles to nothing when `DECO_TRACE_ENABLED` is 0 (CMake option
-///    `DECO_TRACE=OFF`), and
-///  - otherwise costs one relaxed atomic load of the global sink pointer
-///    when no sink is installed (the default outside telemetry runs).
-/// Span sites fire per *window*, never per event, so the per-event hot
-/// path is untouched either way.
+/// Recording sites use the `DECO_TRACE_SPAN` macros of run_context.h,
+/// which record into the sink of the run the node belongs to; they compile
+/// to nothing when `DECO_TRACE_ENABLED` is 0 (CMake option
+/// `DECO_TRACE=OFF`). Span sites fire per *window*, never per event, so
+/// the per-event hot path is untouched either way.
 
 namespace deco {
 
@@ -72,10 +70,7 @@ struct HopRecord {
 };
 
 /// \brief Collects span events from many node threads with striped locks.
-///
-/// One sink is installed process-wide per telemetry run (`Install`); the
-/// recording macro reads the global pointer with a relaxed load so the
-/// uninstalled case stays branch-predictable and allocation-free.
+/// A telemetry run owns one through its `RunContext`.
 class TraceSink {
  public:
   /// \param clock time source for event timestamps; not owned
@@ -111,17 +106,6 @@ class TraceSink {
     return hops_dropped_.load(std::memory_order_relaxed);
   }
 
-  /// \brief Installs `sink` as the process-global recording target.
-  /// Passing nullptr uninstalls. Returns the previous sink. Also toggles
-  /// the fabric's hop stamping (`SetHopStampingEnabled`) so messages carry
-  /// causal ids exactly while a sink is live.
-  static TraceSink* Install(TraceSink* sink);
-
-  /// \brief The currently installed sink, or nullptr.
-  static TraceSink* Active() {
-    return active_.load(std::memory_order_acquire);
-  }
-
  private:
   static constexpr size_t kStripes = 8;
   struct alignas(64) Stripe {
@@ -135,69 +119,6 @@ class TraceSink {
   std::atomic<uint64_t> dropped_{0};
   std::atomic<uint64_t> hops_dropped_{0};
   std::array<Stripe, kStripes> stripes_;
-
-  static std::atomic<TraceSink*> active_;
 };
 
-// --- flight-recorder bridge ------------------------------------------
-// The black-box recorder (flight_recorder.h) taps the same span macros and
-// hop path as the trace sink, through its own global pointer so either can
-// be live without the other. The atomic lives here so the macro below
-// stays a single relaxed load when nothing is installed; the forwarding
-// function is defined in flight_recorder.cc.
-class FlightRecorder;
-
-namespace internal {
-extern std::atomic<FlightRecorder*> g_flight_recorder;
-
-/// Re-derives the fabric's hop stamping from both global recording
-/// targets; called by `TraceSink::Install` and `FlightRecorder::Install`.
-void RefreshHopStamping();
-}  // namespace internal
-
-/// \brief The installed flight recorder, or nullptr (cheap inline check).
-inline FlightRecorder* ActiveFlightRecorder() {
-  return internal::g_flight_recorder.load(std::memory_order_acquire);
-}
-
-/// \brief Out-of-line span forwarding into the active flight recorder.
-void FlightRecorderSpan(NodeId node, TracePhase phase, uint64_t window_index,
-                        int64_t value, uint64_t msg_id);
-
-/// \brief Out-of-line hop forwarding into the active flight recorder;
-/// called by `Actor::FinishHop` after the dequeue timestamp is set.
-void FlightRecorderHop(const Message& msg);
-
 }  // namespace deco
-
-#ifndef DECO_TRACE_ENABLED
-#define DECO_TRACE_ENABLED 1
-#endif
-
-#if DECO_TRACE_ENABLED
-/// \brief Records a window-lifecycle span event if a sink is installed.
-#define DECO_TRACE_SPAN(node, phase, window, value) \
-  DECO_TRACE_SPAN_MSG(node, phase, window, value, 0)
-
-/// \brief Like `DECO_TRACE_SPAN`, but also tags the span with the causal
-/// id of the message that triggered the phase (see `MessageCausalId`).
-#define DECO_TRACE_SPAN_MSG(node, phase, window, value, msg_id)        \
-  do {                                                                 \
-    ::deco::TraceSink* _deco_trace_sink = ::deco::TraceSink::Active(); \
-    if (_deco_trace_sink != nullptr) {                                 \
-      _deco_trace_sink->Record((node), (phase), (window), (value),     \
-                               (msg_id));                              \
-    }                                                                  \
-    if (::deco::ActiveFlightRecorder() != nullptr) {                   \
-      ::deco::FlightRecorderSpan((node), (phase), (window), (value),   \
-                                 (msg_id));                            \
-    }                                                                  \
-  } while (false)
-#else
-#define DECO_TRACE_SPAN(node, phase, window, value) \
-  do {                                              \
-  } while (false)
-#define DECO_TRACE_SPAN_MSG(node, phase, window, value, msg_id) \
-  do {                                                          \
-  } while (false)
-#endif

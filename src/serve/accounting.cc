@@ -4,7 +4,8 @@
 
 namespace deco {
 
-Status ServeAccounting::Init(const QueryRegistry* registry) {
+Status ServeAccounting::Init(const QueryRegistry* registry,
+                             MetricRegistry* metrics) {
   if (registry == nullptr || registry->queries().empty()) {
     return Status::InvalidArgument("serve accounting needs a registry");
   }
@@ -12,10 +13,9 @@ Status ServeAccounting::Init(const QueryRegistry* registry) {
   tenants_.clear();
   for (const std::string& tenant : registry->tenants()) {
     TenantCounters counters;
-    counters.bytes = MetricRegistry::Global()->counter(
-        "serve.tenant." + tenant + ".bytes");
-    counters.agg_ops = MetricRegistry::Global()->counter(
-        "serve.tenant." + tenant + ".agg_ops");
+    counters.bytes = metrics->counter("serve.tenant." + tenant + ".bytes");
+    counters.agg_ops =
+        metrics->counter("serve.tenant." + tenant + ".agg_ops");
     tenants_.push_back(counters);
   }
   query_tenant_.clear();

@@ -10,11 +10,11 @@
 
 /// \file accounting.h
 /// \brief Per-tenant byte/CPU attribution for the serving layer
-/// (DESIGN.md §11), reported through the existing metric registry.
+/// (DESIGN.md §11), reported through the run's metric registry.
 ///
-/// Counters (global metric registry, so they show up in telemetry samples
-/// like every other counter; the harness diffs a before/after snapshot to
-/// isolate one run):
+/// Counters (in the run's registry, so they show up in telemetry samples
+/// like every other counter, and the harness reads a tenant's usage
+/// straight off them):
 ///   - `serve.tenant.<name>.bytes`  — wire bytes attributed to the tenant:
 ///     its even share of the shared slice payload plus its share of the
 ///     slot extras its queries requested;
@@ -32,8 +32,9 @@ namespace deco {
 
 class ServeAccounting {
  public:
-  /// \brief Hoists one counter pair per registry tenant.
-  Status Init(const QueryRegistry* registry);
+  /// \brief Hoists one counter pair per registry tenant out of `metrics`
+  /// (the run's registry; not owned).
+  Status Init(const QueryRegistry* registry, MetricRegistry* metrics);
 
   /// \brief Attributes one produced slice at `pane`: `base_bytes` is the
   /// slice payload without the extras (shared work, split evenly across

@@ -14,8 +14,7 @@ namespace {
 // Minimal actor that counts received messages and echoes them back.
 class EchoActor final : public Actor {
  public:
-  EchoActor(NetworkFabric* fabric, NodeId id, Clock* clock)
-      : Actor(fabric, id, clock) {}
+  using Actor::Actor;
 
   std::atomic<int> received{0};
 
@@ -48,7 +47,8 @@ TEST(ActorTest, EchoesThroughFabric) {
   NetworkFabric fabric(SystemClock::Default(), 1);
   const NodeId tester = fabric.RegisterNode("tester");
   const NodeId echo_id = fabric.RegisterNode("echo");
-  EchoActor echo(&fabric, echo_id, SystemClock::Default());
+  RunContext run;
+  EchoActor echo(&fabric, echo_id, SystemClock::Default(), &run);
   echo.Start();
 
   for (int i = 0; i < 10; ++i) {
@@ -75,7 +75,8 @@ TEST(ActorTest, EchoesThroughFabric) {
 TEST(ActorTest, StatusReportsRunFailure) {
   NetworkFabric fabric(SystemClock::Default(), 1);
   const NodeId id = fabric.RegisterNode("failing");
-  FailingActor actor(&fabric, id, SystemClock::Default());
+  RunContext run;
+  FailingActor actor(&fabric, id, SystemClock::Default(), &run);
   actor.Start();
   actor.Join();
   EXPECT_TRUE(actor.status().IsInternal());
@@ -89,7 +90,8 @@ TEST(ActorTest, RequestStopWakesBlockedReceive) {
   NetworkFabric fabric(sim.clock(), 1);
   fabric.SetSimScheduler(&sim);
   const NodeId id = fabric.RegisterNode("blocked");
-  EchoActor actor(&fabric, id, sim.clock());
+  RunContext run;
+  EchoActor actor(&fabric, id, sim.clock(), &run);
   actor.Start();
   sim.ScheduleAt(20 * kNanosPerMilli,
                  [&] { actor.RequestStop(); });  // closes the mailbox
@@ -103,11 +105,12 @@ TEST(RuntimeTest, JoinAllPropagatesFirstError) {
   NetworkFabric fabric(SystemClock::Default(), 1);
   const NodeId ok_id = fabric.RegisterNode("ok");
   const NodeId bad_id = fabric.RegisterNode("bad");
+  RunContext run;
   Runtime runtime(&fabric);
-  runtime.AddActor(
-      std::make_unique<EchoActor>(&fabric, ok_id, SystemClock::Default()));
-  runtime.AddActor(std::make_unique<FailingActor>(&fabric, bad_id,
-                                                  SystemClock::Default()));
+  runtime.AddActor(std::make_unique<EchoActor>(
+      &fabric, ok_id, SystemClock::Default(), &run));
+  runtime.AddActor(std::make_unique<FailingActor>(
+      &fabric, bad_id, SystemClock::Default(), &run));
   runtime.StartAll();
   runtime.StopAll();
   EXPECT_TRUE(runtime.JoinAll().IsInternal());

@@ -135,6 +135,7 @@ class ChaosControllerTest : public ::testing::Test {
   }
   ManualClock clock_;
   NetworkFabric fabric_;
+  MetricRegistry metrics_;
   NodeId root_, local0_, local1_;
 };
 
@@ -145,7 +146,7 @@ TEST_F(ChaosControllerTest, ManualDriveFiresInOrderWithAudit) {
       .Crash("local-1", 15 * kNanosPerMilli)
       .Restart("local-1", 40 * kNanosPerMilli);
 
-  ChaosController controller(&fabric_, &clock_);
+  ChaosController controller(&fabric_, &clock_, &metrics_);
   ASSERT_TRUE(controller.Prepare(schedule).ok());
   // drop apply + drop restore + crash + restart.
   EXPECT_EQ(controller.action_count(), 4u);
@@ -171,6 +172,9 @@ TEST_F(ChaosControllerTest, ManualDriveFiresInOrderWithAudit) {
             "links)");
   EXPECT_EQ(audit[3].Describe(),
             "@40ms restart local-1 (node up, incarnation 1)");
+  EXPECT_EQ(metrics_.counter("chaos.events_fired")->value(), 4);
+  EXPECT_EQ(metrics_.counter("chaos.crashes")->value(), 1);
+  EXPECT_EQ(metrics_.counter("chaos.restarts")->value(), 1);
 }
 
 TEST_F(ChaosControllerTest, DropBurstAppliesAndRestoresDisplacedField) {
@@ -181,7 +185,7 @@ TEST_F(ChaosControllerTest, DropBurstAppliesAndRestoresDisplacedField) {
 
   ChaosSchedule schedule;
   schedule.DropBurst("local-0", 0, 10 * kNanosPerMilli, 1.0);
-  ChaosController controller(&fabric_, &clock_);
+  ChaosController controller(&fabric_, &clock_, &metrics_);
   ASSERT_TRUE(controller.Prepare(schedule).ok());
 
   ASSERT_TRUE(controller.ApplyDue(0).ok());
@@ -205,7 +209,7 @@ TEST_F(ChaosControllerTest, DropBurstAppliesAndRestoresDisplacedField) {
 TEST_F(ChaosControllerTest, PartitionIsolatesBothDirectionsThenHeals) {
   ChaosSchedule schedule;
   schedule.Partition("local-0", 0, 10 * kNanosPerMilli);
-  ChaosController controller(&fabric_, &clock_);
+  ChaosController controller(&fabric_, &clock_, &metrics_);
   ASSERT_TRUE(controller.Prepare(schedule).ok());
 
   ASSERT_TRUE(controller.ApplyDue(0).ok());
@@ -227,10 +231,10 @@ TEST_F(ChaosControllerTest, RateSurgeWritesHandleAndRestores) {
   ChaosSchedule schedule;
   schedule.RateSurge("local-0", 0, 10 * kNanosPerMilli, 3.0);
 
-  ChaosController without(&fabric_, &clock_);
+  ChaosController without(&fabric_, &clock_, &metrics_);
   EXPECT_TRUE(without.Prepare(schedule).IsInvalidArgument());
 
-  ChaosController controller(&fabric_, &clock_);
+  ChaosController controller(&fabric_, &clock_, &metrics_);
   controller.AddRateHandle("local-0", handle);
   ASSERT_TRUE(controller.Prepare(schedule).ok());
   ASSERT_TRUE(controller.ApplyDue(0).ok());
@@ -242,14 +246,14 @@ TEST_F(ChaosControllerTest, RateSurgeWritesHandleAndRestores) {
 TEST_F(ChaosControllerTest, UnknownTargetRejectedAtPrepare) {
   ChaosSchedule schedule;
   schedule.Crash("no-such-node", 0);
-  ChaosController controller(&fabric_, &clock_);
+  ChaosController controller(&fabric_, &clock_, &metrics_);
   EXPECT_TRUE(controller.Prepare(schedule).IsInvalidArgument());
 }
 
 TEST_F(ChaosControllerTest, DoubleStartRejected) {
   ChaosSchedule schedule;
   schedule.Crash("local-0", kNanosPerSecond);
-  ChaosController controller(&fabric_, &clock_);
+  ChaosController controller(&fabric_, &clock_, &metrics_);
   ASSERT_TRUE(controller.Prepare(schedule).ok());
   ASSERT_TRUE(controller.Start().ok());
   EXPECT_FALSE(controller.Start().ok());
@@ -274,7 +278,8 @@ TEST(ChaosDeterminismTest, SameSeedAndScheduleSameAuditAndDrops) {
     const NodeId local0 = fabric.RegisterNode("local-0");
     fabric.RegisterNode("local-1");
 
-    ChaosController controller(&fabric, &clock);
+    MetricRegistry metrics;
+    ChaosController controller(&fabric, &clock, &metrics);
     ASSERT_TRUE(controller.Prepare(schedule).ok());
     ASSERT_TRUE(controller.ApplyDue(5 * kNanosPerMilli).ok());
     for (int i = 0; i < 200; ++i) {

@@ -1,11 +1,13 @@
 // Flight recorder tests: ring capacity and overwrite order, JSON dump
 // shape (validated structurally — substring checks plus brace balance),
-// the global install / hop-stamping interaction, and an end-to-end run
-// whose dump parses and carries real hops and spans.
+// the process-wide crash-dump target, and an end-to-end run whose dump
+// parses and carries real hops and spans.
 
 #include <gtest/gtest.h>
 
+#include <csignal>
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -151,28 +153,35 @@ TEST(FlightRecorderTest, DumpToUnwritablePathReturnsFalse) {
   EXPECT_FALSE(recorder.DumpJson("/nonexistent-dir/x/y.json", "r"));
 }
 
-TEST(FlightRecorderTest, InstallControlsHopStamping) {
-  // No sink, no recorder: stamping off. Installing a recorder turns it on
-  // (messages need causal ids for the hop ring); uninstalling restores it.
-  TraceSink* prev_sink = TraceSink::Install(nullptr);
-  FlightRecorder* prev_recorder = FlightRecorder::Install(nullptr);
-  EXPECT_EQ(FlightRecorder::Active(), nullptr);
-
-  ManualClock clock;
-  FlightRecorder recorder(&clock);
-  FlightRecorder::Install(&recorder);
-  EXPECT_EQ(FlightRecorder::Active(), &recorder);
-#if DECO_TRACE_ENABLED
-  EXPECT_TRUE(HopStampingEnabled());
-#endif
-  FlightRecorder::Install(nullptr);
-  EXPECT_EQ(FlightRecorder::Active(), nullptr);
-#if DECO_TRACE_ENABLED
-  EXPECT_FALSE(HopStampingEnabled());
-#endif
-
-  TraceSink::Install(prev_sink);
-  FlightRecorder::Install(prev_recorder);
+// The crash handler dumps the recorder that installed it last, and a
+// destroyed recorder stops being the target.
+TEST(FlightRecorderDeathTest, FatalSignalDumpsTheLiveRecorderOnly) {
+  const std::string path = ::testing::TempDir() + "/flight_crash.json";
+  std::remove(path.c_str());
+  EXPECT_EXIT(
+      {
+        ManualClock clock;
+        { FlightRecorder gone(&clock); gone.InstallCrashHandler(path); }
+        std::abort();
+      },
+      ::testing::KilledBySignal(SIGABRT), "");
+  std::FILE* dumped = std::fopen(path.c_str(), "r");
+  EXPECT_EQ(dumped, nullptr) << "a destroyed recorder was dumped";
+  if (dumped != nullptr) std::fclose(dumped);
+  EXPECT_EXIT(
+      {
+        ManualClock clock;
+        FlightRecorder live(&clock);
+        live.RecordSpan(1, TracePhase::kEmit, 7, 0, 0);
+        live.InstallCrashHandler(path);
+        std::abort();
+      },
+      ::testing::KilledBySignal(SIGABRT), "");
+  const std::string json = ReadFileOrDie(path);
+  EXPECT_NE(json.find("\"reason\": \"fatal-signal:SIGABRT\""),
+            std::string::npos);
+  EXPECT_NE(json.find("\"window_index\":7"), std::string::npos);
+  std::remove(path.c_str());
 }
 
 // End to end: a small sim run with the recorder on dumps a document that
@@ -209,9 +218,6 @@ TEST(FlightRecorderIntegrationTest, SimRunDumpCarriesHopsAndSpans) {
   EXPECT_NE(json.find("\"msg_id\":"), std::string::npos);
   EXPECT_NE(json.find("\"phase\":\"emit\""), std::string::npos);
 #endif
-  // The recorder must uninstall at end of run: a second run without it
-  // must not touch the rings.
-  EXPECT_EQ(FlightRecorder::Active(), nullptr);
   std::remove(path.c_str());
 }
 

@@ -35,7 +35,7 @@ class LocalNodeProtocolTest : public ::testing::Test {
     query.window = WindowSpec::CountTumbling(10'000);
 
     local_ = std::make_unique<DecoLocalNode>(
-        fabric_.get(), topology_.locals[0], SystemClock::Default(),
+        fabric_.get(), topology_.locals[0], SystemClock::Default(), &run_,
         topology_, ingest, query, scheme, options);
     local_->Start();
   }
@@ -101,6 +101,7 @@ class LocalNodeProtocolTest : public ::testing::Test {
     ASSERT_TRUE(fabric_->Send(std::move(msg)).ok());
   }
 
+  RunContext run_;
   std::unique_ptr<NetworkFabric> fabric_;
   Topology topology_;
   std::unique_ptr<DecoLocalNode> local_;

@@ -85,14 +85,6 @@ TEST(HistogramTest, MergeEqualsCombinedRecording) {
   }
 }
 
-TEST(HistogramTest, ResetClears) {
-  Histogram h;
-  h.Record(5);
-  h.Reset();
-  EXPECT_EQ(h.count(), 0u);
-  EXPECT_EQ(h.Percentile(0.5), 0);
-}
-
 TEST(HistogramTest, EmptyPercentileBoundariesAreZero) {
   Histogram h;
   EXPECT_EQ(h.Percentile(0.0), 0);
@@ -128,23 +120,6 @@ TEST(HistogramTest, RecordManyNearInt64MaxDoesNotOverflow) {
   EXPECT_NEAR(h.mean(), static_cast<double>(INT64_MAX),
               static_cast<double>(INT64_MAX) * 1e-9);
   EXPECT_GT(h.Percentile(0.5), INT64_MAX / 2);
-}
-
-TEST(HistogramTest, ResetThenReuseMatchesFreshHistogram) {
-  Histogram reused, fresh;
-  for (int64_t v = 1; v <= 1000; ++v) reused.Record(v * 17);
-  reused.Reset();
-  for (int64_t v = 1; v <= 100; ++v) {
-    reused.Record(v);
-    fresh.Record(v);
-  }
-  EXPECT_EQ(reused.count(), fresh.count());
-  EXPECT_DOUBLE_EQ(reused.mean(), fresh.mean());
-  EXPECT_EQ(reused.min(), fresh.min());
-  EXPECT_EQ(reused.max(), fresh.max());
-  for (double q : {0.1, 0.5, 0.9}) {
-    EXPECT_EQ(reused.Percentile(q), fresh.Percentile(q));
-  }
 }
 
 TEST(HistogramTest, HugeValuesDoNotOverflowBuckets) {

@@ -151,17 +151,15 @@ TEST_F(FabricTest, HopStampingDoesNotChangeByteAccounting) {
   // Causal tracing must be free on the wire: the hop record rides the
   // in-process Message struct and never counts toward WireSize, so the
   // byte accounting is identical with and without stamping.
-  SetHopStampingEnabled(false);
   ASSERT_TRUE(
       fabric_.Send(MakeMessage(a_, b_, MessageType::kEventBatch, 64)).ok());
   const uint64_t plain_bytes = fabric_.node_stats(a_).bytes_sent;
   ASSERT_GT(plain_bytes, 0u);
 
   fabric_.ResetStats();
-  SetHopStampingEnabled(true);
+  fabric_.SetHopStamping(true);
   ASSERT_TRUE(
       fabric_.Send(MakeMessage(a_, b_, MessageType::kEventBatch, 64)).ok());
-  SetHopStampingEnabled(false);
   EXPECT_EQ(fabric_.node_stats(a_).bytes_sent, plain_bytes);
 
   auto unstamped = fabric_.mailbox(b_)->Pop();

@@ -13,8 +13,8 @@
 #include "obs/export.h"
 #include "obs/metric_registry.h"
 #include "obs/perfetto_export.h"
+#include "obs/run_context.h"
 #include "obs/sampler.h"
-#include "obs/trace.h"
 
 namespace deco {
 namespace {
@@ -28,8 +28,6 @@ TEST(CounterTest, AddAndIncrementAccumulate) {
   c.Increment();
   c.Add(-2);
   EXPECT_EQ(c.value(), 4);
-  c.Reset();
-  EXPECT_EQ(c.value(), 0);
 }
 
 TEST(CounterTest, ConcurrentAddsAreLossless) {
@@ -53,8 +51,6 @@ TEST(GaugeTest, SetAndAdd) {
   EXPECT_EQ(g.value(), 7);
   g.Set(100);
   EXPECT_EQ(g.value(), 100);
-  g.Reset();
-  EXPECT_EQ(g.value(), 0);
 }
 
 TEST(ShardedHistogramTest, MergedCombinesStripes) {
@@ -70,8 +66,6 @@ TEST(ShardedHistogramTest, MergedCombinesStripes) {
   EXPECT_EQ(merged.count(), 4000u);
   EXPECT_EQ(merged.min(), 0);
   EXPECT_GE(merged.max(), 3900);
-  h.Reset();
-  EXPECT_EQ(h.Merged().count(), 0u);
 }
 
 // --------------------------------------------------------- MetricRegistry
@@ -82,11 +76,6 @@ TEST(MetricRegistryTest, InstrumentPointersAreStable) {
   Counter* c2 = registry.counter("requests");
   EXPECT_EQ(c1, c2);
   EXPECT_NE(registry.counter("other"), c1);
-  // Reset zeroes values but keeps registrations and pointers valid.
-  c1->Add(7);
-  registry.Reset();
-  EXPECT_EQ(c1->value(), 0);
-  EXPECT_EQ(registry.counter("requests"), c1);
 }
 
 TEST(MetricRegistryTest, SnapshotIsNameSortedAndComplete) {
@@ -157,19 +146,18 @@ TEST(TraceSinkTest, CapacityBoundsRetainedEvents) {
   EXPECT_GT(sink.dropped(), 0u);
 }
 
-TEST(TraceSinkTest, MacroIsNoOpWithoutInstalledSink) {
-  ASSERT_EQ(TraceSink::Active(), nullptr);
-  // Must not crash; there is nowhere to record to.
-  DECO_TRACE_SPAN(0, TracePhase::kEmit, 0, 0);
+TEST(TraceSinkTest, MacroRecordsIntoTheRunsSinkOnly) {
+  RunContext untraced;
+  // Must not crash; the run has nowhere to record to.
+  DECO_TRACE_SPAN(untraced, 0, TracePhase::kEmit, 0, 0);
 
   ManualClock clock(0);
-  TraceSink sink(&clock);
-  TraceSink* previous = TraceSink::Install(&sink);
-  EXPECT_EQ(previous, nullptr);
-  DECO_TRACE_SPAN(3, TracePhase::kCorrect, 7, 11);
-  EXPECT_EQ(TraceSink::Install(nullptr), &sink);
+  RunContext traced;
+  traced.trace = std::make_unique<TraceSink>(&clock);
+  DECO_TRACE_SPAN(traced, 3, TracePhase::kCorrect, 7, 11);
+  DECO_TRACE_SPAN(untraced, 4, TracePhase::kCorrect, 8, 12);
 #if DECO_TRACE_ENABLED
-  std::vector<TraceEvent> events = sink.Drain();
+  std::vector<TraceEvent> events = traced.trace->Drain();
   ASSERT_EQ(events.size(), 1u);
   EXPECT_EQ(events[0].node, 3u);
   EXPECT_EQ(events[0].window_index, 7u);
@@ -213,7 +201,7 @@ TEST(TraceSinkTest, RecordsAndDrainsHops) {
 TEST(TraceSinkTest, UnstampedMessagesRecordNoHop) {
   ManualClock clock(0);
   TraceSink sink(&clock);
-  Message msg;  // hop.msg_id stays 0: sent while no sink was installed
+  Message msg;  // hop.msg_id stays 0: sent by a fabric not stamping hops
   sink.RecordHop(msg);
   EXPECT_TRUE(sink.DrainHops().empty());
 }
@@ -226,16 +214,6 @@ TEST(TraceSinkTest, HopCapacityBoundsRetainedRecords) {
   for (int i = 0; i < 1000; ++i) sink.RecordHop(msg);
   EXPECT_GT(sink.hops_dropped(), 0u);
   EXPECT_LE(sink.DrainHops().size(), 16u);
-}
-
-TEST(TraceSinkTest, InstallTogglesFabricHopStamping) {
-  ASSERT_FALSE(HopStampingEnabled());
-  ManualClock clock(0);
-  TraceSink sink(&clock);
-  TraceSink::Install(&sink);
-  EXPECT_TRUE(HopStampingEnabled());
-  TraceSink::Install(nullptr);
-  EXPECT_FALSE(HopStampingEnabled());
 }
 #endif  // DECO_TRACE_ENABLED
 

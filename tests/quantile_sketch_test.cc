@@ -157,16 +157,6 @@ TEST(QuantileSketchTest, BucketBudgetPreservesUpperQuantiles) {
   }
 }
 
-TEST(QuantileSketchTest, ResetClearsEverything) {
-  QuantileSketch sketch;
-  sketch.Add(1.0);
-  sketch.Add(100.0);
-  sketch.Reset();
-  EXPECT_EQ(sketch.count(), 0u);
-  EXPECT_EQ(sketch.Quantile(0.99), 0.0);
-  EXPECT_EQ(sketch.bucket_count(), 0u);
-}
-
 TEST(TopKIndicesTest, LargestValuesWithDeterministicTies) {
   const std::vector<uint64_t> values = {5, 9, 9, 1, 7, 9};
   const std::vector<uint32_t> top = TopKIndices(values, 4);

@@ -24,8 +24,8 @@ class RootNodeProtocolTest : public ::testing::Test {
     QueryConfig query;
     query.window = WindowSpec::CountTumbling(kWindow);
     root_ = std::make_unique<DecoRootNode>(
-        fabric_.get(), topology_.root, SystemClock::Default(), topology_,
-        query, scheme, &report_);
+        fabric_.get(), topology_.root, SystemClock::Default(), &run_,
+        topology_, query, scheme, &report_);
     root_->Start();
     next_id_.assign(2, 0);
   }
@@ -136,6 +136,7 @@ class RootNodeProtocolTest : public ::testing::Test {
     }
   }
 
+  RunContext run_;
   std::unique_ptr<NetworkFabric> fabric_;
   Topology topology_;
   std::unique_ptr<DecoRootNode> root_;
@@ -243,8 +244,8 @@ TEST_F(RootNodeProtocolTest, HolisticAggregateIsRejected) {
   query.window = WindowSpec::CountTumbling(kWindow);
   query.aggregate = AggregateKind::kMedian;
   root_ = std::make_unique<DecoRootNode>(
-      fabric_.get(), topology_.root, SystemClock::Default(), topology_,
-      query, DecoScheme::kSync, &report_);
+      fabric_.get(), topology_.root, SystemClock::Default(), &run_,
+      topology_, query, DecoScheme::kSync, &report_);
   root_->Start();
   root_->Join();
   EXPECT_TRUE(root_->status().IsNotSupported());

@@ -43,7 +43,9 @@ checked-in BENCH_<name>.json, a wall-clock document matches
 BENCH_<name>.wall.json, so one directory holds both kinds side by side.
 
 Documents produced under a sanitizer are refused: sanitizer timing is not
-comparable with anything, including itself.
+comparable with anything, including itself. Two wall-clock documents
+recorded on hosts with different core counts (host.cores) are refused too:
+their throughput and latency measure different machines.
 
 Exit codes: 0 no regressions, 1 regressions found, 2 usage/input error.
 """
@@ -186,6 +188,11 @@ def compare_docs(base, cur, findings, notes):
              f"current is '{cur['bench']}'")
     both_sim = bool(base["config"].get("sim")) and bool(
         cur["config"].get("sim"))
+    both_wall = not base["config"].get("sim") and not cur["config"].get("sim")
+    if both_wall and base["host"].get("cores") != cur["host"].get("cores"):
+        fail(f"{bench}: refusing to compare wall-clock documents recorded on "
+             f"{base['host'].get('cores')} and {cur['host'].get('cores')} "
+             "cores; re-record the baseline on a host like this one")
     if bool(base["config"].get("sim")) != bool(cur["config"].get("sim")):
         notes.append(f"{bench}: one side is --sim and the other is not; "
                      "timing rules apply, structural exactness does not")
