@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <iomanip>
 #include <map>
 #include <memory>
@@ -13,6 +12,7 @@
 #include "baseline/approx.h"
 #include "baseline/centralized_root.h"
 #include "baseline/forwarding_local.h"
+#include "common/file.h"
 #include "common/json.h"
 #include "common/logging.h"
 #include "harness/oracle.h"
@@ -511,7 +511,6 @@ Result<RunReport> RunExperiment(const ExperimentConfig& input) {
     server_options.registry = &run.metrics;
     server_options.watchdog = watchdog.get();
     server_options.sim = config.sim;
-    server_options.governance = config.obs_governance;
     server_options.sampler = sampler.get();
     const QueryRegistry* serve_registry = serving ? &registry : nullptr;
     ChaosController* chaos_ptr = chaos.get();
@@ -680,9 +679,10 @@ Result<RunReport> RunExperiment(const ExperimentConfig& input) {
   if (ops_server != nullptr) ops_server->Stop();
   if (run.flight_recorder != nullptr &&
       (config.ops.dump_flight_recorder || interrupted.load())) {
-    run.flight_recorder->DumpJson(
-        flight_path, interrupted.load() ? "interrupt" : "requested");
-    DECO_LOG(INFO) << "flight recorder dumped to " << flight_path;
+    if (run.flight_recorder->DumpJson(
+            flight_path, interrupted.load() ? "interrupt" : "requested")) {
+      DECO_LOG(INFO) << "flight recorder dumped to " << flight_path;
+    }
   }
   DECO_RETURN_NOT_OK(chaos_started);
   if (config.ops.alerts != nullptr && watchdog != nullptr) {
@@ -697,17 +697,7 @@ Result<RunReport> RunExperiment(const ExperimentConfig& input) {
       *config.ops.metrics_sink = exposition;
     }
     if (!config.ops.metrics_out.empty()) {
-      std::FILE* f = std::fopen(config.ops.metrics_out.c_str(), "w");
-      if (f == nullptr) {
-        return Status::IOError("cannot open " + config.ops.metrics_out +
-                               " for writing");
-      }
-      const size_t written =
-          std::fwrite(exposition.data(), 1, exposition.size(), f);
-      const bool close_ok = std::fclose(f) == 0;
-      if (written != exposition.size() || !close_ok) {
-        return Status::IOError("short write to " + config.ops.metrics_out);
-      }
+      DECO_RETURN_NOT_OK(WriteFile(config.ops.metrics_out, exposition));
     }
   }
   if (interrupted.load()) {
@@ -849,12 +839,6 @@ Result<RunReport> RunExperiment(const ExperimentConfig& input) {
     if (!config.telemetry.json_out.empty()) {
       DECO_RETURN_NOT_OK(
           WriteTelemetryJson(config.telemetry.json_out, report, log));
-    }
-    if (!config.telemetry.csv_prefix.empty()) {
-      DECO_RETURN_NOT_OK(WriteSamplesCsv(
-          config.telemetry.csv_prefix + ".samples.csv", log));
-      DECO_RETURN_NOT_OK(WriteSpansCsv(
-          config.telemetry.csv_prefix + ".spans.csv", log));
     }
     if (!config.telemetry.perfetto_out.empty()) {
       DECO_RETURN_NOT_OK(

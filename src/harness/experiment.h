@@ -61,10 +61,6 @@ struct TelemetryOptions {
   /// JSON document output path; empty = no file.
   std::string json_out;
 
-  /// CSV output prefix; writes `<prefix>.samples.csv` and
-  /// `<prefix>.spans.csv`. Empty = no files.
-  std::string csv_prefix;
-
   /// Chrome-trace-event/Perfetto JSON output path (deco_run
   /// `--trace_out`); empty = no file. Load the result in
   /// https://ui.perfetto.dev.

@@ -121,10 +121,7 @@ class Actor {
   void FinishHop(std::optional<Message>& msg) {
     if (!msg.has_value() || msg->hop.msg_id == 0) return;
     msg->hop.dequeue_nanos = clock_->NowNanos();
-    if (run_->trace != nullptr) run_->trace->RecordHop(*msg);
-    if (run_->flight_recorder != nullptr) {
-      run_->flight_recorder->RecordHop(*msg);
-    }
+    run_->RecordHop(*msg);
   }
 #else
   void FinishHop(std::optional<Message>&) {}

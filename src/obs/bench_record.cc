@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <thread>
 
+#include "common/file.h"
 #include "common/json.h"
 
 #ifndef DECO_GIT_SHA
@@ -244,18 +244,7 @@ std::string BenchRecorder::ToJson() const {
 }
 
 Status BenchRecorder::WriteJson(const std::string& path) const {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    return Status::IOError("cannot open " + path + " for writing");
-  }
-  const std::string doc = ToJson();
-  const size_t written = std::fwrite(doc.data(), 1, doc.size(), f);
-  const bool newline_ok = std::fputc('\n', f) != EOF;
-  const bool close_ok = std::fclose(f) == 0;
-  if (written != doc.size() || !newline_ok || !close_ok) {
-    return Status::IOError("short write to " + path);
-  }
-  return Status::OK();
+  return WriteFile(path, ToJson() + "\n");
 }
 
 }  // namespace deco

@@ -1,64 +1,23 @@
 #include "obs/export.h"
 
 #include <algorithm>
-#include <cinttypes>
 #include <cmath>
 #include <cstdio>
-#include <sstream>
 
+#include "common/file.h"
+#include "common/json.h"
 #include "common/logging.h"
 #include "obs/critical_path.h"
 
 namespace deco {
 namespace {
 
-/// JSON string escaping for the few non-literal strings we emit (node and
-/// metric names).
-void AppendEscaped(std::string* out, const std::string& s) {
-  out->push_back('"');
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        *out += "\\\"";
-        break;
-      case '\\':
-        *out += "\\\\";
-        break;
-      case '\n':
-        *out += "\\n";
-        break;
-      case '\t':
-        *out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          *out += buf;
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
-}
-
+/// The telemetry document's number format: six significant digits, and
+/// non-finite values (which JSON cannot spell) written as 0.
 void AppendDouble(std::string* out, double v) {
-  if (!std::isfinite(v)) v = 0.0;  // JSON has no NaN/Inf
+  if (!std::isfinite(v)) v = 0.0;
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.6g", v);
-  *out += buf;
-}
-
-void AppendInt(std::string* out, int64_t v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%" PRId64, v);
-  *out += buf;
-}
-
-void AppendUint(std::string* out, uint64_t v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%" PRIu64, v);
   *out += buf;
 }
 
@@ -99,7 +58,7 @@ void AppendFleetMetric(std::string* out, const char* key,
   *out += ", \"";
   *out += key;
   *out += "\": {\"sum\": ";
-  AppendUint(out, m.sum);
+  JsonAppendU64(out, m.sum);
   *out += ", \"min\": ";
   AppendDouble(out, m.min);
   *out += ", \"max\": ";
@@ -115,21 +74,6 @@ TimeNanos SeriesOrigin(const TelemetryLog& log) {
   if (!log.samples.empty()) return log.samples.front().t_nanos;
   if (!log.spans.empty()) return log.spans.front().t_nanos;
   return 0;
-}
-
-/// CSV field escaping (RFC 4180): quote when the value contains a comma,
-/// quote or newline; double embedded quotes.
-void AppendCsvField(std::string* out, const std::string& s) {
-  if (s.find_first_of(",\"\n\r") == std::string::npos) {
-    *out += s;
-    return;
-  }
-  out->push_back('"');
-  for (char c : s) {
-    if (c == '"') out->push_back('"');
-    out->push_back(c);
-  }
-  out->push_back('"');
 }
 
 void AppendComponents(std::string* out, const LatencyComponents& c) {
@@ -148,19 +92,6 @@ void AppendComponents(std::string* out, const LatencyComponents& c) {
   *out += ", \"root_merge_nanos\": ";
   AppendDouble(out, c.root_merge_nanos);
   *out += "}";
-}
-
-Status WriteFile(const std::string& path, const std::string& content) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    return Status::IOError("cannot open " + path + " for writing");
-  }
-  const size_t written = std::fwrite(content.data(), 1, content.size(), f);
-  const bool close_ok = std::fclose(f) == 0;
-  if (written != content.size() || !close_ok) {
-    return Status::IOError("short write to " + path);
-  }
-  return Status::OK();
 }
 
 /// Blanks the JSON object around each occurrence of `marker` (flat
@@ -194,27 +125,27 @@ std::string TelemetryToJson(const RunReport& report,
   out.reserve(4096 + log.samples.size() * 512 + log.spans.size() * 96);
 
   out += "{\n  \"schema_version\": 7,\n  \"scheme\": ";
-  AppendEscaped(&out, report.scheme);
+  JsonAppendString(&out, report.scheme);
   out += ",\n  \"report\": {\"events_processed\": ";
-  AppendUint(&out, report.events_processed);
+  JsonAppendU64(&out, report.events_processed);
   out += ", \"wall_seconds\": ";
   AppendDouble(&out, report.wall_seconds);
   out += ", \"throughput_eps\": ";
   AppendDouble(&out, report.throughput_eps);
   out += ", \"windows_emitted\": ";
-  AppendUint(&out, report.windows_emitted);
+  JsonAppendU64(&out, report.windows_emitted);
   out += ", \"correction_steps\": ";
-  AppendUint(&out, report.correction_steps);
+  JsonAppendU64(&out, report.correction_steps);
   out += ", \"total_bytes\": ";
-  AppendUint(&out, report.network.total_bytes);
+  JsonAppendU64(&out, report.network.total_bytes);
   out += ", \"total_messages\": ";
-  AppendUint(&out, report.network.total_messages);
+  JsonAppendU64(&out, report.network.total_messages);
   out += ", \"latency_mean_nanos\": ";
   AppendDouble(&out, report.latency.mean());
   out += ", \"latency_p50_nanos\": ";
-  AppendInt(&out, report.latency.Percentile(0.5));
+  JsonAppendI64(&out, report.latency.Percentile(0.5));
   out += ", \"latency_p99_nanos\": ";
-  AppendInt(&out, report.latency.Percentile(0.99));
+  JsonAppendI64(&out, report.latency.Percentile(0.99));
   // Schema v3: the run's CPU/alloc profile. Disabled-with-empty-threads
   // (never absent) when the run was not profiled, so consumers need no
   // existence check.
@@ -243,50 +174,32 @@ std::string TelemetryToJson(const RunReport& report,
       out += "null";
     }
     out += ", \"total_dropped\": ";
-    AppendUint(&out, sample.total_dropped);
+    JsonAppendU64(&out, sample.total_dropped);
 
     out += ", \"counters\": {";
     for (size_t c = 0; c < sample.metrics.counters.size(); ++c) {
       if (c > 0) out += ", ";
-      AppendEscaped(&out, sample.metrics.counters[c].first);
+      JsonAppendString(&out, sample.metrics.counters[c].first);
       out += ": ";
-      AppendInt(&out, sample.metrics.counters[c].second);
+      JsonAppendI64(&out, sample.metrics.counters[c].second);
     }
     out += "}, \"gauges\": {";
     for (size_t g = 0; g < sample.metrics.gauges.size(); ++g) {
       if (g > 0) out += ", ";
-      AppendEscaped(&out, sample.metrics.gauges[g].first);
+      JsonAppendString(&out, sample.metrics.gauges[g].first);
       out += ": ";
-      AppendInt(&out, sample.metrics.gauges[g].second);
+      JsonAppendI64(&out, sample.metrics.gauges[g].second);
     }
-    out += "}, \"histograms\": [";
-    for (size_t h = 0; h < sample.metrics.histograms.size(); ++h) {
-      const HistogramSnapshot& hist = sample.metrics.histograms[h];
-      if (h > 0) out += ", ";
-      out += "{\"name\": ";
-      AppendEscaped(&out, hist.name);
-      out += ", \"count\": ";
-      AppendUint(&out, hist.count);
-      out += ", \"mean\": ";
-      AppendDouble(&out, hist.mean);
-      out += ", \"p50\": ";
-      AppendInt(&out, hist.p50);
-      out += ", \"p99\": ";
-      AppendInt(&out, hist.p99);
-      out += ", \"max\": ";
-      AppendInt(&out, hist.max);
-      out += "}";
-    }
-    // Schema v7: registered quantile sketches ride along with every
-    // snapshot, like histograms but with sketch-native fields.
-    out += "], \"sketches\": [";
+    // Schema v7 readers expect the histogram list, so it stays, empty.
+    // Registered quantile sketches ride along with every snapshot.
+    out += "}, \"histograms\": [], \"sketches\": [";
     for (size_t s = 0; s < sample.metrics.sketches.size(); ++s) {
       const SketchSnapshot& sketch = sample.metrics.sketches[s];
       if (s > 0) out += ", ";
       out += "{\"name\": ";
-      AppendEscaped(&out, sketch.name);
+      JsonAppendString(&out, sketch.name);
       out += ", \"count\": ";
-      AppendUint(&out, sketch.count);
+      JsonAppendU64(&out, sketch.count);
       out += ", \"sum\": ";
       AppendDouble(&out, sketch.sum);
       out += ", \"min\": ";
@@ -306,19 +219,19 @@ std::string TelemetryToJson(const RunReport& report,
     out += "], \"fleet\": {\"collapsed\": ";
     out += sample.fleet.collapsed ? "true" : "false";
     out += ", \"node_count\": ";
-    AppendUint(&out, sample.fleet.node_count);
+    JsonAppendU64(&out, sample.fleet.node_count);
     out += ", \"detail_nodes\": ";
-    AppendUint(&out, sample.fleet.detail_nodes);
+    JsonAppendU64(&out, sample.fleet.detail_nodes);
     out += ", \"nodes_down\": ";
-    AppendUint(&out, sample.fleet.nodes_down);
+    JsonAppendU64(&out, sample.fleet.nodes_down);
     out += ", \"total_messages_sent\": ";
-    AppendUint(&out, sample.fleet.total_messages_sent);
+    JsonAppendU64(&out, sample.fleet.total_messages_sent);
     out += ", \"total_bytes_sent\": ";
-    AppendUint(&out, sample.fleet.total_bytes_sent);
+    JsonAppendU64(&out, sample.fleet.total_bytes_sent);
     out += ", \"total_messages_received\": ";
-    AppendUint(&out, sample.fleet.total_messages_received);
+    JsonAppendU64(&out, sample.fleet.total_messages_received);
     out += ", \"total_bytes_received\": ";
-    AppendUint(&out, sample.fleet.total_bytes_received);
+    JsonAppendU64(&out, sample.fleet.total_bytes_received);
     AppendFleetMetric(&out, "queue_depth", sample.fleet.queue_depth);
     AppendFleetMetric(&out, "messages_sent", sample.fleet.messages_sent);
     AppendFleetMetric(&out, "bytes_sent", sample.fleet.bytes_sent);
@@ -327,19 +240,19 @@ std::string TelemetryToJson(const RunReport& report,
       const NodeSample& node = sample.nodes[n];
       if (n > 0) out += ", ";
       out += "{\"node\": ";
-      AppendUint(&out, node.node);
+      JsonAppendU64(&out, node.node);
       out += ", \"name\": ";
-      AppendEscaped(&out, node.name);
+      JsonAppendString(&out, node.name);
       out += ", \"queue_depth\": ";
-      AppendUint(&out, node.queue_depth);
+      JsonAppendU64(&out, node.queue_depth);
       out += ", \"messages_sent\": ";
-      AppendUint(&out, node.messages_sent);
+      JsonAppendU64(&out, node.messages_sent);
       out += ", \"bytes_sent\": ";
-      AppendUint(&out, node.bytes_sent);
+      JsonAppendU64(&out, node.bytes_sent);
       out += ", \"messages_received\": ";
-      AppendUint(&out, node.messages_received);
+      JsonAppendU64(&out, node.messages_received);
       out += ", \"bytes_received\": ";
-      AppendUint(&out, node.bytes_received);
+      JsonAppendU64(&out, node.bytes_received);
       out += ", \"sent_by_type\": {";
       bool first_type = true;
       for (size_t t = 0; t < kNumMessageTypes; ++t) {
@@ -349,9 +262,9 @@ std::string TelemetryToJson(const RunReport& report,
         out += "\"";
         out += MessageTypeToString(static_cast<MessageType>(t));
         out += "\": {\"messages\": ";
-        AppendUint(&out, node.messages_sent_by_type[t]);
+        JsonAppendU64(&out, node.messages_sent_by_type[t]);
         out += ", \"bytes\": ";
-        AppendUint(&out, node.bytes_sent_by_type[t]);
+        JsonAppendU64(&out, node.bytes_sent_by_type[t]);
         out += "}";
       }
       out += "}, \"bytes_per_sec\": ";
@@ -375,32 +288,32 @@ std::string TelemetryToJson(const RunReport& report,
     out += "\"t_ms\": ";
     AppendDouble(&out, MillisSince(span.t_nanos, origin));
     out += ", \"node\": ";
-    AppendUint(&out, span.node);
+    JsonAppendU64(&out, span.node);
     out += ", \"phase\": \"";
     out += TracePhaseToString(span.phase);
     out += "\", \"window\": ";
-    AppendUint(&out, span.window_index);
+    JsonAppendU64(&out, span.window_index);
     out += ", \"value\": ";
-    AppendInt(&out, span.value);
+    JsonAppendI64(&out, span.value);
     out += ", \"msg_id\": ";
-    AppendUint(&out, span.msg_id);
+    JsonAppendU64(&out, span.msg_id);
     out += "}";
   }
   out += log.spans.empty() ? "],\n" : "\n  ],\n";
   out += "  \"spans_dropped\": ";
-  AppendUint(&out, log.spans_dropped);
+  JsonAppendU64(&out, log.spans_dropped);
   out += ",\n  \"hop_count\": ";
-  AppendUint(&out, log.hops.size());
+  JsonAppendU64(&out, log.hops.size());
   out += ",\n  \"hops_dropped\": ";
-  AppendUint(&out, log.hops_dropped);
+  JsonAppendU64(&out, log.hops_dropped);
 
   const LatencyAttribution attribution = AttributeWindowLatency(log);
   out += ",\n  \"latency_breakdown\": {\"emit_spans\": ";
-  AppendUint(&out, attribution.emit_spans);
+  JsonAppendU64(&out, attribution.emit_spans);
   out += ", \"windows_attributed\": ";
-  AppendUint(&out, attribution.windows.size());
+  JsonAppendU64(&out, attribution.windows.size());
   out += ", \"unattributed\": ";
-  AppendUint(&out, attribution.unattributed);
+  JsonAppendU64(&out, attribution.unattributed);
   out += ", \"mean\": ";
   AppendComponents(&out, attribution.mean);
   out += ", \"windows\": [";
@@ -408,11 +321,11 @@ std::string TelemetryToJson(const RunReport& report,
     const WindowAttribution& w = attribution.windows[i];
     out += i == 0 ? "\n    {" : ",\n    {";
     out += "\"window\": ";
-    AppendUint(&out, w.window_index);
+    JsonAppendU64(&out, w.window_index);
     out += ", \"root\": ";
-    AppendUint(&out, w.root);
+    JsonAppendU64(&out, w.root);
     out += ", \"critical_src\": ";
-    AppendUint(&out, w.critical_src);
+    JsonAppendU64(&out, w.critical_src);
     out += ", \"corrected\": ";
     out += w.corrected ? "true" : "false";
     out += ", \"exact\": ";
@@ -442,19 +355,19 @@ std::string TelemetryToJson(const RunReport& report,
     const QueryRunResult& q = report.query_results[i];
     out += i == 0 ? "\n    {" : ",\n    {";
     out += "\"id\": ";
-    AppendUint(&out, q.query_id);
+    JsonAppendU64(&out, q.query_id);
     out += ", \"tenant\": ";
-    AppendEscaped(&out, q.tenant);
+    JsonAppendString(&out, q.tenant);
     out += ", \"spec\": ";
-    AppendEscaped(&out, q.spec);
+    JsonAppendString(&out, q.spec);
     out += ", \"start_pane\": ";
-    AppendUint(&out, q.start_pane);
+    JsonAppendU64(&out, q.start_pane);
     out += ", \"end_pane\": ";
-    AppendUint(&out, q.end_pane);
+    JsonAppendU64(&out, q.end_pane);
     out += ", \"activated\": ";
     out += q.activated ? "true" : "false";
     out += ", \"windows\": ";
-    AppendUint(&out, q.windows.size());
+    JsonAppendU64(&out, q.windows.size());
     out += "}";
   }
   out += report.query_results.empty() ? "]" : "\n  ]";
@@ -464,21 +377,21 @@ std::string TelemetryToJson(const RunReport& report,
   out += ",\n  \"alerts\": {\"enabled\": ";
   out += log.alerts_enabled ? "true" : "false";
   out += ", \"fired\": ";
-  AppendUint(&out, log.alerts.size());
+  JsonAppendU64(&out, log.alerts.size());
   size_t active_alerts = 0;
   for (const Alert& a : log.alerts) {
     if (a.resolved_at_nanos == 0) ++active_alerts;
   }
   out += ", \"active\": ";
-  AppendUint(&out, active_alerts);
+  JsonAppendU64(&out, active_alerts);
   out += ", \"items\": [";
   for (size_t i = 0; i < log.alerts.size(); ++i) {
     const Alert& a = log.alerts[i];
     out += i == 0 ? "\n    {" : ",\n    {";
     out += "\"kind\": ";
-    AppendEscaped(&out, std::string(AlertKindToString(a.kind)));
+    JsonAppendString(&out, std::string(AlertKindToString(a.kind)));
     out += ", \"subject\": ";
-    AppendEscaped(&out, a.subject);
+    JsonAppendString(&out, a.subject);
     out += ", \"fired_at_ms\": ";
     AppendDouble(&out, static_cast<double>(a.fired_at_nanos - origin) / 1e6);
     out += ", \"resolved_at_ms\": ";
@@ -493,7 +406,7 @@ std::string TelemetryToJson(const RunReport& report,
     out += ", \"threshold\": ";
     AppendDouble(&out, a.threshold);
     out += ", \"message\": ";
-    AppendEscaped(&out, a.message);
+    JsonAppendString(&out, a.message);
     out += "}";
   }
   out += log.alerts.empty() ? "]}" : "\n  ]}";
@@ -506,7 +419,7 @@ std::string TelemetryToJson(const RunReport& report,
   out += ",\n  \"obs_self\": {\"enabled\": ";
   out += self.enabled ? "true" : "false";
   out += ", \"sampler_ticks\": ";
-  AppendUint(&out, self.sampler.ticks);
+  JsonAppendU64(&out, self.sampler.ticks);
   out += ", \"sampler_tick_mean_nanos\": ";
   AppendDouble(&out, self.sampler.tick_nanos_mean);
   out += ", \"sampler_tick_p50_nanos\": ";
@@ -516,23 +429,23 @@ std::string TelemetryToJson(const RunReport& report,
   out += ", \"sampler_tick_max_nanos\": ";
   AppendDouble(&out, self.sampler.tick_nanos_max);
   out += ", \"tracker_bytes\": ";
-  AppendUint(&out, self.sampler.tracker_bytes);
+  JsonAppendU64(&out, self.sampler.tracker_bytes);
   out += ", \"scrapes\": ";
-  AppendUint(&out, self.scrapes);
+  JsonAppendU64(&out, self.scrapes);
   out += ", \"scrape_nanos_mean\": ";
   AppendDouble(&out, self.scrape_nanos_mean);
   out += ", \"scrape_nanos_p99\": ";
   AppendDouble(&out, self.scrape_nanos_p99);
   out += ", \"exposition_bytes\": ";
-  AppendUint(&out, self.exposition_bytes);
+  JsonAppendU64(&out, self.exposition_bytes);
   out += ", \"spans_dropped\": ";
-  AppendUint(&out, log.spans_dropped);
+  JsonAppendU64(&out, log.spans_dropped);
   out += ", \"hops_dropped\": ";
-  AppendUint(&out, log.hops_dropped);
+  JsonAppendU64(&out, log.hops_dropped);
   out += ", \"node_detail_limit\": ";
-  AppendUint(&out, self.node_detail_limit);
+  JsonAppendU64(&out, self.node_detail_limit);
   out += ", \"top_k\": ";
-  AppendUint(&out, self.top_k);
+  JsonAppendU64(&out, self.top_k);
   out += "}";
   out += "\n}\n";
   return out;
@@ -548,63 +461,6 @@ Status WriteTelemetryJson(const std::string& path, const RunReport& report,
                          "a larger --trace_capacity";
   }
   return WriteFile(path, TelemetryToJson(report, log));
-}
-
-Status WriteSamplesCsv(const std::string& path, const TelemetryLog& log) {
-  const TimeNanos origin = SeriesOrigin(log);
-  std::string out =
-      "t_ms,node,name,queue_depth,messages_sent,bytes_sent,"
-      "messages_received,bytes_received,bytes_per_sec\n";
-  for (size_t i = 0; i < log.samples.size(); ++i) {
-    const TelemetrySample& sample = log.samples[i];
-    const TelemetrySample* prev = i > 0 ? &log.samples[i - 1] : nullptr;
-    for (size_t n = 0; n < sample.nodes.size(); ++n) {
-      const NodeSample& node = sample.nodes[n];
-      AppendDouble(&out, MillisSince(sample.t_nanos, origin));
-      out += ",";
-      AppendUint(&out, node.node);
-      out += ",";
-      AppendCsvField(&out, node.name);
-      out += ",";
-      AppendUint(&out, node.queue_depth);
-      out += ",";
-      AppendUint(&out, node.messages_sent);
-      out += ",";
-      AppendUint(&out, node.bytes_sent);
-      out += ",";
-      AppendUint(&out, node.messages_received);
-      out += ",";
-      AppendUint(&out, node.bytes_received);
-      out += ",";
-      const NodeSample* prev_node = FindNode(prev, node.node);
-      if (prev_node != nullptr) {
-        AppendDouble(&out, Rate(prev_node->bytes_sent, node.bytes_sent,
-                                prev->t_nanos, sample.t_nanos));
-      }  // no prior record of this node — leave the rate field empty
-      out += "\n";
-    }
-  }
-  return WriteFile(path, out);
-}
-
-Status WriteSpansCsv(const std::string& path, const TelemetryLog& log) {
-  const TimeNanos origin = SeriesOrigin(log);
-  std::string out = "t_ms,node,phase,window,value,msg_id\n";
-  for (const TraceEvent& span : log.spans) {
-    AppendDouble(&out, MillisSince(span.t_nanos, origin));
-    out += ",";
-    AppendUint(&out, span.node);
-    out += ",";
-    out += TracePhaseToString(span.phase);
-    out += ",";
-    AppendUint(&out, span.window_index);
-    out += ",";
-    AppendInt(&out, span.value);
-    out += ",";
-    AppendUint(&out, span.msg_id);
-    out += "\n";
-  }
-  return WriteFile(path, out);
 }
 
 std::string ScrubTelemetryJson(std::string json) {

@@ -8,7 +8,8 @@
 
 /// \file export.h
 /// \brief Serializes one run's telemetry (sampler time series, window
-/// lifecycle spans, final `RunReport`) to machine-readable JSON and CSV.
+/// lifecycle spans, final `RunReport`) to one machine-readable JSON
+/// document.
 ///
 /// JSON document layout (schema_version 7; every version-1..6 field is
 /// preserved with unchanged meaning, so older consumers keep working —
@@ -33,8 +34,7 @@
 ///                  "total_dropped": n,
 ///                  "counters": {"name": n, ...},
 ///                  "gauges": {"name": n, ...},
-///                  "histograms": [{"name": s, "count": n, "mean": x,
-///                                  "p50": n, "p99": n, "max": n}],
+///                  "histograms": [],
 ///                  "sketches": [{"name": s, "count": n, "sum": x,
 ///                                "min": x, "max": x, "p50": x, "p90": x,
 ///                                "p99": x}],
@@ -93,8 +93,10 @@
 /// `t_ms` is milliseconds since the first sample; cumulative fabric
 /// counters are carried as-is and per-interval rates (`bytes_per_sec`,
 /// `events_per_sec`) are derived from consecutive samples at export time.
-/// Since v2 the rates of the *first* sample are `null` (CSV: empty) — there
-/// is no prior snapshot to rate against, and 0 was misleading. Only
+/// `histograms` stays in every sample, always empty, because v7 readers
+/// expect the key; the registry's distributions are `sketches`.
+/// Since v2 the rates of the *first* sample are `null` — there is no
+/// prior snapshot to rate against, and 0 was misleading. Only
 /// message types with nonzero counts appear in `sent_by_type`. Since v3
 /// the document carries `cpu_breakdown`, the run's per-thread CPU/alloc
 /// profile (`{"enabled": false, ..., "threads": []}` when the run was not
@@ -122,16 +124,6 @@ std::string TelemetryToJson(const RunReport& report, const TelemetryLog& log);
 /// failure.
 Status WriteTelemetryJson(const std::string& path, const RunReport& report,
                           const TelemetryLog& log);
-
-/// \brief Writes the per-node time series as CSV (one row per sample x
-/// node): t_ms,node,name,queue_depth,messages_sent,bytes_sent,
-/// messages_received,bytes_received,bytes_per_sec. Fields containing
-/// commas, quotes or newlines are RFC-4180 quoted; the first sample's rate
-/// field is empty (no prior snapshot).
-Status WriteSamplesCsv(const std::string& path, const TelemetryLog& log);
-
-/// \brief Writes the span list as CSV: t_ms,node,phase,window,value,msg_id.
-Status WriteSpansCsv(const std::string& path, const TelemetryLog& log);
 
 /// \brief `TelemetryToJson` output with its wall-clock carriers blanked:
 /// the `obs.self.sampler_tick_nanos` sketch snapshots inside samples and

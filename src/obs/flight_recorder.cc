@@ -1,9 +1,9 @@
 #include "obs/flight_recorder.h"
 
 #include <csignal>
-#include <cstdio>
 #include <cstring>
 
+#include "common/file.h"
 #include "common/json.h"
 #include "common/logging.h"
 
@@ -12,26 +12,9 @@ namespace deco {
 FlightRecorder::FlightRecorder(Clock* clock, Options options)
     : clock_(clock), options_(options) {}
 
-void FlightRecorder::RecordHop(const Message& msg) {
-#if DECO_TRACE_ENABLED
-  if (msg.hop.msg_id == 0) return;
-  HopRecord hop;
-  hop.msg_id = msg.hop.msg_id;
-  hop.type = msg.type;
-  hop.src = msg.src;
-  hop.dst = msg.dst;
-  hop.window_index = msg.window_index;
-  hop.wire_bytes = msg.WireSize();
-  hop.enqueue_nanos = msg.hop.enqueue_nanos;
-  hop.deliver_nanos = msg.hop.deliver_nanos;
-  hop.dequeue_nanos = msg.hop.dequeue_nanos;
-  hop.shaping_delay_nanos = msg.hop.shaping_delay_nanos;
-
+void FlightRecorder::RecordHop(const HopRecord& hop) {
   std::lock_guard<std::mutex> lock(hop_mu_);
   hops_.Push(options_.hop_capacity, hop);
-#else
-  (void)msg;
-#endif
 }
 
 void FlightRecorder::RecordSpan(NodeId node, TracePhase phase,
@@ -182,17 +165,11 @@ std::string FlightRecorder::ToJsonLocked(const std::string& reason,
 bool FlightRecorder::DumpJson(const std::string& path,
                               const std::string& reason,
                               bool best_effort) const {
-  const std::string doc = ToJsonLocked(reason, best_effort);
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    if (!best_effort) {
-      DECO_LOG(ERROR) << "flight recorder: cannot open " << path;
-    }
-    return false;
+  const Status written = WriteFile(path, ToJsonLocked(reason, best_effort));
+  if (!written.ok() && !best_effort) {
+    DECO_LOG(ERROR) << "flight recorder: " << written.ToString();
   }
-  const size_t written = std::fwrite(doc.data(), 1, doc.size(), f);
-  std::fclose(f);
-  return written == doc.size();
+  return written.ok();
 }
 
 std::vector<HopRecord> FlightRecorder::Hops() const {
@@ -208,11 +185,6 @@ std::vector<TraceEvent> FlightRecorder::Spans() const {
 std::vector<AlertTransition> FlightRecorder::Alerts() const {
   std::lock_guard<std::mutex> lock(alert_mu_);
   return alerts_.OldestFirst(options_.alert_capacity);
-}
-
-uint64_t FlightRecorder::hops_recorded() const {
-  std::lock_guard<std::mutex> lock(hop_mu_);
-  return hops_.total;
 }
 
 uint64_t FlightRecorder::spans_recorded() const {

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "common/clock.h"
-#include "net/message.h"
 #include "obs/trace.h"
 
 /// \file flight_recorder.h
@@ -58,9 +57,8 @@ class FlightRecorder {
   FlightRecorder(const FlightRecorder&) = delete;
   FlightRecorder& operator=(const FlightRecorder&) = delete;
 
-  /// \brief Records a completed hop from a dequeued, stamped message.
-  /// No-op when tracing is compiled out (the hop fields do not exist).
-  void RecordHop(const Message& msg);
+  /// \brief Records a completed hop (see `RunContext::RecordHop`).
+  void RecordHop(const HopRecord& hop);
 
   /// \brief Records one span event (same shape as `TraceSink::Record`).
   void RecordSpan(NodeId node, TracePhase phase, uint64_t window_index,
@@ -71,8 +69,9 @@ class FlightRecorder {
   /// \brief Renders the current ring contents as a JSON document.
   std::string ToJson(const std::string& reason) const;
 
-  /// \brief Writes `ToJson` to `path`. Returns false on I/O failure.
-  /// `best_effort` snapshots under try_lock (signal-handler path).
+  /// \brief Writes `ToJson` to `path`. Returns false, and unless
+  /// `best_effort` logs why, when the file cannot be opened, written or
+  /// flushed. `best_effort` snapshots under try_lock (signal-handler path).
   bool DumpJson(const std::string& path, const std::string& reason,
                 bool best_effort = false) const;
 
@@ -83,7 +82,6 @@ class FlightRecorder {
 
   /// \brief Total records ever pushed per ring (monotonic; exceeds the
   /// snapshot size once the ring wraps).
-  uint64_t hops_recorded() const;
   uint64_t spans_recorded() const;
   uint64_t alerts_recorded() const;
 

@@ -35,31 +35,12 @@ typename Map::mapped_type::element_type* GetOrCreate(std::shared_mutex* mu,
 
 size_t Counter::ShardIndex() { return ThisThreadOrdinal() % kShards; }
 
-void ShardedHistogram::Record(int64_t value) {
-  Stripe& s = stripes_[ThisThreadOrdinal() % kStripes];
-  std::lock_guard<std::mutex> lock(s.mu);
-  s.h.Record(value);
-}
-
-Histogram ShardedHistogram::Merged() const {
-  Histogram merged;
-  for (const Stripe& s : stripes_) {
-    std::lock_guard<std::mutex> lock(s.mu);
-    merged.Merge(s.h);
-  }
-  return merged;
-}
-
 Counter* MetricRegistry::counter(std::string_view name) {
   return GetOrCreate(&mu_, &counters_, name);
 }
 
 Gauge* MetricRegistry::gauge(std::string_view name) {
   return GetOrCreate(&mu_, &gauges_, name);
-}
-
-ShardedHistogram* MetricRegistry::histogram(std::string_view name) {
-  return GetOrCreate(&mu_, &histograms_, name);
 }
 
 SketchMetric* MetricRegistry::sketch(std::string_view name) {
@@ -76,18 +57,6 @@ MetricsSnapshot MetricRegistry::Snapshot() const {
   snapshot.gauges.reserve(gauges_.size());
   for (const auto& [name, gauge] : gauges_) {
     snapshot.gauges.emplace_back(name, gauge->value());
-  }
-  snapshot.histograms.reserve(histograms_.size());
-  for (const auto& [name, histogram] : histograms_) {
-    const Histogram merged = histogram->Merged();
-    HistogramSnapshot h;
-    h.name = name;
-    h.count = merged.count();
-    h.mean = merged.mean();
-    h.p50 = merged.Percentile(0.5);
-    h.p99 = merged.Percentile(0.99);
-    h.max = merged.max();
-    snapshot.histograms.push_back(std::move(h));
   }
   snapshot.sketches.reserve(sketches_.size());
   for (const auto& [name, sketch] : sketches_) {

@@ -11,19 +11,18 @@
 #include <string_view>
 #include <vector>
 
-#include "metrics/histogram.h"
 #include "obs/quantile_sketch.h"
 
 /// \file metric_registry.h
-/// \brief Lock-cheap registry of named counters, gauges, histograms and
-/// quantile sketches.
+/// \brief Lock-cheap registry of named counters, gauges and quantile
+/// sketches.
 ///
 /// Instruments are created once (shared-lock fast path, exclusive lock only
 /// on first use of a name) and then updated without the registry lock:
-/// counters and histograms are sharded so concurrent node threads land on
-/// different cache lines / stripes, and the sampler merges the shards when
-/// it snapshots. Update cost: one relaxed atomic add (counter/gauge) or one
-/// striped mutex + `Histogram::Record` (histogram).
+/// counters are sharded so concurrent node threads land on different cache
+/// lines, and the sampler merges the shards when it snapshots. Update cost:
+/// one relaxed atomic add (counter/gauge) or one mutex + sketch insert
+/// (sketch).
 
 namespace deco {
 
@@ -65,22 +64,6 @@ class Gauge {
   std::atomic<int64_t> v_{0};
 };
 
-/// \brief Histogram with striped locks so recording threads rarely contend;
-/// `Merged` combines the stripes (reusing `Histogram::Merge`).
-class ShardedHistogram {
- public:
-  void Record(int64_t value);
-  Histogram Merged() const;
-
- private:
-  static constexpr size_t kStripes = 8;
-  struct alignas(64) Stripe {
-    mutable std::mutex mu;
-    Histogram h;
-  };
-  std::array<Stripe, kStripes> stripes_;
-};
-
 /// \brief Mutex-wrapped mergeable quantile sketch (quantile_sketch.h).
 /// Observations land on a single lock: sketch writers are low-rate
 /// (sampler ticks, scrape timings), unlike the sharded hot-path counters.
@@ -89,10 +72,6 @@ class SketchMetric {
   void Observe(double value) {
     std::lock_guard<std::mutex> lock(mu_);
     sketch_.Add(value);
-  }
-  void MergeFrom(const QuantileSketch& other) {
-    std::lock_guard<std::mutex> lock(mu_);
-    sketch_.Merge(other);
   }
   QuantileSketch Snapshot() const {
     std::lock_guard<std::mutex> lock(mu_);
@@ -104,21 +83,10 @@ class SketchMetric {
   QuantileSketch sketch_;
 };
 
-/// \brief Point-in-time summary of a registered histogram.
-struct HistogramSnapshot {
-  std::string name;
-  uint64_t count = 0;
-  double mean = 0.0;
-  int64_t p50 = 0;
-  int64_t p99 = 0;
-  int64_t max = 0;
-};
-
 /// \brief All registry values at one instant.
 struct MetricsSnapshot {
   std::vector<std::pair<std::string, int64_t>> counters;
   std::vector<std::pair<std::string, int64_t>> gauges;
-  std::vector<HistogramSnapshot> histograms;
   std::vector<SketchSnapshot> sketches;
 };
 
@@ -134,7 +102,6 @@ class MetricRegistry {
 
   Counter* counter(std::string_view name);
   Gauge* gauge(std::string_view name);
-  ShardedHistogram* histogram(std::string_view name);
   SketchMetric* sketch(std::string_view name);
 
   /// \brief Merged point-in-time values of every instrument, name-sorted.
@@ -149,8 +116,6 @@ class MetricRegistry {
   mutable std::shared_mutex mu_;
   std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges_;
-  std::map<std::string, std::unique_ptr<ShardedHistogram>, std::less<>>
-      histograms_;
   std::map<std::string, std::unique_ptr<SketchMetric>, std::less<>>
       sketches_;
 };

@@ -105,15 +105,15 @@ void AppendFleetSummary(std::string* out, const std::string& name,
 }
 
 /// Top-k offender series: per-node labels survive governance, capped at k.
+template <typename Value>
 void AppendOffenderSeries(std::string* out, const std::string& name,
-                          const char* help, const NetworkFabric* fabric,
-                          const std::vector<uint32_t>& ids,
-                          const std::vector<uint64_t>& values) {
+                          const char* help, const NetworkFabric& fabric,
+                          const std::vector<NodeId>& ids, Value value) {
   *out += "# HELP " + name + " " + help + "\n";
   *out += "# TYPE " + name + " gauge\n";
-  for (uint32_t id : ids) {
-    *out += name + "{node=\"" + PromLabelValue(fabric->node_name(id)) +
-            "\"} " + std::to_string(values[id]) + "\n";
+  for (NodeId id : ids) {
+    *out += name + "{node=\"" + PromLabelValue(fabric.node_name(id)) +
+            "\"} " + std::to_string(value(id)) + "\n";
   }
 }
 
@@ -122,11 +122,10 @@ void AppendOffenderSeries(std::string* out, const std::string& name,
 /// overestimate by at most the entry's inherited error).
 void AppendOffenderListJson(std::string* out, const char* key,
                             const std::vector<SpaceSavingTopK::Entry>& entries,
-                            const NetworkFabric* fabric) {
+                            const NetworkFabric& fabric, size_t n) {
   *out += "\"";
   *out += key;
   *out += "\":[";
-  const size_t n = fabric != nullptr ? fabric->node_count() : 0;
   bool first = true;
   for (const SpaceSavingTopK::Entry& e : entries) {
     if (e.key < 0) continue;
@@ -136,7 +135,7 @@ void AppendOffenderListJson(std::string* out, const char* key,
     *out += "{\"node\":";
     JsonAppendU64(out, id);
     *out += ",\"name\":";
-    JsonAppendString(out, id < n ? fabric->node_name(id) : std::string());
+    JsonAppendString(out, id < n ? fabric.node_name(id) : std::string());
     *out += ",\"weight\":";
     JsonAppendDouble(out, e.weight);
     *out += "}";
@@ -217,6 +216,22 @@ QuantileSketch OpsServer::ScrapeLatency() const {
   return scrape_wall_nanos_;
 }
 
+FleetCapture OpsServer::Capture() const {
+  const NetworkFabric* fabric = options_.fabric;
+  const Sampler* sampler = options_.sampler;
+  if (fabric != nullptr && sampler != nullptr) return sampler->Capture(*fabric);
+  const TimeNanos now =
+      options_.clock != nullptr ? options_.clock->NowNanos() : 0;
+  if (fabric != nullptr) {
+    return CaptureFleet(*fabric, ObsGovernance(), now, 0, nullptr,
+                        /*advance=*/false);
+  }
+  FleetCapture empty;  // no fabric: only the clock and the policy to show
+  empty.t_nanos = now;
+  if (sampler != nullptr) empty.governance = sampler->governance();
+  return empty;
+}
+
 void OpsServer::HandleConnection(int fd) {
   const auto wall_start = std::chrono::steady_clock::now();
   // Requests of interest are single-line GETs; 4 KiB is plenty.
@@ -281,18 +296,13 @@ void OpsServer::HandleConnection(int fd) {
 }
 
 std::string OpsServer::RenderMetrics() const {
+  const FleetCapture capture = Capture();
   std::string out;
   out.reserve(1 << 14);
 
   out += "# HELP deco_time_nanos Current run clock (virtual under --sim).\n";
   out += "# TYPE deco_time_nanos gauge\n";
-  out += "deco_time_nanos ";
-  if (options_.clock != nullptr) {
-    out += std::to_string(options_.clock->NowNanos());
-  } else {
-    out += "0";
-  }
-  out += "\n";
+  out += "deco_time_nanos " + std::to_string(capture.t_nanos) + "\n";
 
   if (options_.registry != nullptr) {
     const MetricsSnapshot snapshot = options_.registry->Snapshot();
@@ -308,17 +318,6 @@ std::string OpsServer::RenderMetrics() const {
       out += "# TYPE " + prom + " gauge\n";
       out += prom + " " + std::to_string(value) + "\n";
     }
-    for (const HistogramSnapshot& h : snapshot.histograms) {
-      const std::string prom = PromName(h.name);
-      out += "# HELP " + prom + " Histogram " + h.name + "\n";
-      out += "# TYPE " + prom + " summary\n";
-      out += prom + "{quantile=\"0.5\"} " + std::to_string(h.p50) + "\n";
-      out += prom + "{quantile=\"0.99\"} " + std::to_string(h.p99) + "\n";
-      out += prom + "_sum ";
-      AppendPromValue(&out, h.mean * static_cast<double>(h.count));
-      out += "\n";
-      out += prom + "_count " + std::to_string(h.count) + "\n";
-    }
     for (const SketchSnapshot& s : snapshot.sketches) {
       const std::string prom = PromName(s.name);
       out += "# HELP " + prom + " Quantile sketch " + s.name + "\n";
@@ -332,112 +331,84 @@ std::string OpsServer::RenderMetrics() const {
   }
 
   if (options_.fabric != nullptr) {
-    const size_t n = options_.fabric->node_count();
-    if (!options_.governance.Collapsed(n)) {
+    const NetworkFabric& fabric = *options_.fabric;
+    const std::vector<NodeState>& nodes = capture.nodes;
+    const FleetSample& fleet = capture.fleet;
+    if (!fleet.collapsed) {
       const struct {
         const char* name;
         const char* help;
+        uint64_t (*value)(const NodeState&);
       } kSeries[] = {
-          {"deco_node_queue_depth", "Mailbox backlog per node."},
-          {"deco_node_messages_sent", "Cumulative egress messages per node."},
-          {"deco_node_bytes_sent", "Cumulative egress bytes per node."},
+          {"deco_node_queue_depth", "Mailbox backlog per node.",
+           [](const NodeState& s) { return s.queue_depth; }},
+          {"deco_node_messages_sent", "Cumulative egress messages per node.",
+           [](const NodeState& s) { return s.traffic.messages_sent; }},
+          {"deco_node_bytes_sent", "Cumulative egress bytes per node.",
+           [](const NodeState& s) { return s.traffic.bytes_sent; }},
           {"deco_node_messages_received",
-           "Cumulative ingress messages per node."},
-          {"deco_node_down", "1 while the node is failed/down."},
+           "Cumulative ingress messages per node.",
+           [](const NodeState& s) { return s.traffic.messages_received; }},
+          {"deco_node_down", "1 while the node is failed/down.",
+           [](const NodeState& s) -> uint64_t { return s.down ? 1 : 0; }},
       };
       for (const auto& series : kSeries) {
         out += std::string("# HELP ") + series.name + " " + series.help + "\n";
         out += std::string("# TYPE ") + series.name + " gauge\n";
-        for (NodeId id = 0; id < n; ++id) {
-          const std::string label =
-              "{node=\"" + PromLabelValue(options_.fabric->node_name(id)) +
-              "\"} ";
-          uint64_t value = 0;
-          if (std::strcmp(series.name, "deco_node_queue_depth") == 0) {
-            value = options_.fabric->queue_depth(id);
-          } else if (std::strcmp(series.name, "deco_node_down") == 0) {
-            value = options_.fabric->IsNodeDown(id) ? 1 : 0;
-          } else {
-            const NodeTrafficStats stats = options_.fabric->node_stats(id);
-            if (std::strcmp(series.name, "deco_node_messages_sent") == 0) {
-              value = stats.messages_sent;
-            } else if (std::strcmp(series.name, "deco_node_bytes_sent") == 0) {
-              value = stats.bytes_sent;
-            } else {
-              value = stats.messages_received;
-            }
-          }
-          out += series.name + label + std::to_string(value) + "\n";
+        for (NodeId id = 0; id < nodes.size(); ++id) {
+          out += series.name;
+          out += "{node=\"" + PromLabelValue(fabric.node_name(id)) + "\"} ";
+          out += std::to_string(series.value(nodes[id])) + "\n";
         }
       }
     } else {
       // Cardinality governance (DESIGN.md §13): the per-node families
-      // collapse into fleet summaries built from one bounded scalar pass,
-      // plus top-k offender series that keep the per-node label shape.
-      std::vector<uint64_t> depths(n), sent_bytes(n);
-      QuantileSketch depth_sketch, sent_sketch, bytes_sketch, recv_sketch;
-      uint64_t sent_sum = 0, bytes_sum = 0, recv_sum = 0, depth_sum = 0;
-      uint64_t down = 0;
-      for (NodeId id = 0; id < n; ++id) {
-        depths[id] = options_.fabric->queue_depth(id);
-        const NodeTrafficStats stats = options_.fabric->node_stats(id);
-        sent_bytes[id] = stats.bytes_sent;
-        depth_sum += depths[id];
-        sent_sum += stats.messages_sent;
-        bytes_sum += stats.bytes_sent;
-        recv_sum += stats.messages_received;
-        depth_sketch.Add(static_cast<double>(depths[id]));
-        sent_sketch.Add(static_cast<double>(stats.messages_sent));
-        bytes_sketch.Add(static_cast<double>(stats.bytes_sent));
-        recv_sketch.Add(static_cast<double>(stats.messages_received));
-        if (options_.fabric->IsNodeDown(id)) ++down;
-      }
+      // collapse into fleet summaries plus top-k offender series that keep
+      // the per-node label shape.
       out += "# HELP deco_fleet_nodes Fleet size under cardinality "
              "governance.\n";
       out += "# TYPE deco_fleet_nodes gauge\n";
-      out += "deco_fleet_nodes " + std::to_string(n) + "\n";
+      out += "deco_fleet_nodes " + std::to_string(fleet.node_count) + "\n";
       out += "# HELP deco_fleet_nodes_down Nodes currently failed/down.\n";
       out += "# TYPE deco_fleet_nodes_down gauge\n";
-      out += "deco_fleet_nodes_down " + std::to_string(down) + "\n";
+      out += "deco_fleet_nodes_down " + std::to_string(fleet.nodes_down) +
+             "\n";
       AppendFleetSummary(&out, "deco_fleet_queue_depth",
-                         "Fleet mailbox backlog distribution.", depth_sketch,
-                         depth_sum);
+                         "Fleet mailbox backlog distribution.",
+                         capture.queue_depth, fleet.queue_depth.sum);
       AppendFleetSummary(&out, "deco_fleet_messages_sent",
-                         "Fleet egress message distribution.", sent_sketch,
-                         sent_sum);
+                         "Fleet egress message distribution.",
+                         capture.messages_sent, fleet.total_messages_sent);
       AppendFleetSummary(&out, "deco_fleet_bytes_sent",
-                         "Fleet egress byte distribution.", bytes_sketch,
-                         bytes_sum);
+                         "Fleet egress byte distribution.",
+                         capture.bytes_sent, fleet.total_bytes_sent);
       AppendFleetSummary(&out, "deco_fleet_messages_received",
-                         "Fleet ingress message distribution.", recv_sketch,
-                         recv_sum);
+                         "Fleet ingress message distribution.",
+                         capture.messages_received,
+                         fleet.total_messages_received);
 
-      const size_t k = options_.governance.top_k;
       AppendOffenderSeries(&out, "deco_node_queue_depth",
                            "Mailbox backlog, top-k deepest offenders.",
-                           options_.fabric, TopKIndices(depths, k), depths);
-      AppendOffenderSeries(&out, "deco_node_bytes_sent",
-                           "Cumulative egress bytes, top-k heaviest "
-                           "offenders.",
-                           options_.fabric, TopKIndices(sent_bytes, k),
-                           sent_bytes);
+                           fabric, capture.deepest,
+                           [&](NodeId id) { return nodes[id].queue_depth; });
+      AppendOffenderSeries(
+          &out, "deco_node_bytes_sent",
+          "Cumulative egress bytes, top-k heaviest offenders.", fabric,
+          capture.heaviest,
+          [&](NodeId id) { return nodes[id].traffic.bytes_sent; });
       if (options_.sampler != nullptr) {
-        const auto stalest = options_.sampler->StalestNodes(k);
-        out += "# HELP deco_node_silent_for_nanos Nanoseconds since node "
-               "egress last advanced, top-k stalest offenders.\n";
-        out += "# TYPE deco_node_silent_for_nanos gauge\n";
-        for (const auto& [id, silent] : stalest) {
-          if (id >= n) continue;
-          out += "deco_node_silent_for_nanos{node=\"" +
-                 PromLabelValue(options_.fabric->node_name(id)) + "\"} " +
-                 std::to_string(silent) + "\n";
-        }
+        AppendOffenderSeries(
+            &out, "deco_node_silent_for_nanos",
+            "Nanoseconds since node egress last advanced, top-k stalest "
+            "offenders.",
+            fabric, capture.stalest,
+            [&](NodeId id) { return capture.silent_for[id]; });
       }
     }
     out += "# HELP deco_fabric_dropped_total Messages dropped fabric-wide.\n";
     out += "# TYPE deco_fabric_dropped_total counter\n";
     out += "deco_fabric_dropped_total " +
-           std::to_string(options_.fabric->Stats().total_dropped) + "\n";
+           std::to_string(capture.total_dropped) + "\n";
   }
 
   if (options_.watchdog != nullptr) {
@@ -510,14 +481,8 @@ std::string OpsServer::RenderHealthz() const {
   // draft-inadarei-api-health-check shape: overall status plus a checks
   // map. Active stall/silence alerts mean the pipeline is wedged -> fail;
   // any other active alert or a down node degrades to warn.
-  size_t nodes_down = 0;
-  size_t node_count = 0;
-  if (options_.fabric != nullptr) {
-    node_count = options_.fabric->node_count();
-    for (NodeId id = 0; id < node_count; ++id) {
-      if (options_.fabric->IsNodeDown(id)) ++nodes_down;
-    }
-  }
+  const FleetSample fleet = Capture().fleet;
+  const uint64_t nodes_down = fleet.nodes_down;
   std::vector<Alert> alerts;
   size_t active = 0;
   bool wedged = false;
@@ -539,7 +504,7 @@ std::string OpsServer::RenderHealthz() const {
   JsonAppendString(&out, status);
   out += ",\"version\":\"1\",\"description\":\"deco live ops plane\"";
   out += ",\"checks\":{\"fabric:nodes\":[{\"observedValue\":";
-  JsonAppendU64(&out, node_count);
+  JsonAppendU64(&out, fleet.node_count);
   out += ",\"observedUnit\":\"nodes\",\"status\":";
   JsonAppendString(&out, nodes_down == 0 ? "pass" : "warn");
   out += ",\"output\":";
@@ -561,9 +526,9 @@ std::string OpsServer::RenderHealthz() const {
 }
 
 std::string OpsServer::RenderStatusz() const {
+  const FleetCapture capture = Capture();
   std::string out = "{\"t_nanos\":";
-  JsonAppendI64(&out,
-                options_.clock != nullptr ? options_.clock->NowNanos() : 0);
+  JsonAppendI64(&out, capture.t_nanos);
   out += ",\"sim\":";
   out += options_.sim ? "true" : "false";
 
@@ -593,108 +558,74 @@ std::string OpsServer::RenderStatusz() const {
   }
 
   if (options_.fabric != nullptr) {
-    const size_t n = options_.fabric->node_count();
-    const bool collapsed = options_.governance.Collapsed(n);
+    const NetworkFabric& fabric = *options_.fabric;
+    const FleetSample& fleet = capture.fleet;
     out += ",\"node_count\":";
-    JsonAppendU64(&out, n);
+    JsonAppendU64(&out, fleet.node_count);
     // Governed /statusz keeps the `nodes` table shape but fills it with
     // only the top-k offenders (deepest queues, most bytes, stalest),
     // plus fleet aggregates so the totals stay authoritative.
-    std::vector<NodeId> table_ids;
-    if (!collapsed) {
-      table_ids.resize(n);
-      for (NodeId id = 0; id < n; ++id) table_ids[id] = id;
-    } else {
-      std::vector<uint64_t> depths(n), sent_bytes(n);
-      QuantileSketch depth_sketch, bytes_sketch;
-      uint64_t depth_sum = 0, sent_sum = 0, bytes_sum = 0, recv_sum = 0;
-      uint64_t down = 0;
-      for (NodeId id = 0; id < n; ++id) {
-        depths[id] = options_.fabric->queue_depth(id);
-        const NodeTrafficStats stats = options_.fabric->node_stats(id);
-        sent_bytes[id] = stats.bytes_sent;
-        depth_sum += depths[id];
-        sent_sum += stats.messages_sent;
-        bytes_sum += stats.bytes_sent;
-        recv_sum += stats.messages_received;
-        depth_sketch.Add(static_cast<double>(depths[id]));
-        bytes_sketch.Add(static_cast<double>(stats.bytes_sent));
-        if (options_.fabric->IsNodeDown(id)) ++down;
-      }
-      const size_t k = options_.governance.top_k;
-      const std::vector<uint32_t> deep = TopKIndices(depths, k);
-      const std::vector<uint32_t> heavy = TopKIndices(sent_bytes, k);
-      table_ids.insert(table_ids.end(), deep.begin(), deep.end());
-      table_ids.insert(table_ids.end(), heavy.begin(), heavy.end());
-      if (options_.sampler != nullptr) {
-        for (const auto& [id, silent] : options_.sampler->StalestNodes(k)) {
-          (void)silent;
-          if (id < n) table_ids.push_back(id);
-        }
-      }
-      std::sort(table_ids.begin(), table_ids.end());
-      table_ids.erase(std::unique(table_ids.begin(), table_ids.end()),
-                      table_ids.end());
+    if (fleet.collapsed) {
       out += ",\"nodes_truncated\":true,\"fleet\":{\"nodes_down\":";
-      JsonAppendU64(&out, down);
+      JsonAppendU64(&out, fleet.nodes_down);
       out += ",\"queue_depth\":{\"sum\":";
-      JsonAppendU64(&out, depth_sum);
+      JsonAppendU64(&out, fleet.queue_depth.sum);
       out += ",\"max\":";
-      JsonAppendDouble(&out, depth_sketch.max());
+      JsonAppendDouble(&out, fleet.queue_depth.max);
       out += ",\"p50\":";
-      JsonAppendDouble(&out, depth_sketch.Quantile(0.5));
+      JsonAppendDouble(&out, fleet.queue_depth.p50);
       out += ",\"p99\":";
-      JsonAppendDouble(&out, depth_sketch.Quantile(0.99));
+      JsonAppendDouble(&out, fleet.queue_depth.p99);
       out += "},\"bytes_sent\":{\"sum\":";
-      JsonAppendU64(&out, bytes_sum);
+      JsonAppendU64(&out, fleet.bytes_sent.sum);
       out += ",\"max\":";
-      JsonAppendDouble(&out, bytes_sketch.max());
+      JsonAppendDouble(&out, fleet.bytes_sent.max);
       out += ",\"p50\":";
-      JsonAppendDouble(&out, bytes_sketch.Quantile(0.5));
+      JsonAppendDouble(&out, fleet.bytes_sent.p50);
       out += ",\"p99\":";
-      JsonAppendDouble(&out, bytes_sketch.Quantile(0.99));
+      JsonAppendDouble(&out, fleet.bytes_sent.p99);
       out += "},\"messages_sent\":";
-      JsonAppendU64(&out, sent_sum);
+      JsonAppendU64(&out, fleet.total_messages_sent);
       out += ",\"messages_received\":";
-      JsonAppendU64(&out, recv_sum);
+      JsonAppendU64(&out, fleet.total_messages_received);
       out += "}";
       if (options_.sampler != nullptr) {
         const Sampler::Offenders offenders =
-            options_.sampler->PersistentOffenders(k);
+            options_.sampler->PersistentOffenders(capture.governance.top_k);
+        const size_t n = capture.nodes.size();
         out += ",\"offenders\":{";
         AppendOffenderListJson(&out, "queue_depth", offenders.queue_depth,
-                               options_.fabric);
+                               fabric, n);
         out += ",";
         AppendOffenderListJson(&out, "bytes_sent", offenders.bytes_sent,
-                               options_.fabric);
+                               fabric, n);
         out += ",";
-        AppendOffenderListJson(&out, "stale", offenders.stale,
-                               options_.fabric);
+        AppendOffenderListJson(&out, "stale", offenders.stale, fabric, n);
         out += "}";
       }
     }
     out += ",\"nodes\":[";
     bool first_node = true;
-    for (NodeId id : table_ids) {
+    for (NodeId id : fleet.collapsed ? capture.offenders : capture.detail) {
+      const NodeState& node = capture.nodes[id];
       if (!first_node) out += ",";
       first_node = false;
       out += "{\"id\":";
       JsonAppendU64(&out, id);
       out += ",\"name\":";
-      JsonAppendString(&out, options_.fabric->node_name(id));
+      JsonAppendString(&out, fabric.node_name(id));
       out += ",\"queue_depth\":";
-      JsonAppendU64(&out, options_.fabric->queue_depth(id));
-      const NodeTrafficStats stats = options_.fabric->node_stats(id);
+      JsonAppendU64(&out, node.queue_depth);
       out += ",\"messages_sent\":";
-      JsonAppendU64(&out, stats.messages_sent);
+      JsonAppendU64(&out, node.traffic.messages_sent);
       out += ",\"messages_received\":";
-      JsonAppendU64(&out, stats.messages_received);
+      JsonAppendU64(&out, node.traffic.messages_received);
       out += ",\"bytes_sent\":";
-      JsonAppendU64(&out, stats.bytes_sent);
+      JsonAppendU64(&out, node.traffic.bytes_sent);
       out += ",\"down\":";
-      out += options_.fabric->IsNodeDown(id) ? "true" : "false";
+      out += node.down ? "true" : "false";
       out += ",\"incarnation\":";
-      JsonAppendU64(&out, options_.fabric->node_incarnation(id));
+      JsonAppendU64(&out, node.incarnation);
       out += "}";
     }
     out += "]";
@@ -717,9 +648,9 @@ std::string OpsServer::RenderStatusz() const {
     JsonAppendU64(&out, self.tracker_bytes);
   }
   out += ",\"node_detail_limit\":";
-  JsonAppendU64(&out, options_.governance.node_detail_limit);
+  JsonAppendU64(&out, capture.governance.node_detail_limit);
   out += ",\"top_k\":";
-  JsonAppendU64(&out, options_.governance.top_k);
+  JsonAppendU64(&out, capture.governance.top_k);
   out += "}";
 
   if (options_.watchdog != nullptr) {

@@ -11,7 +11,6 @@
 #include "common/clock.h"
 #include "common/status.h"
 #include "net/fabric.h"
-#include "obs/governance.h"
 #include "obs/metric_registry.h"
 #include "obs/quantile_sketch.h"
 #include "obs/sampler.h"
@@ -20,13 +19,15 @@
 /// \file ops_server.h
 /// \brief Embedded live-ops HTTP server: `/metrics` (Prometheus text
 /// exposition), `/healthz` (RFC-health JSON) and `/statusz` (per-node
-/// progress JSON) rendered on demand from the metric registry, the fabric
-/// and the watchdog. Own thread, blocking sockets, zero dependencies.
+/// progress JSON) rendered on demand. Each render formats one fresh fleet
+/// capture (sampler.h `CaptureFleet`) plus the metric registry and the
+/// watchdog. Own thread, blocking sockets, zero dependencies.
 ///
 /// Every endpoint is a pure *read* of shared state — a scrape never
-/// mutates the registry, appends a telemetry sample or schedules an
-/// event, so serving during a `--sim` run cannot perturb the simulation:
-/// snapshots are simply stamped with the current virtual time.
+/// mutates the registry, advances the staleness watch, appends a telemetry
+/// sample or schedules an event, so serving during a `--sim` run cannot
+/// perturb the simulation: snapshots are simply stamped with the current
+/// virtual time.
 ///
 /// The serve registry and the chaos controller live in higher layers this
 /// library must not link (DESIGN.md §14), so their `/statusz` sections
@@ -46,15 +47,10 @@ class OpsServer {
     MetricRegistry* registry = nullptr;  ///< /metrics source; may be null
     Watchdog* watchdog = nullptr;     ///< alert state; may be null
     bool sim = false;                 ///< stamps /statusz snapshots
-    /// Cardinality governance (DESIGN.md §13): above
-    /// `governance.node_detail_limit` nodes, the per-node families in
-    /// `/metrics` and the `/statusz` node table collapse into fleet
-    /// aggregates (sum/min/max/p50/p99 from quantile sketches) plus
-    /// top-k offender series. At or below the limit the rendering is
-    /// byte-identical to the ungoverned output.
-    ObsGovernance governance;
-    /// Optional sampler: supplies egress-staleness offenders and the
-    /// plane's self-metering stats; may be null.
+    /// The sampler the captures go through: its cardinality governance
+    /// (DESIGN.md §13), its egress-staleness watch and its self-metering
+    /// stats. May be null: captures then use the default `ObsGovernance`
+    /// and carry no staleness.
     const Sampler* sampler = nullptr;
     /// Extra `/statusz` sections ("\"key\": {...}" fragments, comma-joined
     /// by the server) from layers this library cannot link.
@@ -96,6 +92,9 @@ class OpsServer {
   std::string RenderStatusz() const;
 
  private:
+  /// \brief The fresh capture one render formats.
+  FleetCapture Capture() const;
+
   void Serve();
   void HandleConnection(int fd);
 

@@ -1,50 +1,18 @@
 #include "obs/perfetto_export.h"
 
 #include <algorithm>
-#include <cinttypes>
 #include <cmath>
 #include <cstdio>
 #include <map>
 #include <string>
 
+#include "common/file.h"
+#include "common/json.h"
+
 namespace deco {
 namespace {
 
-void AppendEscaped(std::string* out, const std::string& s) {
-  out->push_back('"');
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        *out += "\\\"";
-        break;
-      case '\\':
-        *out += "\\\\";
-        break;
-      case '\n':
-        *out += "\\n";
-        break;
-      case '\t':
-        *out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          *out += buf;
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
-}
-
-void AppendUint(std::string* out, uint64_t v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%" PRIu64, v);
-  *out += buf;
-}
-
+/// The trace's counter-value format: nine significant digits.
 void AppendDouble(std::string* out, double v) {
   char buf[48];
   std::snprintf(buf, sizeof(buf), "%.9g", v);
@@ -75,19 +43,6 @@ TimeNanos TraceOrigin(const TelemetryLog& log) {
     consider(w.emit_nanos);
   }
   return origin;
-}
-
-Status WriteFile(const std::string& path, const std::string& content) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    return Status::IOError("cannot open " + path + " for writing");
-  }
-  const size_t written = std::fwrite(content.data(), 1, content.size(), f);
-  const bool close_ok = std::fclose(f) == 0;
-  if (written != content.size() || !close_ok) {
-    return Status::IOError("short write to " + path);
-  }
-  return Status::OK();
 }
 
 }  // namespace
@@ -126,15 +81,15 @@ std::string PerfettoTraceJson(const TelemetryLog& log) {
   for (const auto& [id, name] : node_names) {
     begin_event();
     out += "{\"name\": \"process_name\", \"ph\": \"M\", \"pid\": ";
-    AppendUint(&out, id);
+    JsonAppendU64(&out, id);
     out += ", \"tid\": 0, \"args\": {\"name\": ";
-    AppendEscaped(&out, name);
+    JsonAppendString(&out, name);
     out += "}}";
     begin_event();
     out += "{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": ";
-    AppendUint(&out, id);
+    JsonAppendU64(&out, id);
     out += ", \"tid\": 0, \"args\": {\"name\": ";
-    AppendEscaped(&out, name);
+    JsonAppendString(&out, name);
     out += "}}";
   }
 
@@ -157,23 +112,23 @@ std::string PerfettoTraceJson(const TelemetryLog& log) {
     window_ids[key] = ++window_async_id;
     begin_event();
     out += "{\"name\": \"window-";
-    AppendUint(&out, key.second);
+    JsonAppendU64(&out, key.second);
     out += "\", \"cat\": \"window\", \"ph\": \"b\", \"id\": ";
-    AppendUint(&out, window_ids[key]);
+    JsonAppendU64(&out, window_ids[key]);
     out += ", \"pid\": ";
-    AppendUint(&out, key.first);
+    JsonAppendU64(&out, key.first);
     out += ", \"tid\": 0, \"ts\": ";
     AppendTs(&out, lt.begin, origin);
     out += ", \"args\": {\"window\": ";
-    AppendUint(&out, key.second);
+    JsonAppendU64(&out, key.second);
     out += "}}";
     begin_event();
     out += "{\"name\": \"window-";
-    AppendUint(&out, key.second);
+    JsonAppendU64(&out, key.second);
     out += "\", \"cat\": \"window\", \"ph\": \"e\", \"id\": ";
-    AppendUint(&out, window_ids[key]);
+    JsonAppendU64(&out, window_ids[key]);
     out += ", \"pid\": ";
-    AppendUint(&out, key.first);
+    JsonAppendU64(&out, key.first);
     out += ", \"tid\": 0, \"ts\": ";
     AppendTs(&out, lt.end, origin);
     out += "}";
@@ -184,17 +139,15 @@ std::string PerfettoTraceJson(const TelemetryLog& log) {
     out += "{\"name\": \"";
     out += TracePhaseToString(span.phase);
     out += "\", \"cat\": \"span\", \"ph\": \"i\", \"s\": \"t\", \"pid\": ";
-    AppendUint(&out, span.node);
+    JsonAppendU64(&out, span.node);
     out += ", \"tid\": 0, \"ts\": ";
     AppendTs(&out, span.t_nanos, origin);
     out += ", \"args\": {\"window\": ";
-    AppendUint(&out, span.window_index);
+    JsonAppendU64(&out, span.window_index);
     out += ", \"value\": ";
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%" PRId64, span.value);
-    out += buf;
+    JsonAppendI64(&out, span.value);
     out += ", \"msg_id\": ";
-    AppendUint(&out, span.msg_id);
+    JsonAppendU64(&out, span.msg_id);
     out += "}}";
   }
 
@@ -207,27 +160,27 @@ std::string PerfettoTraceJson(const TelemetryLog& log) {
     out += "{\"name\": \"";
     out += MessageTypeToString(hop.type);
     out += "\", \"cat\": \"net\", \"ph\": \"b\", \"id\": ";
-    AppendUint(&out, hop.msg_id);
+    JsonAppendU64(&out, hop.msg_id);
     out += ", \"pid\": ";
-    AppendUint(&out, hop.src);
+    JsonAppendU64(&out, hop.src);
     out += ", \"tid\": 0, \"ts\": ";
     AppendTs(&out, hop.enqueue_nanos, origin);
     out += ", \"args\": {\"dst\": ";
-    AppendUint(&out, hop.dst);
+    JsonAppendU64(&out, hop.dst);
     out += ", \"window\": ";
-    AppendUint(&out, hop.window_index);
+    JsonAppendU64(&out, hop.window_index);
     out += ", \"bytes\": ";
-    AppendUint(&out, hop.wire_bytes);
+    JsonAppendU64(&out, hop.wire_bytes);
     out += ", \"shaping_delay_ns\": ";
-    AppendUint(&out, static_cast<uint64_t>(hop.shaping_delay_nanos));
+    JsonAppendU64(&out, static_cast<uint64_t>(hop.shaping_delay_nanos));
     out += "}}";
     begin_event();
     out += "{\"name\": \"";
     out += MessageTypeToString(hop.type);
     out += "\", \"cat\": \"net\", \"ph\": \"e\", \"id\": ";
-    AppendUint(&out, hop.msg_id);
+    JsonAppendU64(&out, hop.msg_id);
     out += ", \"pid\": ";
-    AppendUint(&out, hop.src);
+    JsonAppendU64(&out, hop.src);
     out += ", \"tid\": 0, \"ts\": ";
     AppendTs(&out, end, origin);
     out += "}";
@@ -244,7 +197,7 @@ std::string PerfettoTraceJson(const TelemetryLog& log) {
         node_names.empty() ? 0 : node_names.rbegin()->first + 1;
     begin_event();
     out += "{\"name\": \"process_name\", \"ph\": \"M\", \"pid\": ";
-    AppendUint(&out, accuracy_pid);
+    JsonAppendU64(&out, accuracy_pid);
     out += ", \"tid\": 0, \"args\": {\"name\": \"accuracy\"}}";
 
     // Emit times come from the matching provenance record (the estimator
@@ -263,7 +216,7 @@ std::string PerfettoTraceJson(const TelemetryLog& log) {
       begin_event();
       out += "{\"name\": \"live-error\", \"cat\": \"accuracy\", "
              "\"ph\": \"C\", \"pid\": ";
-      AppendUint(&out, accuracy_pid);
+      JsonAppendU64(&out, accuracy_pid);
       out += ", \"tid\": 0, \"ts\": ";
       AppendTs(&out, ts, origin);
       out += ", \"args\": {\"drop\": ";
@@ -276,7 +229,7 @@ std::string PerfettoTraceJson(const TelemetryLog& log) {
       begin_event();
       out += "{\"name\": \"abs-error\", \"cat\": \"accuracy\", "
              "\"ph\": \"C\", \"pid\": ";
-      AppendUint(&out, accuracy_pid);
+      JsonAppendU64(&out, accuracy_pid);
       out += ", \"tid\": 0, \"ts\": ";
       AppendTs(&out, ts, origin);
       out += ", \"args\": {\"abs\": ";

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 
+#include "common/file.h"
 #include "common/json.h"
 
 namespace deco {
@@ -516,16 +516,7 @@ Status WriteProvenanceJson(const std::string& path, const std::string& scheme,
   out += ",\n  \"provenance\": ";
   out += ProvenanceJson(log);
   out += "\n}\n";
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    return Status::IOError("cannot open " + path + " for writing");
-  }
-  const size_t written = std::fwrite(out.data(), 1, out.size(), f);
-  const bool close_ok = std::fclose(f) == 0;
-  if (written != out.size() || !close_ok) {
-    return Status::IOError("short write to " + path);
-  }
-  return Status::OK();
+  return WriteFile(path, out);
 }
 
 }  // namespace deco

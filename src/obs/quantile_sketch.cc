@@ -166,6 +166,4 @@ std::vector<SpaceSavingTopK::Entry> SpaceSavingTopK::Top(size_t k) const {
   return sorted;
 }
 
-void SpaceSavingTopK::Reset() { entries_.clear(); }
-
 }  // namespace deco

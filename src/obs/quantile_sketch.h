@@ -90,8 +90,7 @@ class QuantileSketch {
 };
 
 /// \brief Indices of the `k` largest values, ties broken toward the lower
-/// index — the deterministic per-tick offender selection shared by the
-/// sampler and the ops server.
+/// index — the deterministic offender selection of the fleet capture.
 std::vector<uint32_t> TopKIndices(const std::vector<uint64_t>& values,
                                   size_t k);
 
@@ -114,7 +113,6 @@ class SpaceSavingTopK {
   std::vector<Entry> Top(size_t k) const;
 
   size_t size() const { return entries_.size(); }
-  void Reset();
 
  private:
   size_t capacity_;

@@ -38,6 +38,27 @@ struct RunContext {
       flight_recorder->RecordSpan(node, phase, window_index, value, msg_id);
     }
   }
+
+#if DECO_TRACE_ENABLED
+  /// \brief Records the completed hop of a dequeued, stamped message: one
+  /// `HopRecord`, handed to the trace sink and the flight recorder.
+  /// `Actor::FinishHop` skips unstamped messages before calling.
+  void RecordHop(const Message& msg) const {
+    HopRecord hop;
+    hop.msg_id = msg.hop.msg_id;
+    hop.type = msg.type;
+    hop.src = msg.src;
+    hop.dst = msg.dst;
+    hop.window_index = msg.window_index;
+    hop.wire_bytes = msg.WireSize();
+    hop.enqueue_nanos = msg.hop.enqueue_nanos;
+    hop.deliver_nanos = msg.hop.deliver_nanos;
+    hop.dequeue_nanos = msg.hop.dequeue_nanos;
+    hop.shaping_delay_nanos = msg.hop.shaping_delay_nanos;
+    if (trace != nullptr) trace->RecordHop(hop);
+    if (flight_recorder != nullptr) flight_recorder->RecordHop(hop);
+  }
+#endif
 };
 
 }  // namespace deco

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <numeric>
 
 namespace deco {
 namespace {
@@ -20,9 +21,6 @@ uint64_t ApproxSampleBytes(const TelemetrySample& sample) {
     (void)value;
     bytes += sizeof(std::pair<std::string, int64_t>) + name.size();
   }
-  for (const HistogramSnapshot& h : sample.metrics.histograms) {
-    bytes += sizeof(HistogramSnapshot) + h.name.size();
-  }
   for (const SketchSnapshot& s : sample.metrics.sketches) {
     bytes += sizeof(SketchSnapshot) + s.name.size();
   }
@@ -40,6 +38,108 @@ FleetMetricSummary Summarize(const QuantileSketch& sketch, uint64_t sum) {
 }
 
 }  // namespace
+
+FleetCapture CaptureFleet(const NetworkFabric& fabric,
+                          const ObsGovernance& governance, TimeNanos now,
+                          uint64_t tick, std::vector<NodeWatch>* watch,
+                          bool advance) {
+  FleetCapture capture;
+  capture.t_nanos = now;
+  capture.governance = governance;
+  const size_t n = fabric.node_count();
+  FleetSample& fleet = capture.fleet;
+  fleet.node_count = n;
+  fleet.collapsed = governance.Collapsed(n);
+
+  // The one read of every node: constant work per node, feeding the
+  // fleet totals and sketches whether or not detail is governed.
+  capture.nodes.resize(n);
+  uint64_t depth_sum = 0;
+  for (NodeId id = 0; id < n; ++id) {
+    NodeState& node = capture.nodes[id];
+    node.queue_depth = fabric.queue_depth(id);
+    node.traffic = fabric.node_stats(id);
+    node.down = fabric.IsNodeDown(id);
+    node.incarnation = fabric.node_incarnation(id);
+    depth_sum += node.queue_depth;
+    fleet.total_messages_sent += node.traffic.messages_sent;
+    fleet.total_bytes_sent += node.traffic.bytes_sent;
+    fleet.total_messages_received += node.traffic.messages_received;
+    fleet.total_bytes_received += node.traffic.bytes_received;
+    if (node.down) ++fleet.nodes_down;
+    capture.queue_depth.Add(static_cast<double>(node.queue_depth));
+    capture.messages_sent.Add(static_cast<double>(node.traffic.messages_sent));
+    capture.bytes_sent.Add(static_cast<double>(node.traffic.bytes_sent));
+    capture.messages_received.Add(
+        static_cast<double>(node.traffic.messages_received));
+  }
+  fleet.queue_depth = Summarize(capture.queue_depth, depth_sum);
+  fleet.messages_sent =
+      Summarize(capture.messages_sent, fleet.total_messages_sent);
+  fleet.bytes_sent = Summarize(capture.bytes_sent, fleet.total_bytes_sent);
+  capture.total_dropped = fabric.Stats().total_dropped;
+
+  // Staleness: a tick records which nodes moved before the watch is read.
+  if (watch != nullptr) {
+    if (advance) {
+      if (watch->size() < n) watch->resize(n);
+      for (NodeId id = 0; id < n; ++id) {
+        NodeWatch& w = (*watch)[id];
+        const uint64_t sent = capture.nodes[id].traffic.messages_sent;
+        if (tick == 0 || sent != w.last_sent) {
+          w.last_sent = sent;
+          w.last_change_nanos = now;
+        }
+      }
+    }
+    capture.silent_for.resize(std::min(watch->size(), n));
+    for (NodeId id = 0; id < capture.silent_for.size(); ++id) {
+      capture.silent_for[id] = now - (*watch)[id].last_change_nanos;
+    }
+  }
+
+  // Governance: every node in detail (byte-identical to the ungoverned
+  // output), or a strided subset plus the top-k offenders.
+  if (!fleet.collapsed) {
+    capture.detail.resize(n);
+    std::iota(capture.detail.begin(), capture.detail.end(), NodeId{0});
+  } else {
+    const size_t k = governance.top_k;
+    std::vector<uint64_t> depths(n), bytes(n);
+    for (NodeId id = 0; id < n; ++id) {
+      depths[id] = capture.nodes[id].queue_depth;
+      bytes[id] = capture.nodes[id].traffic.bytes_sent;
+    }
+    const std::vector<uint64_t> silent(capture.silent_for.begin(),
+                                       capture.silent_for.end());
+    capture.deepest = TopKIndices(depths, k);
+    capture.heaviest = TopKIndices(bytes, k);
+    capture.stalest = TopKIndices(silent, k);
+    std::vector<NodeId>& offenders = capture.offenders;
+    offenders = capture.deepest;
+    offenders.insert(offenders.end(), capture.heaviest.begin(),
+                     capture.heaviest.end());
+    offenders.insert(offenders.end(), capture.stalest.begin(),
+                     capture.stalest.end());
+    std::sort(offenders.begin(), offenders.end());
+    offenders.erase(std::unique(offenders.begin(), offenders.end()),
+                    offenders.end());
+
+    const size_t stride = governance.Stride(n);
+    for (NodeId id = static_cast<NodeId>(tick % stride); id < n;
+         id += static_cast<NodeId>(stride)) {
+      capture.detail.push_back(id);
+    }
+    capture.detail.insert(capture.detail.end(), offenders.begin(),
+                          offenders.end());
+    std::sort(capture.detail.begin(), capture.detail.end());
+    capture.detail.erase(
+        std::unique(capture.detail.begin(), capture.detail.end()),
+        capture.detail.end());
+  }
+  fleet.detail_nodes = capture.detail.size();
+  return capture;
+}
 
 Sampler::Sampler(Clock* clock, NetworkFabric* fabric,
                  MetricRegistry* registry, TimeNanos interval_nanos,
@@ -62,96 +162,32 @@ TelemetrySample Sampler::SampleNow() {
     tick = tick_count_++;
   }
   if (fabric_ != nullptr) {
-    const size_t n = fabric_->node_count();
-    const bool collapsed = governance_.Collapsed(n);
-    sample.fleet.node_count = n;
-    sample.fleet.collapsed = collapsed;
-
-    // Scalar pass: constant work per node, no allocation in the loop
-    // body beyond the pre-sized arrays. Feeds the fleet aggregates and
-    // the staleness watch whether or not detail is governed.
-    std::vector<uint64_t> depths(n), sent(n), sent_bytes(n);
-    std::vector<TimeNanos> silent_for(n, 0);
-    QuantileSketch depth_sketch, sent_sketch, bytes_sketch;
+    FleetCapture capture;
     {
       std::lock_guard<std::mutex> lock(mu_);
-      if (watch_.size() < n) watch_.resize(n);
-      for (NodeId id = 0; id < n; ++id) {
-        depths[id] = fabric_->queue_depth(id);
-        const NodeTrafficStats traffic = fabric_->node_stats(id);
-        sent[id] = traffic.messages_sent;
-        sent_bytes[id] = traffic.bytes_sent;
-        sample.fleet.total_messages_sent += traffic.messages_sent;
-        sample.fleet.total_bytes_sent += traffic.bytes_sent;
-        sample.fleet.total_messages_received += traffic.messages_received;
-        sample.fleet.total_bytes_received += traffic.bytes_received;
-        if (fabric_->IsNodeDown(id)) ++sample.fleet.nodes_down;
-        NodeWatch& watch = watch_[id];
-        if (tick == 0 || traffic.messages_sent != watch.last_sent) {
-          watch.last_sent = traffic.messages_sent;
-          watch.last_change_nanos = sample.t_nanos;
-        }
-        silent_for[id] = sample.t_nanos - watch.last_change_nanos;
-        depth_sketch.Add(static_cast<double>(depths[id]));
-        sent_sketch.Add(static_cast<double>(sent[id]));
-        bytes_sketch.Add(static_cast<double>(sent_bytes[id]));
-      }
+      capture = CaptureFleet(*fabric_, governance_, sample.t_nanos, tick,
+                             &watch_, /*advance=*/true);
+      for (NodeId id : capture.deepest) queue_offenders_.Offer(id);
+      for (NodeId id : capture.heaviest) bytes_offenders_.Offer(id);
+      for (NodeId id : capture.stalest) stale_offenders_.Offer(id);
     }
-    uint64_t depth_sum = 0;
-    for (uint64_t d : depths) depth_sum += d;
-    sample.fleet.queue_depth = Summarize(depth_sketch, depth_sum);
-    sample.fleet.messages_sent =
-        Summarize(sent_sketch, sample.fleet.total_messages_sent);
-    sample.fleet.bytes_sent =
-        Summarize(bytes_sketch, sample.fleet.total_bytes_sent);
-
-    // Detail pass: every node when ungoverned (byte-identical to the
-    // pre-governance sampler); a strided subset plus the current top-k
-    // offenders when collapsed.
-    std::vector<NodeId> detail_ids;
-    if (!collapsed) {
-      detail_ids.resize(n);
-      for (NodeId id = 0; id < n; ++id) detail_ids[id] = id;
-    } else {
-      const size_t stride = governance_.Stride(n);
-      const size_t phase = static_cast<size_t>(tick % stride);
-      for (NodeId id = phase; id < n; id += stride) detail_ids.push_back(id);
-      const size_t k = governance_.top_k;
-      std::vector<uint64_t> silent(n);
-      for (NodeId id = 0; id < n; ++id) {
-        silent[id] = static_cast<uint64_t>(silent_for[id]);
-      }
-      const std::vector<NodeId> deep = TopKIndices(depths, k);
-      const std::vector<NodeId> heavy = TopKIndices(sent_bytes, k);
-      const std::vector<NodeId> stale = TopKIndices(silent, k);
-      detail_ids.insert(detail_ids.end(), deep.begin(), deep.end());
-      detail_ids.insert(detail_ids.end(), heavy.begin(), heavy.end());
-      detail_ids.insert(detail_ids.end(), stale.begin(), stale.end());
-      std::sort(detail_ids.begin(), detail_ids.end());
-      detail_ids.erase(std::unique(detail_ids.begin(), detail_ids.end()),
-                       detail_ids.end());
-      std::lock_guard<std::mutex> lock(mu_);
-      for (NodeId id : deep) queue_offenders_.Offer(id);
-      for (NodeId id : heavy) bytes_offenders_.Offer(id);
-      for (NodeId id : stale) stale_offenders_.Offer(id);
-    }
-    sample.fleet.detail_nodes = detail_ids.size();
-    sample.nodes.reserve(detail_ids.size());
-    for (NodeId id : detail_ids) {
+    sample.fleet = capture.fleet;
+    sample.total_dropped = capture.total_dropped;
+    sample.nodes.reserve(capture.detail.size());
+    for (NodeId id : capture.detail) {
+      const NodeState& state = capture.nodes[id];
       NodeSample node;
       node.node = id;
       node.name = fabric_->node_name(id);
-      node.queue_depth = depths[id];
-      const NodeTrafficStats traffic = fabric_->node_stats(id);
-      node.messages_sent = traffic.messages_sent;
-      node.bytes_sent = traffic.bytes_sent;
-      node.messages_received = traffic.messages_received;
-      node.bytes_received = traffic.bytes_received;
-      node.messages_sent_by_type = traffic.messages_sent_by_type;
-      node.bytes_sent_by_type = traffic.bytes_sent_by_type;
+      node.queue_depth = state.queue_depth;
+      node.messages_sent = state.traffic.messages_sent;
+      node.bytes_sent = state.traffic.bytes_sent;
+      node.messages_received = state.traffic.messages_received;
+      node.bytes_received = state.traffic.bytes_received;
+      node.messages_sent_by_type = state.traffic.messages_sent_by_type;
+      node.bytes_sent_by_type = state.traffic.bytes_sent_by_type;
       sample.nodes.push_back(std::move(node));
     }
-    sample.total_dropped = fabric_->Stats().total_dropped;
   }
   if (registry_ != nullptr) {
     sample.metrics = registry_->Snapshot();
@@ -181,21 +217,18 @@ TelemetrySample Sampler::SampleNow() {
   return sample;
 }
 
-std::vector<std::pair<NodeId, TimeNanos>> Sampler::StalestNodes(
-    size_t k) const {
-  std::vector<std::pair<NodeId, TimeNanos>> stale;
-  const TimeNanos now = clock_->NowNanos();
-  std::lock_guard<std::mutex> lock(mu_);
-  stale.reserve(watch_.size());
-  for (NodeId id = 0; id < watch_.size(); ++id) {
-    stale.emplace_back(id, now - watch_[id].last_change_nanos);
+FleetCapture Sampler::Capture(const NetworkFabric& fabric) const {
+  TimeNanos now;
+  uint64_t tick;
+  std::vector<NodeWatch> watch;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    now = clock_->NowNanos();
+    tick = tick_count_;
+    watch = watch_;
   }
-  std::sort(stale.begin(), stale.end(), [](const auto& a, const auto& b) {
-    if (a.second != b.second) return a.second > b.second;
-    return a.first < b.first;
-  });
-  if (stale.size() > k) stale.resize(k);
-  return stale;
+  return CaptureFleet(fabric, governance_, now, tick, &watch,
+                      /*advance=*/false);
 }
 
 Sampler::Offenders Sampler::PersistentOffenders(size_t k) const {

@@ -25,16 +25,16 @@
 /// at `Stop`, so even runs shorter than the interval yield a two-point
 /// series (enough to derive rates).
 ///
-/// Cardinality governance (DESIGN.md §13): every tick runs a cheap
-/// constant-work-per-node scalar pass that fills fleet aggregates
-/// (totals + min/max/p50/p99 quantile sketches) for the whole fleet.
-/// Above `ObsGovernance::node_detail_limit` the expensive per-node detail
-/// (name strings, per-type breakdowns) is recorded only for a strided
-/// subset — each node is visited once every `Stride` ticks — plus the
-/// current top-k offenders (deepest queues, most bytes sent, stalest
-/// egress), so per-tick detail cost is bounded by the limit, not the
-/// fleet size. At or below the limit the sample is byte-identical to the
-/// ungoverned output.
+/// Every read of per-node fabric state goes through `CaptureFleet`
+/// (DESIGN.md §13): one governed capture reads each node once, builds the
+/// fleet totals and sketches, and makes every cardinality-governance
+/// choice. The sampler tick, `/metrics`, `/statusz` and `/healthz` only
+/// format a capture. Above `ObsGovernance::node_detail_limit` a sample
+/// details only a strided subset — each node is visited once every
+/// `Stride` ticks — plus the current top-k offenders (deepest queues, most
+/// bytes sent, stalest egress), so per-tick detail is bounded by the
+/// limit, not the fleet size. At or below the limit the sample is
+/// byte-identical to the ungoverned output.
 
 namespace deco {
 
@@ -77,6 +77,58 @@ struct FleetSample {
   FleetMetricSummary messages_sent;
   FleetMetricSummary bytes_sent;
 };
+
+/// \brief One node's fabric state as a capture read it.
+struct NodeState {
+  uint64_t queue_depth = 0;  ///< mailbox backlog
+  NodeTrafficStats traffic;  ///< cumulative fabric counters
+  bool down = false;
+  uint64_t incarnation = 0;
+};
+
+/// \brief When each node's egress counter last moved, as the sampler's
+/// ticks saw it.
+struct NodeWatch {
+  uint64_t last_sent = 0;
+  TimeNanos last_change_nanos = 0;
+};
+
+/// \brief One governed read of the fleet: the state every observability
+/// surface formats.
+struct FleetCapture {
+  TimeNanos t_nanos = 0;
+  ObsGovernance governance;      ///< the policy the choices below follow
+  std::vector<NodeState> nodes;  ///< every node, indexed by id
+  FleetSample fleet;             ///< totals and per-node summaries
+  /// Per-node distributions behind `fleet` (the /metrics fleet summaries
+  /// also render their p90 and counts).
+  QuantileSketch queue_depth, messages_sent, bytes_sent, messages_received;
+  uint64_t total_dropped = 0;    ///< fabric-wide dropped messages
+  /// Nanoseconds since each node's egress last advanced; empty without a
+  /// staleness watch or before the sampler's first tick.
+  std::vector<TimeNanos> silent_for;
+  /// Top-k offenders, worst first; empty unless `fleet.collapsed`.
+  std::vector<NodeId> deepest, heaviest, stalest;
+  /// The offenders' id-sorted union: a collapsed `/statusz` node table.
+  std::vector<NodeId> offenders;
+  /// The nodes a sample details, id-sorted: every node, or when collapsed
+  /// the tick's stride subset plus the offenders.
+  std::vector<NodeId> detail;
+};
+
+/// \brief Takes one governed capture of `fabric` at `now`: reads each
+/// node's state once, builds the fleet totals and sketches and makes every
+/// governance choice (collapse, the stride subset at phase `tick`, the
+/// top-k deepest, heaviest and stalest nodes).
+///
+/// `watch` is the sampler's egress-staleness watch; null means none (no
+/// stalest list). With `advance` — the sampler tick — the watch first
+/// records this capture's sent counters; without it the watch is only
+/// read, so a capture between ticks changes nothing.
+FleetCapture CaptureFleet(const NetworkFabric& fabric,
+                          const ObsGovernance& governance, TimeNanos now,
+                          uint64_t tick, std::vector<NodeWatch>* watch,
+                          bool advance);
 
 /// \brief One point of the telemetry time series.
 struct TelemetrySample {
@@ -175,10 +227,10 @@ class Sampler {
   }
   const ObsGovernance& governance() const { return governance_; }
 
-  /// \brief Nodes whose egress counters have not moved for the longest,
-  /// stalest first, with the silent interval (thread-safe). Empty until
-  /// two samples exist.
-  std::vector<std::pair<NodeId, TimeNanos>> StalestNodes(size_t k) const;
+  /// \brief A fresh capture of `fabric` between ticks, at this sampler's
+  /// clock reading, under its policy and staleness watch; the watch is read
+  /// without advancing (thread-safe).
+  FleetCapture Capture(const NetworkFabric& fabric) const;
 
   /// \brief Persistent offender sets accumulated by space-saving trackers
   /// across governed ticks: how often each node ranked among the per-tick
@@ -206,12 +258,6 @@ class Sampler {
   ObsGovernance governance_;
 
   std::function<void(const TelemetrySample&)> observer_;
-
-  /// Per-node egress staleness watch, updated by the scalar pass.
-  struct NodeWatch {
-    uint64_t last_sent = 0;
-    TimeNanos last_change_nanos = 0;
-  };
 
   mutable std::mutex mu_;
   std::condition_variable cv_;

@@ -53,31 +53,14 @@ void TraceSink::Record(NodeId node, TracePhase phase, uint64_t window_index,
   s.events.push_back(event);
 }
 
-void TraceSink::RecordHop(const Message& msg) {
-#if DECO_TRACE_ENABLED
-  if (msg.hop.msg_id == 0) return;
-  HopRecord hop;
-  hop.msg_id = msg.hop.msg_id;
-  hop.type = msg.type;
-  hop.src = msg.src;
-  hop.dst = msg.dst;
-  hop.window_index = msg.window_index;
-  hop.wire_bytes = msg.WireSize();
-  hop.enqueue_nanos = msg.hop.enqueue_nanos;
-  hop.deliver_nanos = msg.hop.deliver_nanos;
-  hop.dequeue_nanos = msg.hop.dequeue_nanos;
-  hop.shaping_delay_nanos = msg.hop.shaping_delay_nanos;
-
-  Stripe& s = stripes_[NodeStripe(msg.src, kStripes)];
+void TraceSink::RecordHop(const HopRecord& hop) {
+  Stripe& s = stripes_[NodeStripe(hop.src, kStripes)];
   std::lock_guard<std::mutex> lock(s.mu);
   if (capacity_ > 0 && s.hops.size() >= capacity_ / kStripes) {
     hops_dropped_.fetch_add(1, std::memory_order_relaxed);
     return;
   }
   s.hops.push_back(hop);
-#else
-  (void)msg;
-#endif
 }
 
 std::vector<TraceEvent> TraceSink::Drain() {

@@ -52,7 +52,7 @@ struct TraceEvent {
 ///
 /// The fabric fills the timestamps into the message's embedded
 /// `MessageHop`; the receiving actor copies them here (plus the routing
-/// header) and hands the record to the sink. The four timestamps cut the
+/// header) once and hands the record to the run's sink and recorder. The four timestamps cut the
 /// hop into sender blocking (`shaping_delay_nanos`), link latency
 /// (`deliver - (enqueue + shaping)`) and mailbox queueing
 /// (`dequeue - deliver`).
@@ -82,10 +82,9 @@ class TraceSink {
   void Record(NodeId node, TracePhase phase, uint64_t window_index,
               int64_t value, uint64_t msg_id = 0);
 
-  /// \brief Records a completed message hop; called by the receiving
-  /// actor right after dequeuing a stamped message. No-op (and the hop
-  /// fields do not exist) when tracing is compiled out.
-  void RecordHop(const Message& msg);
+  /// \brief Records a completed message hop (thread-safe); the receiving
+  /// actor builds it through `RunContext::RecordHop`.
+  void RecordHop(const HopRecord& hop);
 
   /// \brief Moves every recorded event out, sorted by timestamp.
   std::vector<TraceEvent> Drain();

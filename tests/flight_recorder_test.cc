@@ -153,6 +153,14 @@ TEST(FlightRecorderTest, DumpToUnwritablePathReturnsFalse) {
   EXPECT_FALSE(recorder.DumpJson("/nonexistent-dir/x/y.json", "r"));
 }
 
+TEST(FlightRecorderTest, DumpThatFailsOnFlushReturnsFalse) {
+  // An empty recorder's document fits the stdio buffer, so the write to
+  // the full device only fails when the close flushes it.
+  ManualClock clock;
+  FlightRecorder recorder(&clock);
+  EXPECT_FALSE(recorder.DumpJson("/dev/full", "r"));
+}
+
 // The crash handler dumps the recorder that installed it last, and a
 // destroyed recorder stops being the target.
 TEST(FlightRecorderDeathTest, FatalSignalDumpsTheLiveRecorderOnly) {

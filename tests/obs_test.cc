@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <string>
@@ -9,6 +8,7 @@
 
 #include "common/clock.h"
 #include "net/fabric.h"
+#include "node/actor.h"
 #include "obs/critical_path.h"
 #include "obs/export.h"
 #include "obs/metric_registry.h"
@@ -53,21 +53,6 @@ TEST(GaugeTest, SetAndAdd) {
   EXPECT_EQ(g.value(), 100);
 }
 
-TEST(ShardedHistogramTest, MergedCombinesStripes) {
-  ShardedHistogram h;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&h, t] {
-      for (int i = 0; i < 1000; ++i) h.Record(t * 1000 + i);
-    });
-  }
-  for (std::thread& t : threads) t.join();
-  const Histogram merged = h.Merged();
-  EXPECT_EQ(merged.count(), 4000u);
-  EXPECT_EQ(merged.min(), 0);
-  EXPECT_GE(merged.max(), 3900);
-}
-
 // --------------------------------------------------------- MetricRegistry
 
 TEST(MetricRegistryTest, InstrumentPointersAreStable) {
@@ -83,7 +68,7 @@ TEST(MetricRegistryTest, SnapshotIsNameSortedAndComplete) {
   registry.counter("b.count")->Add(2);
   registry.counter("a.count")->Add(1);
   registry.gauge("depth")->Set(42);
-  registry.histogram("lat")->Record(100);
+  registry.sketch("lat")->Observe(100);
   const MetricsSnapshot snapshot = registry.Snapshot();
   ASSERT_EQ(snapshot.counters.size(), 2u);
   EXPECT_EQ(snapshot.counters[0].first, "a.count");
@@ -91,9 +76,9 @@ TEST(MetricRegistryTest, SnapshotIsNameSortedAndComplete) {
   EXPECT_EQ(snapshot.counters[1].first, "b.count");
   ASSERT_EQ(snapshot.gauges.size(), 1u);
   EXPECT_EQ(snapshot.gauges[0].second, 42);
-  ASSERT_EQ(snapshot.histograms.size(), 1u);
-  EXPECT_EQ(snapshot.histograms[0].name, "lat");
-  EXPECT_EQ(snapshot.histograms[0].count, 1u);
+  ASSERT_EQ(snapshot.sketches.size(), 1u);
+  EXPECT_EQ(snapshot.sketches[0].name, "lat");
+  EXPECT_EQ(snapshot.sketches[0].count, 1u);
 }
 
 TEST(MetricRegistryTest, ConcurrentLookupAndUpdate) {
@@ -168,7 +153,6 @@ TEST(TraceSinkTest, MacroRecordsIntoTheRunsSinkOnly) {
 #if DECO_TRACE_ENABLED
 TEST(TraceSinkTest, RecordsAndDrainsHops) {
   ManualClock clock(0);
-  TraceSink sink(&clock);
   Message msg;
   msg.type = MessageType::kPartialResult;
   msg.src = 2;
@@ -180,7 +164,16 @@ TEST(TraceSinkTest, RecordsAndDrainsHops) {
   msg.hop.deliver_nanos = 150;
   msg.hop.dequeue_nanos = 170;
   msg.hop.shaping_delay_nanos = 5;
-  sink.RecordHop(msg);
+  // One record reaches both of the run's hop sinks.
+  RunContext run;
+  run.trace = std::make_unique<TraceSink>(&clock);
+  run.flight_recorder = std::make_unique<FlightRecorder>(&clock);
+  run.RecordHop(msg);
+  const std::vector<HopRecord> recorded = run.flight_recorder->Hops();
+  ASSERT_EQ(recorded.size(), 1u);
+  EXPECT_EQ(recorded[0].msg_id, 99u);
+  EXPECT_EQ(recorded[0].wire_bytes, msg.WireSize());
+  TraceSink& sink = *run.trace;
   const std::vector<HopRecord> hops = sink.DrainHops();
   ASSERT_EQ(hops.size(), 1u);
   EXPECT_EQ(hops[0].msg_id, 99u);
@@ -198,20 +191,49 @@ TEST(TraceSinkTest, RecordsAndDrainsHops) {
   EXPECT_TRUE(sink.DrainHops().empty());
 }
 
+// Receives one message, so the actor's dequeue path decides what the
+// run's sink records.
+class ReceiveOnceActor final : public Actor {
+ public:
+  using Actor::Actor;
+
+ protected:
+  Status Run() override {
+    Receive();
+    return Status::OK();
+  }
+};
+
 TEST(TraceSinkTest, UnstampedMessagesRecordNoHop) {
-  ManualClock clock(0);
-  TraceSink sink(&clock);
-  Message msg;  // hop.msg_id stays 0: sent by a fabric not stamping hops
-  sink.RecordHop(msg);
-  EXPECT_TRUE(sink.DrainHops().empty());
+  // A fabric that does not stamp hops leaves msg_id 0, and the receiving
+  // actor records nothing for such a message; the stamped twin records
+  // one hop.
+  for (const bool stamping : {false, true}) {
+    NetworkFabric fabric(SystemClock::Default());
+    const NodeId src = fabric.RegisterNode("src");
+    const NodeId dst = fabric.RegisterNode("dst");
+    fabric.SetHopStamping(stamping);
+    RunContext run;
+    run.trace = std::make_unique<TraceSink>(SystemClock::Default());
+    Message msg;
+    msg.src = src;
+    msg.dst = dst;
+    ASSERT_TRUE(fabric.Send(std::move(msg)).ok());
+    ReceiveOnceActor actor(&fabric, dst, SystemClock::Default(), &run);
+    actor.Start();
+    actor.Join();
+    EXPECT_EQ(run.trace->DrainHops().size(), stamping ? 1u : 0u)
+        << "stamping=" << stamping;
+    fabric.Shutdown();
+  }
 }
 
 TEST(TraceSinkTest, HopCapacityBoundsRetainedRecords) {
   ManualClock clock(0);
   TraceSink sink(&clock, 16);
-  Message msg;
-  msg.hop.msg_id = 1;
-  for (int i = 0; i < 1000; ++i) sink.RecordHop(msg);
+  HopRecord hop;
+  hop.msg_id = 1;
+  for (int i = 0; i < 1000; ++i) sink.RecordHop(hop);
   EXPECT_GT(sink.hops_dropped(), 0u);
   EXPECT_LE(sink.DrainHops().size(), 16u);
 }
@@ -401,100 +423,6 @@ TEST(ExportTest, EmptyLogIsStillWellFormed) {
   EXPECT_NE(json.find("\"samples\": []"), std::string::npos);
   EXPECT_NE(json.find("\"spans\": []"), std::string::npos);
   EXPECT_NE(json.find("\"spans_dropped\": 0"), std::string::npos);
-}
-
-TEST(ExportTest, CsvRowsMatchSamplesAndSpans) {
-  const TelemetryLog log = MakeLog();
-  const std::string samples_path =
-      ::testing::TempDir() + "/obs_test.samples.csv";
-  const std::string spans_path = ::testing::TempDir() + "/obs_test.spans.csv";
-  ASSERT_TRUE(WriteSamplesCsv(samples_path, log).ok());
-  ASSERT_TRUE(WriteSpansCsv(spans_path, log).ok());
-
-  auto read_lines = [](const std::string& path) {
-    std::vector<std::string> lines;
-    std::FILE* f = std::fopen(path.c_str(), "r");
-    EXPECT_NE(f, nullptr);
-    char buf[512];
-    while (std::fgets(buf, sizeof(buf), f) != nullptr) lines.emplace_back(buf);
-    std::fclose(f);
-    return lines;
-  };
-  const std::vector<std::string> samples = read_lines(samples_path);
-  ASSERT_EQ(samples.size(), 3u);  // header + 2 samples x 1 node
-  EXPECT_NE(samples[0].find("queue_depth"), std::string::npos);
-  const std::vector<std::string> spans = read_lines(spans_path);
-  ASSERT_EQ(spans.size(), 2u);  // header + 1 span
-  EXPECT_NE(spans[1].find("emit"), std::string::npos);
-  std::remove(samples_path.c_str());
-  std::remove(spans_path.c_str());
-}
-
-namespace {
-std::vector<std::string> ReadLines(const std::string& path) {
-  std::vector<std::string> lines;
-  std::FILE* f = std::fopen(path.c_str(), "r");
-  EXPECT_NE(f, nullptr);
-  if (f == nullptr) return lines;
-  char buf[512];
-  while (std::fgets(buf, sizeof(buf), f) != nullptr) {
-    std::string line(buf);
-    while (!line.empty() && (line.back() == '\n' || line.back() == '\r')) {
-      line.pop_back();
-    }
-    lines.push_back(line);
-  }
-  std::fclose(f);
-  return lines;
-}
-}  // namespace
-
-TEST(ExportTest, SamplesCsvRoundTripsHeaderRowsAndRates) {
-  const TelemetryLog log = MakeLog();
-  const std::string path = ::testing::TempDir() + "/obs_rt.samples.csv";
-  ASSERT_TRUE(WriteSamplesCsv(path, log).ok());
-  const std::vector<std::string> lines = ReadLines(path);
-  ASSERT_EQ(lines.size(), 1 + log.samples.size() * log.samples[0].nodes.size());
-  EXPECT_EQ(lines[0],
-            "t_ms,node,name,queue_depth,messages_sent,bytes_sent,"
-            "messages_received,bytes_received,bytes_per_sec");
-  // First sample: the derived-rate field is empty, not 0.
-  EXPECT_EQ(lines[1].back(), ',');
-  // Second sample: 1000 bytes over the 1 s gap.
-  EXPECT_NE(lines[2].find(",1000"), std::string::npos);
-  // Row fields line up with the header column count.
-  for (size_t i = 1; i < lines.size(); ++i) {
-    const size_t commas =
-        static_cast<size_t>(std::count(lines[i].begin(), lines[i].end(), ','));
-    EXPECT_EQ(commas, 8u) << "row " << i << ": " << lines[i];
-  }
-  std::remove(path.c_str());
-}
-
-TEST(ExportTest, SpansCsvHasMsgIdColumn) {
-  TelemetryLog log = MakeLog();
-  log.spans[0].msg_id = 77;
-  const std::string path = ::testing::TempDir() + "/obs_rt.spans.csv";
-  ASSERT_TRUE(WriteSpansCsv(path, log).ok());
-  const std::vector<std::string> lines = ReadLines(path);
-  ASSERT_EQ(lines.size(), 2u);
-  EXPECT_EQ(lines[0], "t_ms,node,phase,window,value,msg_id");
-  EXPECT_NE(lines[1].find("emit,4,100,77"), std::string::npos);
-  std::remove(path.c_str());
-}
-
-TEST(ExportTest, CsvEscapesNodeNames) {
-  // RFC 4180: fields containing commas or quotes are quoted, with embedded
-  // quotes doubled — a node named with both must survive one CSV row.
-  TelemetryLog log = MakeLog();
-  log.samples[0].nodes[0].name = "edge \"a\", rack 1";
-  log.samples.resize(1);
-  const std::string path = ::testing::TempDir() + "/obs_escape.samples.csv";
-  ASSERT_TRUE(WriteSamplesCsv(path, log).ok());
-  const std::vector<std::string> lines = ReadLines(path);
-  ASSERT_EQ(lines.size(), 2u);
-  EXPECT_NE(lines[1].find("\"edge \"\"a\"\", rack 1\""), std::string::npos);
-  std::remove(path.c_str());
 }
 
 TEST(ExportTest, UnwritablePathIsIOError) {

@@ -11,13 +11,16 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstring>
 #include <string>
+#include <vector>
 
 #include "common/clock.h"
 #include "net/fabric.h"
 #include "obs/metric_registry.h"
 #include "obs/ops_server.h"
+#include "obs/sampler.h"
 #include "obs/watchdog.h"
 
 namespace deco {
@@ -60,7 +63,7 @@ class OpsServerTest : public ::testing::Test {
     local_ = fabric_->RegisterNode("local-0");
     registry_.counter("root.windows_emitted")->Add(7);
     registry_.gauge("root.next_window")->Set(7);
-    registry_.histogram("assemble.latency")->Record(1000);
+    registry_.sketch("assemble.latency")->Observe(1000);
 
     OpsServer::Options options;
     options.port = 0;  // ephemeral
@@ -92,8 +95,8 @@ TEST_F(OpsServerTest, MetricsEndpointServesPrometheusText) {
   ASSERT_FALSE(response.empty());
   EXPECT_NE(response.find("HTTP/1.1 200 OK"), std::string::npos);
   EXPECT_NE(response.find("text/plain; version=0.0.4"), std::string::npos);
-  // Counter with _total suffix, HELP/TYPE headers, gauge, histogram
-  // summary and the per-node series.
+  // Counter with _total suffix, HELP/TYPE headers, gauge, sketch summary
+  // and the per-node series.
   EXPECT_NE(response.find("# TYPE deco_root_windows_emitted_total counter"),
             std::string::npos);
   EXPECT_NE(response.find("deco_root_windows_emitted_total 7"),
@@ -201,6 +204,176 @@ TEST_F(OpsServerTest, ActiveAlertSurfacesInHealthzAndMetrics) {
   EXPECT_NE(metrics.find("deco_watchdog_alerts_active 1"),
             std::string::npos);
   alerting.Stop();
+}
+
+/// The unsigned integer that follows the first `key` at or after `from`.
+uint64_t NumberAfter(const std::string& text, const std::string& key,
+                     size_t from = 0) {
+  const size_t pos = text.find(key, from);
+  EXPECT_NE(pos, std::string::npos) << "missing " << key;
+  if (pos == std::string::npos) return 0;
+  return std::stoull(text.substr(pos + key.size()));
+}
+
+/// Node ids of one offender series in an exposition, in series order
+/// (`<family>{node="node-<id>"} <value>` lines).
+std::vector<NodeId> SeriesIds(const std::string& exposition,
+                              const std::string& family) {
+  std::vector<NodeId> ids;
+  const std::string prefix = family + "{node=\"node-";
+  size_t pos = 0;
+  while ((pos = exposition.find("\n" + prefix, pos)) != std::string::npos) {
+    pos += 1 + prefix.size();
+    ids.push_back(static_cast<NodeId>(std::stoul(exposition.substr(pos))));
+  }
+  return ids;
+}
+
+/// The k largest values' indices, ties toward the lower index.
+std::vector<NodeId> TopK(const std::vector<uint64_t>& values, size_t k) {
+  std::vector<NodeId> ids(values.size());
+  for (NodeId id = 0; id < ids.size(); ++id) ids[id] = id;
+  std::stable_sort(ids.begin(), ids.end(), [&](NodeId a, NodeId b) {
+    return values[a] > values[b];
+  });
+  ids.resize(k);
+  return ids;
+}
+
+// Above the detail limit every surface formats the same governed capture:
+// the sample, /metrics, /statusz and /healthz taken at one clock reading
+// agree on the fleet totals, on the deepest, heaviest and stalest nodes
+// and on the nodes down.
+TEST(OpsServerGovernedTest, SurfacesAgreeOnOneCapture) {
+  constexpr size_t kNodes = 100;
+  ManualClock clock(kNanosPerMilli);
+  NetworkFabric fabric(&clock);
+  for (size_t i = 0; i < kNodes; ++i) {
+    fabric.RegisterNode("node-" + std::to_string(i));
+  }
+  // Node i sends i messages of i bytes to a distinct peer, so queue
+  // depths and egress bytes are distinct across the fleet.
+  for (NodeId i = 0; i < kNodes; ++i) {
+    for (NodeId m = 0; m < i; ++m) {
+      Message msg;
+      msg.src = i;
+      msg.dst = (i * 37 + 11) % kNodes;
+      msg.payload.assign(i, 'x');
+      ASSERT_TRUE(fabric.Send(std::move(msg)).ok());
+    }
+  }
+  MetricRegistry registry;
+  ObsGovernance governance;
+  governance.node_detail_limit = 16;
+  governance.top_k = 4;
+  Sampler sampler(&clock, &fabric, &registry, kNanosPerMilli);
+  sampler.SetGovernance(governance);
+  sampler.SampleNow();  // seeds the staleness watch
+  // Only nodes 0-9 send between the ticks: the rest go stale.
+  clock.Advance(kNanosPerMilli);
+  for (NodeId i = 0; i < 10; ++i) {
+    Message msg;
+    msg.src = i;
+    msg.dst = kNodes - 1;
+    ASSERT_TRUE(fabric.Send(std::move(msg)).ok());
+  }
+  ASSERT_TRUE(fabric.SetNodeDown(40, true).ok());
+  ASSERT_TRUE(fabric.SetNodeDown(77, true).ok());
+  const TelemetrySample sample = sampler.SampleNow();
+
+  OpsServer::Options options;
+  options.clock = &clock;
+  options.fabric = &fabric;
+  options.registry = &registry;
+  options.sampler = &sampler;
+  const OpsServer server(options);
+  const std::string metrics = server.RenderMetrics();
+  const std::string statusz = server.RenderStatusz();
+  const std::string healthz = server.RenderHealthz();
+
+  // What the fabric holds, computed without the capture.
+  std::vector<uint64_t> depths(kNodes), bytes(kNodes);
+  uint64_t depth_sum = 0, sent_sum = 0, bytes_sum = 0, received_sum = 0;
+  for (NodeId id = 0; id < kNodes; ++id) {
+    const NodeTrafficStats traffic = fabric.node_stats(id);
+    depths[id] = fabric.queue_depth(id);
+    bytes[id] = traffic.bytes_sent;
+    depth_sum += depths[id];
+    sent_sum += traffic.messages_sent;
+    bytes_sum += traffic.bytes_sent;
+    received_sum += traffic.messages_received;
+  }
+  const std::vector<NodeId> deepest = TopK(depths, 4);
+  const std::vector<NodeId> heaviest = TopK(bytes, 4);
+  const std::vector<NodeId> stalest = {10, 11, 12, 13};
+
+  // One clock reading.
+  EXPECT_EQ(NumberAfter(metrics, "\ndeco_time_nanos "),
+            static_cast<uint64_t>(sample.t_nanos));
+  EXPECT_EQ(NumberAfter(statusz, "\"t_nanos\":"),
+            static_cast<uint64_t>(sample.t_nanos));
+
+  // Fleet totals.
+  ASSERT_TRUE(sample.fleet.collapsed);
+  EXPECT_EQ(sample.fleet.queue_depth.sum, depth_sum);
+  EXPECT_EQ(sample.fleet.total_messages_sent, sent_sum);
+  EXPECT_EQ(sample.fleet.total_bytes_sent, bytes_sum);
+  EXPECT_EQ(sample.fleet.total_messages_received, received_sum);
+  EXPECT_EQ(NumberAfter(metrics, "\ndeco_fleet_queue_depth_sum "), depth_sum);
+  EXPECT_EQ(NumberAfter(metrics, "\ndeco_fleet_messages_sent_sum "),
+            sent_sum);
+  EXPECT_EQ(NumberAfter(metrics, "\ndeco_fleet_bytes_sent_sum "), bytes_sum);
+  EXPECT_EQ(NumberAfter(metrics, "\ndeco_fleet_messages_received_sum "),
+            received_sum);
+  const size_t fleet = statusz.find("\"fleet\":{");
+  ASSERT_NE(fleet, std::string::npos) << statusz;
+  EXPECT_EQ(NumberAfter(statusz, "\"queue_depth\":{\"sum\":", fleet),
+            depth_sum);
+  EXPECT_EQ(NumberAfter(statusz, "\"bytes_sent\":{\"sum\":", fleet),
+            bytes_sum);
+  EXPECT_EQ(NumberAfter(statusz, "\"messages_sent\":", fleet), sent_sum);
+  EXPECT_EQ(NumberAfter(statusz, "\"messages_received\":", fleet),
+            received_sum);
+
+  // Deepest, heaviest and stalest: the offender series, the /statusz
+  // node table and the sample's detail rows.
+  EXPECT_EQ(SeriesIds(metrics, "deco_node_queue_depth"), deepest);
+  EXPECT_EQ(SeriesIds(metrics, "deco_node_bytes_sent"), heaviest);
+  EXPECT_EQ(SeriesIds(metrics, "deco_node_silent_for_nanos"), stalest);
+  EXPECT_NE(metrics.find("deco_node_silent_for_nanos{node=\"node-10\"} " +
+                         std::to_string(kNanosPerMilli) + "\n"),
+            std::string::npos);
+  std::vector<NodeId> offenders = deepest;
+  offenders.insert(offenders.end(), heaviest.begin(), heaviest.end());
+  offenders.insert(offenders.end(), stalest.begin(), stalest.end());
+  std::sort(offenders.begin(), offenders.end());
+  offenders.erase(std::unique(offenders.begin(), offenders.end()),
+                  offenders.end());
+  std::vector<NodeId> table;
+  for (size_t pos = statusz.find("\"nodes\":[");
+       (pos = statusz.find("{\"id\":", pos)) != std::string::npos;) {
+    table.push_back(static_cast<NodeId>(NumberAfter(statusz, "{\"id\":", pos)));
+    pos += 1;
+  }
+  EXPECT_EQ(table, offenders);
+  std::vector<NodeId> detailed;
+  for (const NodeSample& node : sample.nodes) detailed.push_back(node.node);
+  for (NodeId id : offenders) {
+    EXPECT_TRUE(std::binary_search(detailed.begin(), detailed.end(), id))
+        << "offender " << id << " missing from the sample's detail rows";
+  }
+  EXPECT_LT(sample.nodes.size(), kNodes);
+  EXPECT_EQ(sample.fleet.detail_nodes, sample.nodes.size());
+
+  // Nodes down.
+  EXPECT_EQ(sample.fleet.nodes_down, 2u);
+  EXPECT_EQ(NumberAfter(metrics, "\ndeco_fleet_nodes_down "), 2u);
+  EXPECT_EQ(NumberAfter(statusz, "\"nodes_down\":", fleet), 2u);
+  EXPECT_NE(healthz.find("\"output\":\"2 down\""), std::string::npos)
+      << healthz;
+  EXPECT_NE(healthz.find("\"observedValue\":100,"), std::string::npos)
+      << healthz;
+  fabric.Shutdown();
 }
 
 TEST_F(OpsServerTest, StopIsIdempotentAndPortCloses) {

@@ -110,7 +110,6 @@ void PrintUsage() {
       "                      this (0 = unlimited; livelock guard)\n"
       "  --telemetry_out=<f>      write run telemetry (sampler time series +\n"
       "                           window-lifecycle spans) as JSON to <f>\n"
-      "  --telemetry_csv=<p>      also write <p>.samples.csv / <p>.spans.csv\n"
       "  --trace_out=<f>          write a Chrome-trace-event/Perfetto JSON\n"
       "                           trace (one track per node; open it in\n"
       "                           https://ui.perfetto.dev) to <f>\n"
@@ -252,14 +251,12 @@ int main(int argc, char** argv) {
   }
 
   config.telemetry.json_out = flags.GetString("telemetry_out", "");
-  config.telemetry.csv_prefix = flags.GetString("telemetry_csv", "");
   config.telemetry.perfetto_out = flags.GetString("trace_out", "");
   config.telemetry.trace_capacity = static_cast<size_t>(
       flags.GetInt("trace_capacity", 1 << 20));
   config.telemetry.sample_interval_nanos = static_cast<TimeNanos>(
       flags.GetInt("sample_interval_ms", 50) * kNanosPerMilli);
   config.telemetry.enabled = !config.telemetry.json_out.empty() ||
-                             !config.telemetry.csv_prefix.empty() ||
                              !config.telemetry.perfetto_out.empty();
   config.profile.enabled = flags.GetBool("profile", false);
   config.profile.count_allocs = flags.GetBool("profile_allocs", true);
