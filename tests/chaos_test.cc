@@ -347,12 +347,21 @@ ExperimentConfig ChaosBaseConfig() {
   config.query.aggregate = AggregateKind::kSum;
   config.num_locals = 3;
   config.streams_per_local = 2;
-  // ~2 s of stream per local (two 2e6/s streams): long enough that the
+  // ~4 s of stream per local at 2e6 events/s: long enough that the
   // post-rejoin catch-up transient has decayed out of the measured tail.
   config.events_per_local = 8'000'000;
   config.base_rate = 2e6;
   config.rate_change = 0.01;
   config.root_options.node_timeout_nanos = 120 * kNanosPerMilli;
+  // Each local ingests at its event rate (after the throttle's initial
+  // one-second burst), so the run lasts ~3 s of wall time on any host
+  // at least that fast and the wall-clock crash and restart land at the
+  // same stream position. Unpaced, a fast host ends the async run before
+  // the restart fires, and leaves the restarted sync local too far behind
+  // its peers to catch up before the tail. The throttle refills while
+  // local-1 is down, so on restart it replays its backlog at once, as the
+  // durable upstream queue of paper §4.3.1 would.
+  config.cpu_events_per_sec = 2'000'000;
   return config;
 }
 
@@ -419,7 +428,7 @@ TEST(ChaosIntegrationTest, DecoSyncCrashRestartRecovers) {
 TEST(ChaosIntegrationTest, DecoAsyncCrashRestartRejoins) {
   ExperimentConfig config = ChaosBaseConfig();
   config.scheme = Scheme::kDecoAsync;
-  config.events_per_local = 6'000'000;  // ~1.5 s: restart@800ms lands mid-run
+  config.events_per_local = 6'000'000;  // ~2 s: restart@800ms lands mid-run
   config.chaos.schedule =
       ChaosSchedule().Crash("local-1", kCrashAt).Restart("local-1",
                                                          kRestartAt);
