@@ -88,28 +88,68 @@ Status DecoLocalNode::HandleCrash() {
 
 bool DecoLocalNode::PullIntoRetained() {
   if (source_->exhausted()) return false;
-  EventVec batch;
+  if (retained_front_ > 0 &&
+      retained_.size() + ingest_config_.batch_size > retained_.capacity()) {
+    CompactRetained();  // reuse the dropped prefix rather than grow
+  }
   TimeNanos create_time = 0;
   const size_t pulled =
-      source_->Pull(ingest_config_.batch_size, &batch, &create_time);
+      source_->Pull(ingest_config_.batch_size, &retained_, &create_time);
   if (pulled == 0) return false;
   metrics()->counter("local.events_ingested")->Add(
       static_cast<int64_t>(pulled));
-  for (const Event& e : batch) {
-    retained_.push_back(TimedEvent{e, static_cast<double>(create_time)});
-  }
+  retained_create_.resize(retained_.size(), static_cast<double>(create_time));
   return true;
 }
 
-size_t DecoLocalNode::TakeRegion(size_t want, std::vector<TimedEvent>* out) {
-  size_t served = 0;
-  while (served < want) {
-    if (cursor_ == retained_.size() && !PullIntoRetained()) break;
-    out->push_back(retained_[cursor_]);
-    ++cursor_;
-    ++served;
+size_t DecoLocalNode::TakeRegion(size_t want) {
+  while (retained_size() - cursor_ < want) {
+    if (!PullIntoRetained()) break;
   }
+  const size_t served = std::min(want, retained_size() - cursor_);
+  cursor_ += served;
   return served;
+}
+
+size_t DecoLocalNode::DropRetained(const EventKey& wm, size_t limit) {
+  const Event* events = retained_events();
+  const size_t max_drop = std::min(limit, retained_size());
+  size_t dropped = 0;
+  while (dropped < max_drop && EventKey::Of(events[dropped]) <= wm) {
+    ++dropped;
+  }
+  retained_front_ += dropped;
+  if (dropped > 0 && retained_front_ >= retained_size()) CompactRetained();
+  return dropped;
+}
+
+void DecoLocalNode::CompactRetained() {
+  retained_.erase(retained_.begin(), retained_.begin() + retained_front_);
+  retained_create_.erase(retained_create_.begin(),
+                         retained_create_.begin() + retained_front_);
+  retained_front_ = 0;
+}
+
+double DecoLocalNode::CreateMean(size_t begin, size_t n) const {
+  const double* create = retained_create_.data() + retained_front_ + begin;
+  double sum = 0.0;
+  for (size_t i = 0; i < n; ++i) sum += create[i];
+  return sum / static_cast<double>(n);
+}
+
+Status DecoLocalNode::SendEdge(uint64_t w, BatchRole role, size_t begin,
+                               size_t n) {
+  Message msg;
+  if (n > 0) msg.MergeLatencyMeta(CreateMean(begin, n), n);
+  BinaryWriter writer;
+  EncodeEventBatch(/*from_offset=*/0, /*end_of_stream=*/false, role,
+                   {retained_events() + begin, n}, &writer);
+  msg.type = MessageType::kEventBatch;
+  msg.dst = topology_.root;
+  msg.window_index = w;
+  msg.epoch = epoch_;
+  msg.payload = writer.Release();
+  return SendOrCrash(std::move(msg));
 }
 
 Status DecoLocalNode::BroadcastPeerRate(uint64_t w, bool end_of_stream) {
@@ -175,69 +215,42 @@ Status DecoLocalNode::ProduceWindow(uint64_t w, const SlicePlan& plan) {
                                            plan.end_buffer),
                       assignment_msg_id_);
   metrics()->counter("local.windows_produced")->Increment();
+  // Each region is an index range of the retained buffer: a later region's
+  // pull may reallocate it, so no pointer is held across `TakeRegion`.
   // Front buffer (async layout only; empty plans ship nothing).
   if (plan.front_buffer > 0) {
-    std::vector<TimedEvent> front;
-    TakeRegion(plan.front_buffer, &front);
-    EventBatchPayload payload;
-    payload.role = BatchRole::kFront;
-    payload.from_offset = 0;
-    payload.events.reserve(front.size());
-    Message msg;
-    double create_sum = 0.0;
-    for (const TimedEvent& te : front) {
-      payload.events.push_back(te.event);
-      create_sum += te.create_nanos;
-    }
-    if (!front.empty()) {
-      msg.MergeLatencyMeta(create_sum / static_cast<double>(front.size()),
-                           front.size());
-    }
-    BinaryWriter writer;
-    EncodeEventBatch(payload, &writer);
-    msg.type = MessageType::kEventBatch;
-    msg.dst = topology_.root;
-    msg.window_index = w;
-    msg.epoch = epoch_;
-    msg.payload = writer.Release();
-    DECO_RETURN_NOT_OK(SendOrCrash(std::move(msg)));
+    const size_t begin = cursor_;
+    const size_t n = TakeRegion(plan.front_buffer);
+    DECO_RETURN_NOT_OK(SendEdge(w, BatchRole::kFront, begin, n));
   }
 
-  // Slice: incremental local aggregation (the decentralized work). With a
-  // serving registry the shared slice store computes every active
-  // aggregate slot in the same pass; slot 0 rides in the summary's
-  // `partial` exactly as before, the others travel as tagged extras.
+  // Slice: incremental local aggregation (the decentralized work), in
+  // place over the retained buffer. With a serving registry the shared
+  // slice store computes every active aggregate slot in the same pass;
+  // slot 0 rides in the summary's `partial` exactly as before, the others
+  // travel as tagged extras.
   {
-    std::vector<TimedEvent> slice_events;
-    slice_events.reserve(plan.slice);
-    TakeRegion(plan.slice, &slice_events);
+    const size_t begin = cursor_;
+    const size_t n = TakeRegion(plan.slice);
+    const Event* events = retained_events() + begin;
     SliceSummary summary;
     Message msg;
-    double create_sum = 0.0;
     if (serve_ != nullptr) {
       slice_store_.BeginPane(w);
-      for (const TimedEvent& te : slice_events) {
-        slice_store_.Accumulate(te.event.value);
-        create_sum += te.create_nanos;
-      }
+      for (size_t i = 0; i < n; ++i) slice_store_.Accumulate(events[i].value);
       summary.partial = slice_store_.primary();
       summary.extras = slice_store_.TakeExtras();
     } else {
       summary.partial = func_->CreatePartial();
-      for (const TimedEvent& te : slice_events) {
-        func_->Accumulate(&summary.partial, te.event.value);
-        create_sum += te.create_nanos;
+      for (size_t i = 0; i < n; ++i) {
+        func_->Accumulate(&summary.partial, events[i].value);
       }
     }
-    if (!slice_events.empty()) {
-      msg.MergeLatencyMeta(
-          create_sum / static_cast<double>(slice_events.size()),
-          slice_events.size());
-    }
-    summary.event_count = slice_events.size();
-    if (!slice_events.empty()) {
-      summary.min_ts = slice_events.front().event.timestamp;
-      const Event& last = slice_events.back().event;
+    summary.event_count = n;
+    if (n > 0) {
+      msg.MergeLatencyMeta(CreateMean(begin, n), n);
+      summary.min_ts = events[0].timestamp;
+      const Event& last = events[n - 1];
       summary.max_ts = last.timestamp;
       summary.max_stream_id = last.stream_id;
       summary.max_event_id = last.id;
@@ -250,8 +263,8 @@ Status DecoLocalNode::ProduceWindow(uint64_t w, const SlicePlan& plan) {
       for (const SlotPartial& extra : summary.extras) {
         extras_bytes += SlotPartialWireSize(extra);
       }
-      accounting_.OnSlice(w, writer.buffer().size() - extras_bytes,
-                          slice_events.size(), summary.extras);
+      accounting_.OnSlice(w, writer.buffer().size() - extras_bytes, n,
+                          summary.extras);
     }
     msg.type = MessageType::kPartialResult;
     msg.dst = topology_.root;
@@ -263,33 +276,13 @@ Status DecoLocalNode::ProduceWindow(uint64_t w, const SlicePlan& plan) {
 
   // End buffer: raw edge region for exact cut resolution at the root.
   {
-    std::vector<TimedEvent> end;
-    TakeRegion(plan.end_buffer, &end);
-    EventBatchPayload payload;
-    payload.role = BatchRole::kEnd;
-    payload.events.reserve(end.size());
-    Message msg;
-    double create_sum = 0.0;
-    for (const TimedEvent& te : end) {
-      payload.events.push_back(te.event);
-      create_sum += te.create_nanos;
-    }
-    if (!end.empty()) {
-      msg.MergeLatencyMeta(create_sum / static_cast<double>(end.size()),
-                           end.size());
-    }
-    BinaryWriter writer;
-    EncodeEventBatch(payload, &writer);
-    msg.type = MessageType::kEventBatch;
-    msg.dst = topology_.root;
-    msg.window_index = w;
-    msg.epoch = epoch_;
-    msg.payload = writer.Release();
-    DECO_RETURN_NOT_OK(SendOrCrash(std::move(msg)));
+    const size_t begin = cursor_;
+    const size_t n = TakeRegion(plan.end_buffer);
+    DECO_RETURN_NOT_OK(SendEdge(w, BatchRole::kEnd, begin, n));
   }
 
   // End-of-stream marker once the budget is exhausted and fully shipped.
-  if (source_->exhausted() && cursor_ == retained_.size() && !eos_sent_) {
+  if (source_->exhausted() && cursor_ == retained_size() && !eos_sent_) {
     eos_sent_ = true;
     Message msg;
     msg.type = MessageType::kShutdown;
@@ -325,10 +318,7 @@ Status DecoLocalNode::HandleControl(const Message& msg) {
         // retained event at or below its watermark was consumed exactly
         // once and must be dropped; everything after it is re-planned
         // from scratch.
-        while (!retained_.empty() &&
-               EventKey::Of(retained_.front().event) <= wm) {
-          retained_.pop_front();
-        }
+        DropRetained(wm, retained_size());
         epoch_ = msg.epoch;
         cursor_ = 0;
         rolled_back_ = true;
@@ -345,14 +335,9 @@ Status DecoLocalNode::HandleControl(const Message& msg) {
         // be lost for future correction resends. For a verified window the
         // cut-bounding checks guarantee no such event exists, so the guard
         // is a defensive invariant.
-        size_t dropped = 0;
-        while (!retained_.empty() && dropped < cursor_ &&
-               EventKey::Of(retained_.front().event) <= wm) {
-          retained_.pop_front();
-          ++dropped;
-        }
-        if (!retained_.empty() && dropped == cursor_ &&
-            EventKey::Of(retained_.front().event) <= wm) {
+        const size_t dropped = DropRetained(wm, cursor_);
+        if (retained_size() > 0 && dropped == cursor_ &&
+            EventKey::Of(retained_events()[0]) <= wm) {
           DECO_LOG(DEBUG) << "local " << id_
                           << ": watermark reaches beyond produced events";
         }
@@ -426,12 +411,7 @@ Status DecoLocalNode::HandleCorrectionRequest(const Message& msg) {
   // windows from our pre-crash contributions, so resending events at or
   // below the watermark would double-count them.
   const EventKey wm{request.wm_ts, request.wm_stream, request.wm_id};
-  size_t wm_dropped = 0;
-  while (!retained_.empty() &&
-         EventKey::Of(retained_.front().event) <= wm) {
-    retained_.pop_front();
-    ++wm_dropped;
-  }
+  const size_t wm_dropped = DropRetained(wm, retained_size());
   if (wm_dropped > 0) {
     cursor_ = cursor_ > wm_dropped ? cursor_ - wm_dropped : 0;
     DECO_LOG(DEBUG) << "local " << id_ << ": correction watermark dropped "
@@ -442,38 +422,30 @@ Status DecoLocalNode::HandleCorrectionRequest(const Message& msg) {
   response.round = request.round;
   Message out;
   if (request.topup_events == 0) {
+    const size_t n = retained_size();
     DECO_LOG(DEBUG) << "local " << id_ << ": correction w"
-                    << request.window_index << " resend retained="
-                    << retained_.size() << " cursor=" << cursor_
+                    << request.window_index << " resend retained=" << n
+                    << " cursor=" << cursor_
                     << " pos=" << source_->position();
     // Full retained region of the unverified windows.
-    response.from_offset = source_->position() - retained_.size();
-    response.events.reserve(retained_.size());
-    double create_sum = 0.0;
-    for (const TimedEvent& te : retained_) {
-      response.events.push_back(te.event);
-      create_sum += te.create_nanos;
-    }
-    if (!retained_.empty()) {
-      out.MergeLatencyMeta(
-          create_sum / static_cast<double>(retained_.size()),
-          retained_.size());
-    }
+    response.from_offset = source_->position() - n;
+    response.events.assign(retained_events(), retained_events() + n);
+    if (n > 0) out.MergeLatencyMeta(CreateMean(0, n), n);
   } else {
-    // Top-up: extend the retained region with fresh events.
+    // Top-up: extend the retained region with fresh events. Pulls add
+    // whole ingest batches; ship everything they added, even past
+    // `topup_events`, so the root's candidate list mirrors the retained
+    // buffer.
     response.from_offset = source_->position();
-    const size_t before = retained_.size();
-    while (retained_.size() - before < request.topup_events) {
+    const size_t before = retained_size();
+    while (retained_size() - before < request.topup_events) {
       if (!PullIntoRetained()) break;
     }
-    const size_t added =
-        std::min<size_t>(retained_.size() - before, request.topup_events);
-    // Note: PullIntoRetained adds whole ingest batches; ship everything
-    // that was added so the root's candidate list mirrors `retained_`.
-    (void)added;
-    for (size_t i = before; i < retained_.size(); ++i) {
-      response.events.push_back(retained_[i].event);
-      out.MergeLatencyMeta(retained_[i].create_nanos, 1);
+    response.events.assign(retained_events() + before,
+                           retained_events() + retained_size());
+    const double* create = retained_create_.data() + retained_front_;
+    for (size_t i = before; i < retained_size(); ++i) {
+      out.MergeLatencyMeta(create[i], 1);
     }
   }
   response.end_of_stream = source_->exhausted();
@@ -595,7 +567,7 @@ Status DecoLocalNode::Run() {
       if (crashed_ || rolled_back_) continue;
     }
 
-    if (source_->exhausted() && cursor_ == retained_.size()) {
+    if (source_->exhausted() && cursor_ == retained_size()) {
       // Everything produced and shipped; tell the root and stay responsive
       // for corrections until it shuts us down.
       if (options_.peer_rate_exchange && !peer_eos_sent_) {

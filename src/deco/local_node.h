@@ -1,6 +1,5 @@
 #pragma once
 
-#include <deque>
 #include <map>
 
 #include "deco/assembler.h"
@@ -83,13 +82,36 @@ class DecoLocalNode final : public Actor {
   Status Run() override;
 
  private:
-  /// Serves `want` events from the retained deque (pulling fresh events
-  /// from the generator as needed); returns the count actually served
+  /// Assigns the next `want` retained events to a region, pulling fresh
+  /// events from the generator as needed. The region is the index range
+  /// `[cursor_ before the call, cursor_ after it)`; returns its length
   /// (less than `want` only at end of stream).
-  size_t TakeRegion(size_t want, std::vector<TimedEvent>* out);
+  size_t TakeRegion(size_t want);
 
-  /// Pulls one ingest batch into the retained deque; false at EOS.
+  /// Pulls one ingest batch onto the end of the retained buffer; false at
+  /// EOS. May reallocate the buffer, so callers hold indices across it.
   bool PullIntoRetained();
+
+  /// Number of retained events, and the first of them; the pointer is
+  /// valid until the next pull or drop.
+  size_t retained_size() const { return retained_.size() - retained_front_; }
+  const Event* retained_events() const {
+    return retained_.data() + retained_front_;
+  }
+
+  /// Drops the leading retained events at or before `wm`, at most `limit`
+  /// of them; returns how many it dropped.
+  size_t DropRetained(const EventKey& wm, size_t limit);
+
+  /// Erases the dropped prefix, moving the retained events to the front.
+  void CompactRetained();
+
+  /// Mean latency side-channel creation time of retained events
+  /// `[begin, begin + n)`, summed one event at a time in stream order.
+  double CreateMean(size_t begin, size_t n) const;
+
+  /// Ships retained events `[begin, begin + n)` as window `w`'s raw edge.
+  Status SendEdge(uint64_t w, BatchRole role, size_t begin, size_t n);
 
   /// Produces and ships the three regions of window `w`.
   Status ProduceWindow(uint64_t w, const SlicePlan& plan);
@@ -146,9 +168,17 @@ class DecoLocalNode final : public Actor {
   // constructor query's protocol window length.
   uint64_t pane_length_ = 0;
 
-  // Raw events not yet covered by a root watermark, in stream order.
-  std::deque<TimedEvent> retained_;
-  // Index into `retained_` of the first event not yet assigned to a region.
+  // Raw events not yet covered by a root watermark, in stream order:
+  // `retained_[retained_front_, end)`. Ingest pulls append to it in place;
+  // `retained_create_` holds each event's latency side-channel creation
+  // time at the same index. Dropped events stay in front until they
+  // outnumber the live ones or a pull would otherwise grow the buffer;
+  // then both arrays are compacted.
+  EventVec retained_;
+  std::vector<double> retained_create_;
+  size_t retained_front_ = 0;
+  // Index (from `retained_front_`) of the first retained event not yet
+  // assigned to a region.
   size_t cursor_ = 0;
 
   // Latest assignment state.

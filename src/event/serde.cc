@@ -5,6 +5,17 @@
 #include <sstream>
 
 namespace deco {
+namespace {
+
+// Unpacks one event in the layout `BinaryWriter::PutEvent` writes.
+void EventFromBytes(const char* in, Event* e) {
+  std::memcpy(&e->id, in, sizeof(e->id));
+  std::memcpy(&e->stream_id, in + 8, sizeof(e->stream_id));
+  std::memcpy(&e->value, in + 12, sizeof(e->value));
+  std::memcpy(&e->timestamp, in + 20, sizeof(e->timestamp));
+}
+
+}  // namespace
 
 Status BinaryReader::ReadRaw(void* out, size_t n) {
   if (pos_ + n > buf_.size()) {
@@ -58,11 +69,10 @@ Result<std::string> BinaryReader::GetString() {
 }
 
 Result<Event> BinaryReader::GetEvent() {
+  char bytes[kBinaryEventSize];
+  DECO_RETURN_NOT_OK(ReadRaw(bytes, kBinaryEventSize));
   Event e;
-  DECO_ASSIGN_OR_RETURN(e.id, GetU64());
-  DECO_ASSIGN_OR_RETURN(e.stream_id, GetU32());
-  DECO_ASSIGN_OR_RETURN(e.value, GetDouble());
-  DECO_ASSIGN_OR_RETURN(e.timestamp, GetI64());
+  EventFromBytes(bytes, &e);
   return e;
 }
 
@@ -71,12 +81,14 @@ Result<EventVec> BinaryReader::GetEvents() {
   if (n > remaining() / kBinaryEventSize) {
     return Status::OutOfRange("event count exceeds buffer size");
   }
-  EventVec events;
-  events.reserve(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    DECO_ASSIGN_OR_RETURN(Event e, GetEvent());
-    events.push_back(e);
+  // The check above covers every event, so the copy needs no more.
+  EventVec events(n);
+  const char* in = buf_.data() + pos_;
+  for (Event& e : events) {
+    EventFromBytes(in, &e);
+    in += kBinaryEventSize;
   }
+  pos_ += n * kBinaryEventSize;
   return events;
 }
 

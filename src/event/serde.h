@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -19,6 +20,11 @@
 
 namespace deco {
 
+/// \brief Size in bytes of one event in the binary format: id, stream id,
+/// value and timestamp, packed in that order.
+inline constexpr size_t kBinaryEventSize =
+    sizeof(uint64_t) + sizeof(uint32_t) + sizeof(double) + sizeof(int64_t);
+
 /// \brief Growable byte sink for binary encoding.
 class BinaryWriter {
  public:
@@ -35,14 +41,19 @@ class BinaryWriter {
   }
 
   void PutEvent(const Event& e) {
-    PutU64(e.id);
-    PutU32(e.stream_id);
-    PutDouble(e.value);
-    PutI64(e.timestamp);
+    char bytes[kBinaryEventSize];
+    std::memcpy(bytes, &e.id, sizeof(e.id));
+    std::memcpy(bytes + 8, &e.stream_id, sizeof(e.stream_id));
+    std::memcpy(bytes + 12, &e.value, sizeof(e.value));
+    std::memcpy(bytes + 20, &e.timestamp, sizeof(e.timestamp));
+    buf_.append(bytes, kBinaryEventSize);
   }
 
-  void PutEvents(const EventVec& events) {
+  /// \brief Count-prefixed events: reserves once, then one append per
+  /// event.
+  void PutEvents(std::span<const Event> events) {
     PutU64(events.size());
+    buf_.reserve(buf_.size() + events.size() * kBinaryEventSize);
     for (const Event& e : events) PutEvent(e);
   }
 
@@ -80,10 +91,6 @@ class BinaryReader {
   const std::string& buf_;
   size_t pos_ = 0;
 };
-
-/// \brief Size in bytes of one event in the binary format.
-inline constexpr size_t kBinaryEventSize =
-    sizeof(uint64_t) + sizeof(uint32_t) + sizeof(double) + sizeof(int64_t);
 
 /// \brief Verbose text encoding of one event, Disco-style:
 /// "event;id=<id>;stream=<sid>;value=<v>;timestamp=<ts>".

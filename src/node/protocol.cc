@@ -27,6 +27,11 @@ Result<SliceSummary> DecodeSliceSummary(BinaryReader* reader) {
   DECO_ASSIGN_OR_RETURN(summary.max_event_id, reader->GetU64());
   DECO_ASSIGN_OR_RETURN(summary.event_rate, reader->GetDouble());
   DECO_ASSIGN_OR_RETURN(uint32_t num_extras, reader->GetU32());
+  // Bound the count by the bytes left before allocating for it: no extra
+  // is smaller than a slot id plus an empty partial.
+  if (num_extras > reader->remaining() / SlotPartialWireSize(SlotPartial{})) {
+    return Status::OutOfRange("slice extras count exceeds buffer");
+  }
   summary.extras.reserve(num_extras);
   for (uint32_t i = 0; i < num_extras; ++i) {
     SlotPartial extra;
@@ -154,11 +159,18 @@ Result<CorrectionResponse> DecodeCorrectionResponse(BinaryReader* reader) {
   return response;
 }
 
+void EncodeEventBatch(uint64_t from_offset, bool end_of_stream,
+                      BatchRole role, std::span<const Event> events,
+                      BinaryWriter* writer) {
+  writer->PutU64(from_offset);
+  writer->PutU8(end_of_stream ? 1 : 0);
+  writer->PutU8(static_cast<uint8_t>(role));
+  writer->PutEvents(events);
+}
+
 void EncodeEventBatch(const EventBatchPayload& batch, BinaryWriter* writer) {
-  writer->PutU64(batch.from_offset);
-  writer->PutU8(batch.end_of_stream ? 1 : 0);
-  writer->PutU8(static_cast<uint8_t>(batch.role));
-  writer->PutEvents(batch.events);
+  EncodeEventBatch(batch.from_offset, batch.end_of_stream, batch.role,
+                   batch.events, writer);
 }
 
 Result<EventBatchPayload> DecodeEventBatch(BinaryReader* reader) {

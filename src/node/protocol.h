@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "agg/aggregate.h"
@@ -221,6 +222,13 @@ struct EventBatchPayload {
   EventVec events;
 };
 
+/// \brief Encodes a `kEventBatch` payload from its header fields and a
+/// contiguous event range: the one writer of the batch wire layout, so a
+/// sender that keeps its events elsewhere need not copy them into an
+/// `EventBatchPayload` first.
+void EncodeEventBatch(uint64_t from_offset, bool end_of_stream,
+                      BatchRole role, std::span<const Event> events,
+                      BinaryWriter* writer);
 void EncodeEventBatch(const EventBatchPayload& batch, BinaryWriter* writer);
 Result<EventBatchPayload> DecodeEventBatch(BinaryReader* reader);
 

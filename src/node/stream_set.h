@@ -1,7 +1,5 @@
 #pragma once
 
-#include <memory>
-#include <queue>
 #include <vector>
 
 #include "event/event.h"
@@ -16,14 +14,23 @@
 /// event_id)`. Merging locally means every local node emits a locally
 /// sorted stream, so the root's merge across local nodes equals a global
 /// sort — the Central ground truth (DESIGN.md §4.1).
+///
+/// Each stream generates a block of events ahead of the merge, and the
+/// merge scans the stream heads for the least key. A local node merges a
+/// handful of streams, where a scan over the heads beats a heap.
 
 namespace deco {
 
 /// \brief k-way merged, infinite, locally sorted event source.
 class StreamSet {
  public:
-  /// \param configs one per sensor stream; must be non-empty
+  /// \param configs one per sensor stream; must be non-empty, with
+  ///        distinct stream ids
   explicit StreamSet(const std::vector<StreamConfig>& configs);
+
+  // Not copyable: `heads_` points into the lanes' blocks.
+  StreamSet(const StreamSet&) = delete;
+  StreamSet& operator=(const StreamSet&) = delete;
 
   /// \brief Next event in merged order.
   Event Next();
@@ -33,29 +40,36 @@ class StreamSet {
 
   /// \brief Sum of the instantaneous configured rates of all streams,
   /// events per second — what the local node reports to the root
-  /// (paper §4.3.3: "polls frequencies of data sources").
+  /// (paper §4.3.3: "polls frequencies of data sources"). Each stream
+  /// contributes the rate its next unemitted event was generated at.
   double TotalRate() const;
 
   /// \brief Total events emitted by `Next`/`NextBatch` so far (the node's
   /// cumulative stream position).
   uint64_t position() const { return position_; }
 
-  size_t stream_count() const { return sources_.size(); }
+  size_t stream_count() const { return lanes_.size(); }
 
  private:
-  struct HeapEntry {
-    Event event;
-    size_t source;
-  };
-  struct HeapGreater {
-    bool operator()(const HeapEntry& a, const HeapEntry& b) const {
-      EventTimestampLess less;
-      return less(b.event, a.event);
-    }
+  /// One stream and its lookahead block of generated events.
+  struct Lane {
+    explicit Lane(const StreamConfig& config);
+
+    StreamSource source;
+    EventVec block;
+    std::vector<double> rates;  ///< rate each block event was generated at
   };
 
-  std::vector<std::unique_ptr<StreamSource>> sources_;
-  std::priority_queue<HeapEntry, std::vector<HeapEntry>, HeapGreater> heap_;
+  /// Lane whose head is least in `(timestamp, stream_id, event_id)` order.
+  size_t MinLane() const;
+
+  /// Emits lane `i`'s head, refilling its block once the block is used up.
+  Event Pop(size_t i);
+
+  std::vector<Lane> lanes_;
+  // heads_[i]: lane i's next unemitted event, inside its block. Kept apart
+  // from the lanes so the merge's scan reads one small array.
+  std::vector<const Event*> heads_;
   uint64_t position_ = 0;
 };
 

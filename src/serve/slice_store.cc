@@ -52,10 +52,18 @@ void SlotSchedule::Encode(BinaryWriter* writer) const {
 
 Result<SlotSchedule> SlotSchedule::Decode(BinaryReader* reader) {
   SlotSchedule schedule;
+  // Each count is bounded by the bytes left before allocating for it: a
+  // slot takes at least its 4-byte interval count, an interval 16 bytes.
   DECO_ASSIGN_OR_RETURN(uint32_t num_slots, reader->GetU32());
+  if (num_slots > reader->remaining() / sizeof(uint32_t)) {
+    return Status::OutOfRange("slot count exceeds buffer");
+  }
   schedule.intervals_.resize(num_slots);
   for (uint32_t s = 0; s < num_slots; ++s) {
     DECO_ASSIGN_OR_RETURN(uint32_t count, reader->GetU32());
+    if (count > reader->remaining() / (2 * sizeof(uint64_t))) {
+      return Status::OutOfRange("slot interval count exceeds buffer");
+    }
     schedule.intervals_[s].reserve(count);
     for (uint32_t i = 0; i < count; ++i) {
       Interval interval;

@@ -29,9 +29,11 @@ Event StreamSource::Next() {
   return e;
 }
 
-void StreamSource::NextBatch(size_t n, EventVec* out) {
-  out->reserve(out->size() + n);
-  for (size_t i = 0; i < n; ++i) out->push_back(Next());
+void StreamSource::NextBlock(size_t n, Event* out, double* rates) {
+  for (size_t i = 0; i < n; ++i) {
+    out[i] = Next();
+    rates[i] = rate_.current_rate();
+  }
 }
 
 DisorderInjector::DisorderInjector(StreamSource* source,

@@ -63,8 +63,9 @@ class StreamSource {
   /// \brief Produces the next event of the stream.
   Event Next();
 
-  /// \brief Appends `n` events to `out`.
-  void NextBatch(size_t n, EventVec* out);
+  /// \brief Writes the next `n` events to `out[0, n)` and the rate each was
+  /// generated at (`current_rate()` right after it) to `rates[0, n)`.
+  void NextBlock(size_t n, Event* out, double* rates);
 
   /// \brief Instantaneous configured rate of the underlying rate model, in
   /// events per second. This is what local nodes poll to report event rates

@@ -34,16 +34,9 @@ void RateModel::Redraw() {
   const double lo = config_.base_rate * (1.0 - config_.change_fraction);
   const double hi = config_.base_rate * (1.0 + config_.change_fraction);
   rate_ = std::max(kMinRate, rng_.NextDouble(lo, hi));
-}
-
-TimeNanos RateModel::NextGapNanos() {
-  if (events_in_epoch_ == config_.epoch_events) {
-    events_in_epoch_ = 0;
-    Redraw();
-  }
-  ++events_in_epoch_;
   const double gap = static_cast<double>(kNanosPerSecond) / rate_;
-  return std::max<TimeNanos>(1, static_cast<TimeNanos>(std::llround(gap)));
+  gap_nanos_ =
+      std::max<TimeNanos>(1, static_cast<TimeNanos>(std::llround(gap)));
 }
 
 }  // namespace deco

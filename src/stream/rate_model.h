@@ -44,7 +44,14 @@ class RateModel {
   /// \brief Nanoseconds between the previous event and the next one at the
   /// current instantaneous rate; advances the epoch counter and redraws the
   /// rate at epoch boundaries.
-  TimeNanos NextGapNanos();
+  TimeNanos NextGapNanos() {
+    if (events_in_epoch_ == config_.epoch_events) {
+      events_in_epoch_ = 0;
+      Redraw();
+    }
+    ++events_in_epoch_;
+    return gap_nanos_;
+  }
 
   /// \brief Current instantaneous rate in events per second.
   double current_rate() const { return rate_; }
@@ -52,11 +59,13 @@ class RateModel {
   const RateModelConfig& config() const { return config_; }
 
  private:
+  /// Draws the epoch's rate and computes its gap once.
   void Redraw();
 
   RateModelConfig config_;
   Rng rng_;
   double rate_;
+  TimeNanos gap_nanos_ = 0;  ///< `1 / rate_` in whole nanoseconds, >= 1
   uint64_t events_in_epoch_ = 0;
 };
 

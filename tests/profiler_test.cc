@@ -179,6 +179,36 @@ TEST(ProfilerHarnessTest, EnabledRunAttributesEveryActorThread) {
   }
 }
 
+TEST(ProfilerHarnessTest, LocalsDoNotAllocatePerEvent) {
+  if (!AllocCountingCompiledIn()) {
+    GTEST_SKIP() << "built with DECO_PROFILE_ALLOC=OFF";
+  }
+  // The paper's regime: deco-async with local windows (~33k events) far
+  // above the 4096-event ingest batch. A local's data path should allocate
+  // per batch or per window, never per event.
+  ExperimentConfig config;
+  config.scheme = Scheme::kDecoAsync;
+  config.sim = true;
+  config.seed = 7001;
+  config.num_locals = 3;
+  config.streams_per_local = 4;
+  config.events_per_local = 400'000;
+  config.query.window = WindowSpec::CountTumbling(100'000);
+  config.cpu_events_per_sec = 1'000'000;
+  config.link_latency_nanos = kNanosPerMilli;
+  config.profile.enabled = true;
+  auto result = RunExperiment(config);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_TRUE(result->profile.alloc_counted);
+  size_t locals = 0;
+  for (const ThreadProfile& t : result->profile.threads) {
+    if (t.name.rfind("local-", 0) != 0) continue;
+    ++locals;
+    EXPECT_LT(t.allocations, config.events_per_local / 500) << t.name;
+  }
+  EXPECT_EQ(locals, config.num_locals);
+}
+
 TEST(ProfilerHarnessTest, ProfileSurfacesInRunReportJson) {
   ExperimentConfig config = SmallConfig(Scheme::kCentral);
   config.profile.enabled = true;

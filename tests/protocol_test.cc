@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <string>
+
 #include "node/apportion.h"
 #include "node/protocol.h"
 #include "node/query.h"
@@ -176,6 +179,68 @@ TEST(ProtocolTest, MalformedInputsAreErrors) {
   writer.PutU64(0);
   BinaryReader reader(writer.buffer());
   EXPECT_FALSE(DecodeEventBatch(&reader).ok());
+}
+
+TEST(ProtocolTest, HugeSliceExtrasCountIsRejectedNotAllocated) {
+  SliceSummary summary;
+  summary.partial.kind = AggregateKind::kSum;
+  BinaryWriter writer;
+  EncodeSliceSummary(summary, &writer);
+  // The extras count is the last field; claim 2^32 - 1 extras with no
+  // bytes behind them.
+  std::string buf = writer.Release();
+  const uint32_t huge = 0xFFFFFFFFu;
+  std::memcpy(buf.data() + buf.size() - sizeof(huge), &huge, sizeof(huge));
+  BinaryReader reader(buf);
+  EXPECT_TRUE(DecodeSliceSummary(&reader).status().IsOutOfRange());
+}
+
+// Every proper prefix of an encoded message must fail to decode with an
+// error, never read past the buffer or decode a shorter message.
+template <typename Decode>
+void ExpectEveryPrefixFails(const std::string& encoded, Decode decode) {
+  for (size_t n = 0; n < encoded.size(); ++n) {
+    const std::string prefix = encoded.substr(0, n);
+    BinaryReader reader(prefix);
+    EXPECT_FALSE(decode(&reader).ok()) << "prefix of " << n << " bytes";
+  }
+  BinaryReader reader(encoded);
+  EXPECT_TRUE(decode(&reader).ok());
+  EXPECT_TRUE(reader.AtEnd());
+}
+
+EventVec SampleEvents(size_t n) {
+  EventVec events;
+  for (size_t i = 0; i < n; ++i) {
+    Event e;
+    e.id = 1000 + i;
+    e.stream_id = static_cast<StreamId>(i % 3);
+    e.value = -0.25 * static_cast<double>(i);
+    e.timestamp = 5000 + 7 * static_cast<EventTime>(i);
+    events.push_back(e);
+  }
+  return events;
+}
+
+TEST(ProtocolTest, EveryEventBatchPrefixFailsToDecode) {
+  EventBatchPayload batch;
+  batch.from_offset = 42;
+  batch.role = BatchRole::kEnd;
+  batch.events = SampleEvents(5);
+  BinaryWriter writer;
+  EncodeEventBatch(batch, &writer);
+  ExpectEveryPrefixFails(writer.buffer(), DecodeEventBatch);
+}
+
+TEST(ProtocolTest, EveryCorrectionResponsePrefixFailsToDecode) {
+  CorrectionResponse response;
+  response.window_index = 3;
+  response.from_offset = 77;
+  response.round = 2;
+  response.events = SampleEvents(5);
+  BinaryWriter writer;
+  EncodeCorrectionResponse(response, &writer);
+  ExpectEveryPrefixFails(writer.buffer(), DecodeCorrectionResponse);
 }
 
 TEST(ProtocolTest, QueryConfigRoundTrip) {

@@ -196,6 +196,23 @@ TEST(SlotScheduleTest, SnapshotCodecRoundTrips) {
   }
 }
 
+TEST(SlotScheduleTest, HugeSlotCountIsRejectedNotAllocated) {
+  BinaryWriter writer;
+  writer.PutU32(0xFFFFFFFFu);  // slot count, nothing behind it
+  const std::string buf = writer.Release();
+  BinaryReader reader(buf);
+  EXPECT_TRUE(SlotSchedule::Decode(&reader).status().IsOutOfRange());
+}
+
+TEST(SlotScheduleTest, HugeIntervalCountIsRejectedNotAllocated) {
+  BinaryWriter writer;
+  writer.PutU32(1);
+  writer.PutU32(0xFFFFFFFFu);  // the slot's interval count, nothing behind it
+  const std::string buf = writer.Release();
+  BinaryReader reader(buf);
+  EXPECT_TRUE(SlotSchedule::Decode(&reader).status().IsOutOfRange());
+}
+
 // --- End-to-end sim runs -------------------------------------------------
 
 ExperimentConfig BaseConfig(Scheme scheme) {

@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <iterator>
 
 #include "common/clock.h"
+#include "harness/experiment.h"
 #include "node/ingest.h"
 #include "node/stream_set.h"
 #include "stream/generator.h"
@@ -122,13 +125,17 @@ TEST(StreamSourceTest, DeterministicReplay) {
   }
 }
 
-TEST(StreamSourceTest, BatchMatchesSingles) {
-  StreamSource a(BasicStream(0, 500, 0.0, 5));
-  StreamSource b(BasicStream(0, 500, 0.0, 5));
-  EventVec batch;
-  a.NextBatch(64, &batch);
-  for (const Event& e : batch) {
-    EXPECT_EQ(e, b.Next());
+TEST(StreamSourceTest, BlockMatchesSingles) {
+  StreamConfig config = BasicStream(0, 500, 0.5, 5);
+  config.rate.epoch_events = 7;
+  StreamSource a(config);
+  StreamSource b(config);
+  EventVec block(64);
+  std::vector<double> rates(64);
+  a.NextBlock(64, block.data(), rates.data());
+  for (size_t i = 0; i < block.size(); ++i) {
+    EXPECT_EQ(block[i], b.Next());
+    EXPECT_EQ(rates[i], b.current_rate());
   }
 }
 
@@ -224,6 +231,90 @@ TEST(StreamSetTest, AllStreamsRepresented) {
   std::vector<int> counts(4, 0);
   for (int i = 0; i < 4000; ++i) ++counts[set.Next().stream_id];
   for (int c : counts) EXPECT_NEAR(c, 1000, 50);
+}
+
+// Folds 250k merged events (id, stream, timestamp, value bits) and the bit
+// pattern of `TotalRate()` after every chunk into one 64-bit digest, and
+// counts events that share the previous event's timestamp. The chunks are
+// uneven so block refills land at every offset; size-1 chunks go through
+// `Next`, the rest through `NextBatch`.
+struct MergeDigest {
+  uint64_t digest = 0;
+  size_t timestamp_ties = 0;
+};
+
+MergeDigest StreamSetDigest(const std::vector<StreamConfig>& configs) {
+  constexpr size_t kTotal = 250'000;
+  constexpr size_t kChunks[] = {1, 7, 4096, 33'333, 1, 3, 1000, 65'536, 13};
+  uint64_t h = 0xcbf29ce484222325ULL;
+  auto fold = [&h](uint64_t word) {
+    h = (h ^ word) * 0x100000001b3ULL;
+    h ^= h >> 29;
+  };
+  auto bits = [](double v) {
+    uint64_t u;
+    std::memcpy(&u, &v, sizeof(u));
+    return u;
+  };
+  StreamSet set(configs);
+  EventVec out;
+  size_t done = 0;
+  size_t ties = 0;
+  EventTime last_ts = -1;
+  for (size_t c = 0; done < kTotal; ++c) {
+    const size_t n =
+        std::min(kChunks[c % std::size(kChunks)], kTotal - done);
+    out.clear();
+    if (n == 1) {
+      out.push_back(set.Next());
+    } else {
+      set.NextBatch(n, &out);
+    }
+    for (const Event& e : out) {
+      if (e.timestamp == last_ts) ++ties;
+      last_ts = e.timestamp;
+      fold(e.id);
+      fold(e.stream_id);
+      fold(static_cast<uint64_t>(e.timestamp));
+      fold(bits(e.value));
+    }
+    fold(bits(set.TotalRate()));
+    done += n;
+  }
+  EXPECT_EQ(set.position(), kTotal);
+  return MergeDigest{h, ties};
+}
+
+// Pins the merged generator output and the reported rate bit for bit, so
+// a faster generator or merge cannot drift from the sequence every
+// recorded run, oracle and baseline was produced with.
+TEST(StreamSetTest, GoldenDigestsPinOutputAndTotalRate) {
+  // Local 1 of perfbench's paper-async workload: 4 streams, 1% change.
+  ExperimentConfig paper;
+  paper.num_locals = 3;
+  paper.streams_per_local = 4;
+  paper.base_rate = 1'000'000.0;
+  paper.query.window = WindowSpec::CountTumbling(100'000);
+  paper.seed = 7001;
+  EXPECT_EQ(StreamSetDigest(MakeIngestConfig(paper, 1).streams).digest,
+            0x828ff1aed4196e5dULL);
+
+  // One stream whose rate is redrawn on every event.
+  StreamConfig single = BasicStream(0, 1000, 1.0, 99);
+  single.rate.epoch_events = 1;
+  EXPECT_EQ(StreamSetDigest({single}).digest, 0xfa2ac5629b79297eULL);
+
+  // Eight streams at distinct, nanosecond-scale gaps: timestamps collide
+  // across streams, so the (timestamp, stream, id) tie-break is pinned.
+  std::vector<StreamConfig> eight;
+  for (StreamId s = 0; s < 8; ++s) {
+    StreamConfig config = BasicStream(s, 1e8 + 2.5e7 * s, 0.5, 1000 + s);
+    config.rate.epoch_events = 3;
+    eight.push_back(config);
+  }
+  const MergeDigest merged = StreamSetDigest(eight);
+  EXPECT_EQ(merged.digest, 0x727f46178794eb75ULL);
+  EXPECT_GT(merged.timestamp_ties, 10'000u);
 }
 
 // ------------------------------------------------------------ IngestSource
