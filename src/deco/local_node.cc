@@ -112,12 +112,12 @@ size_t DecoLocalNode::TakeRegion(size_t want) {
 }
 
 size_t DecoLocalNode::DropRetained(const EventKey& wm, size_t limit) {
+  // The retained buffer is this node's merged stream, sorted by key.
   const Event* events = retained_events();
-  const size_t max_drop = std::min(limit, retained_size());
-  size_t dropped = 0;
-  while (dropped < max_drop && EventKey::Of(events[dropped]) <= wm) {
-    ++dropped;
-  }
+  const Event* kept = std::partition_point(
+      events, events + std::min(limit, retained_size()),
+      [&wm](const Event& e) { return EventKey::Of(e) <= wm; });
+  const size_t dropped = static_cast<size_t>(kept - events);
   retained_front_ += dropped;
   if (dropped > 0 && retained_front_ >= retained_size()) CompactRetained();
   return dropped;

@@ -1,7 +1,11 @@
 #pragma once
 
 #include <atomic>
+#include <condition_variable>
 #include <memory>
+#include <mutex>
+#include <thread>
+#include <vector>
 
 #include "common/clock.h"
 #include "net/shaping.h"
@@ -39,9 +43,26 @@ struct IngestConfig {
 };
 
 /// \brief Budgeted, throttled, merged event source of a local node.
+///
+/// The node's sensor streams run on a producer thread of their own, the
+/// paper's datastream node (Fig. 1). It fills a small ring of chunks with
+/// the merged events and, for each event, the generator's `TotalRate()`
+/// right after it, and stops at the event budget. `Pull` throttles and
+/// stamps the creation time on the calling thread, then copies out of the
+/// ring, so the caller sees exactly the events and rates the generator
+/// produced, bit for bit. The producer is not an actor: under the
+/// simulator it is no task and touches no scheduler state, and a task
+/// waiting on it keeps the virtual CPU.
 class IngestSource {
  public:
   IngestSource(const IngestConfig& config, Clock* clock);
+
+  /// \brief Stops and joins the producer thread.
+  ~IngestSource();
+
+  // Not copyable or movable: the producer thread holds `this`.
+  IngestSource(const IngestSource&) = delete;
+  IngestSource& operator=(const IngestSource&) = delete;
 
   /// \brief Pulls up to `n` events (fewer near the budget end) and appends
   /// them to `out`. Sets `*create_wall_nanos` to the pull's wall time — the
@@ -54,8 +75,9 @@ class IngestSource {
   bool exhausted() const { return produced_ >= config_.events_to_produce; }
 
   /// \brief Measured total event rate of the node's sensors, events/sec,
-  /// scaled by the live chaos rate multiplier.
-  double TotalRate() const { return streams_.TotalRate() * multiplier(); }
+  /// at the current stream position, scaled by the live chaos rate
+  /// multiplier.
+  double TotalRate() const { return rate_ * multiplier(); }
 
   /// \brief Cumulative events produced (the node's stream position).
   uint64_t position() const { return produced_; }
@@ -69,11 +91,35 @@ class IngestSource {
                : config_.rate_multiplier->load(std::memory_order_acquire);
   }
 
+  /// The producer thread: fills ring chunks in order until the budget is
+  /// produced or the destructor asks it to stop.
+  void Produce();
+
   IngestConfig config_;
   Clock* clock_;
-  StreamSet streams_;
   std::unique_ptr<TokenBucket> throttle_;  // null = unthrottled
   uint64_t produced_ = 0;
+  // `StreamSet::TotalRate()` after the last pulled event.
+  double rate_ = 0.0;
+
+  // Touched only by the producer thread once it has started.
+  StreamSet streams_;
+
+  // The ring: chunk k of the stream lives in slot k % chunks_, and holds
+  // chunk_events_ events and the generator rate after each of them.
+  size_t chunks_ = 0;
+  size_t chunk_events_ = 0;
+  std::vector<Event> ring_events_;
+  std::vector<double> ring_rates_;
+
+  std::mutex mu_;
+  std::condition_variable filled_cv_;    // the puller waits for a chunk
+  std::condition_variable released_cv_;  // the producer waits for a slot
+  uint64_t filled_ = 0;    // chunks the producer has published
+  uint64_t released_ = 0;  // chunks the puller has copied out
+  bool stop_ = false;
+
+  std::thread producer_;
 };
 
 }  // namespace deco

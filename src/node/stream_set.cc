@@ -61,11 +61,23 @@ void StreamSet::NextBatch(size_t n, EventVec* out) {
   position_ += n;
 }
 
+void StreamSet::NextBatch(size_t n, Event* out, double* rates) {
+  double total = TotalRate();
+  for (size_t i = 0; i < n; ++i) {
+    const size_t lane = MinLane();
+    const double before = HeadRate(lane);
+    out[i] = Pop(lane);
+    // Only the popped lane's head moved. Re-sum, in lane order, only when
+    // its rate changed: the same terms in the same order give the same bits.
+    if (HeadRate(lane) != before) total = TotalRate();
+    rates[i] = total;
+  }
+  position_ += n;
+}
+
 double StreamSet::TotalRate() const {
   double total = 0.0;
-  for (size_t i = 0; i < lanes_.size(); ++i) {
-    total += lanes_[i].rates[heads_[i] - lanes_[i].block.data()];
-  }
+  for (size_t i = 0; i < lanes_.size(); ++i) total += HeadRate(i);
   return total;
 }
 

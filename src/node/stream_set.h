@@ -38,6 +38,10 @@ class StreamSet {
   /// \brief Appends `n` merged events to `out`.
   void NextBatch(size_t n, EventVec* out);
 
+  /// \brief Writes `n` merged events to `out[0..n)` and, in `rates[i]`, the
+  /// value `TotalRate()` returns right after `out[i]` is emitted.
+  void NextBatch(size_t n, Event* out, double* rates);
+
   /// \brief Sum of the instantaneous configured rates of all streams,
   /// events per second — what the local node reports to the root
   /// (paper §4.3.3: "polls frequencies of data sources"). Each stream
@@ -62,6 +66,11 @@ class StreamSet {
 
   /// Lane whose head is least in `(timestamp, stream_id, event_id)` order.
   size_t MinLane() const;
+
+  /// Rate lane `i`'s head event was generated at.
+  double HeadRate(size_t i) const {
+    return lanes_[i].rates[heads_[i] - lanes_[i].block.data()];
+  }
 
   /// Emits lane `i`'s head, refilling its block once the block is used up.
   Event Pop(size_t i);

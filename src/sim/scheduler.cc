@@ -44,23 +44,18 @@ SimScheduler::~SimScheduler() {
 
 SimTaskId SimScheduler::AddTask(std::string name) {
   std::lock_guard<std::mutex> lock(mu_);
-  Task task;
-  task.name = std::move(name);
-  tasks_.push_back(std::move(task));
+  tasks_.emplace_back().name = std::move(name);
   return tasks_.size() - 1;
 }
 
 void SimScheduler::ScheduleAt(TimeNanos at_nanos,
                               std::function<void()> fn) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    TimerEvent event;
-    event.at = std::max(at_nanos, clock_.NowNanos());
-    event.seq = next_event_seq_++;
-    event.fn = std::move(fn);
-    events_.push(std::move(event));
-  }
-  cv_.notify_all();
+  std::lock_guard<std::mutex> lock(mu_);
+  TimerEvent event;
+  event.at = std::max(at_nanos, clock_.NowNanos());
+  event.seq = next_event_seq_++;
+  event.fn = std::move(fn);
+  events_.push(std::move(event));
 }
 
 void SimScheduler::TaskMain(SimTaskId id, const std::function<void()>& body) {
@@ -70,16 +65,16 @@ void SimScheduler::TaskMain(SimTaskId id, const std::function<void()>& body) {
     std::unique_lock<std::mutex> lock(mu_);
     Task& me = tasks_[id];
     me.state = TaskState::kRunnable;
-    cv_.notify_all();
-    cv_.wait(lock, [&] { return me.state == TaskState::kRunning; });
+    driver_cv_.notify_one();
+    me.cv.wait(lock, [&] { return me.state == TaskState::kRunning; });
   }
   body();
   {
     std::lock_guard<std::mutex> lock(mu_);
     tasks_[id].state = TaskState::kDone;
     running_ = kInvalidSimTask;
+    driver_cv_.notify_one();
   }
-  cv_.notify_all();
   g_sim_tls = SimTls{};
 }
 
@@ -95,8 +90,8 @@ void SimScheduler::WaitUntil(std::function<bool()> pred,
   me.deadline = deadline_nanos;
   me.state = TaskState::kBlocked;
   running_ = kInvalidSimTask;
-  cv_.notify_all();
-  cv_.wait(lock, [&] { return me.state == TaskState::kRunning; });
+  driver_cv_.notify_one();
+  me.cv.wait(lock, [&] { return me.state == TaskState::kRunning; });
 }
 
 void SimScheduler::SleepFor(TimeNanos delta_nanos) {
@@ -115,8 +110,8 @@ void SimScheduler::Yield() {
   Task& me = tasks_[id];
   me.state = TaskState::kRunnable;
   running_ = kInvalidSimTask;
-  cv_.notify_all();
-  cv_.wait(lock, [&] { return me.state == TaskState::kRunning; });
+  driver_cv_.notify_one();
+  me.cv.wait(lock, [&] { return me.state == TaskState::kRunning; });
 }
 
 Status SimScheduler::RunUntilTaskDone(SimTaskId id) {
@@ -178,7 +173,7 @@ Status SimScheduler::Run(RunMode mode, SimTaskId target) {
         });
     if (waiting_for_threads) {
       if (dbg) std::fprintf(stderr, "[sim] waiting for task check-in\n");
-      cv_.wait(lock, [&] {
+      driver_cv_.wait(lock, [&] {
         return std::none_of(tasks_.begin(), tasks_.end(), [](const Task& t) {
           return t.state == TaskState::kNotStarted;
         });
@@ -236,8 +231,8 @@ Status SimScheduler::Run(RunMode mode, SimTaskId target) {
                      (unsigned long long)steps_, tasks_[pick].name.c_str(),
                      (long long)now);
       }
-      cv_.notify_all();
-      cv_.wait(lock, [&] { return running_ == kInvalidSimTask; });
+      tasks_[pick].cv.notify_one();
+      driver_cv_.wait(lock, [&] { return running_ == kInvalidSimTask; });
       if (dbg) {
         std::fprintf(stderr, "[sim] step %llu: %s yielded control (state=%d)\n",
                      (unsigned long long)steps_, tasks_[pick].name.c_str(),

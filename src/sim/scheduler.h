@@ -32,6 +32,11 @@
 /// `(config, seed)`: byte-identical reports, byte counters and message
 /// orders on every replay, on any machine, under any sanitizer.
 ///
+/// Every hand-off wakes exactly one thread: a grant notifies the granted
+/// task's own condition variable, and a block, yield or finish notifies
+/// the driver's. No thread waits on the timer queue, so `ScheduleAt`
+/// wakes nobody.
+///
 /// The driver loop (one of `RunUntilTaskDone` / `RunUntilQuiescent` /
 /// `DrainAll`) repeats:
 ///   1. fire the earliest due timer event (ties broken by schedule order);
@@ -164,6 +169,9 @@ class SimScheduler {
     TaskState state = TaskState::kNotStarted;
     std::function<bool()> pred;   // valid iff kBlocked
     TimeNanos deadline = -1;      // valid iff kBlocked; < 0 = none
+    // The task's thread parks here between grants; only a grant to this
+    // task notifies it.
+    std::condition_variable cv;
   };
 
   struct TimerEvent {
@@ -183,13 +191,16 @@ class SimScheduler {
   std::string BlockedTaskNamesLocked() const;
 
   mutable std::mutex mu_;
-  std::condition_variable cv_;
+  // The driver parks here while a task holds the CPU or a task has yet to
+  // check in. Task check-in, block, yield and finish notify it.
+  std::condition_variable driver_cv_;
   SimClock clock_;
   Rng rng_;
-  // Deque, not vector: task threads park on `cv_` with a captured
-  // `Task&` while later `AddTask` calls still append (StartAll registers
-  // actors concurrently with earlier actors checking in). References into
-  // a deque survive push_back; vector reallocation would dangle them.
+  // Deque, not vector: task threads park on their `Task::cv` with a
+  // captured `Task&` while later `AddTask` calls still append (StartAll
+  // registers actors concurrently with earlier actors checking in).
+  // References into a deque survive emplace_back; vector reallocation
+  // would dangle them (and a condition variable cannot move).
   std::deque<Task> tasks_;
   std::priority_queue<TimerEvent, std::vector<TimerEvent>, TimerEventLater>
       events_;

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
+#include <mutex>
+#include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -130,6 +134,128 @@ TEST(SimSchedulerTest, InterleavingIsAPureFunctionOfSeed) {
   const auto c = run(8);
   EXPECT_EQ(a, b);
   EXPECT_NE(a, c);
+}
+
+// Folds every resumption (who, virtual time) of a mixed workload into one
+// digest: a yielder, a sleeper, a mailbox popper fed by timer deliveries,
+// and a task that schedules those deliveries between sleeps. Any change to
+// which task a hand-off grants, or when, moves the digest.
+uint64_t MixedGrantDigest(uint64_t seed) {
+  SimScheduler sched(seed);
+  std::mutex mu;
+  uint64_t h = 0xcbf29ce484222325ULL;
+  const auto record = [&](uint64_t who) {
+    std::lock_guard<std::mutex> lock(mu);
+    for (const uint64_t word : {who, static_cast<uint64_t>(sched.Now())}) {
+      h = (h ^ word) * 0x100000001b3ULL;
+      h ^= h >> 29;
+    }
+  };
+  BlockingQueue<int> mail;
+  std::vector<std::function<void()>> bodies;
+  bodies.push_back([&] {  // yielder
+    for (int k = 0; k < 40; ++k) {
+      record(0);
+      sched.Yield();
+    }
+  });
+  bodies.push_back([&] {  // sleeper
+    for (int k = 0; k < 20; ++k) {
+      record(1);
+      sched.SleepFor(3 + 7 * (k % 4));
+    }
+  });
+  bodies.push_back([&] {  // popper
+    while (std::optional<int> item = sched.Pop(&mail, sched.Now() + 25)) {
+      record(200 + static_cast<uint64_t>(*item));
+    }
+    record(2);
+    while (std::optional<int> item = sched.Pop(&mail, TimeNanos{-1})) {
+      record(200 + static_cast<uint64_t>(*item));
+    }
+  });
+  bodies.push_back([&] {  // deliverer
+    for (int k = 0; k < 30; ++k) {
+      record(3);
+      sched.ScheduleAt(sched.Now() + 5 * (k % 3), [&mail, &record, k] {
+        record(100);
+        mail.Push(k);
+      });
+      if (k % 2 == 0) {
+        sched.Yield();
+      } else {
+        sched.SleepFor(4);
+      }
+    }
+    sched.ScheduleAt(sched.Now() + 50, [&mail] { mail.Close(); });
+  });
+  std::vector<std::thread> threads;
+  for (size_t i = 0; i < bodies.size(); ++i) {
+    const SimTaskId id = sched.AddTask("task-" + std::to_string(i));
+    threads.emplace_back([&sched, &bodies, i, id] {
+      sched.TaskMain(id, bodies[i]);
+    });
+  }
+  EXPECT_TRUE(sched.DrainAll().ok());
+  for (auto& t : threads) t.join();
+  record(sched.steps());
+  return h;
+}
+
+// Pins the grant sequence against recorded constants, so a change to the
+// hand-off mechanics that reorders grants fails here even though two runs
+// of one binary would still agree with each other.
+TEST(SimSchedulerTest, GrantSequenceIsPinned) {
+  EXPECT_EQ(MixedGrantDigest(7), MixedGrantDigest(7));
+  EXPECT_EQ(MixedGrantDigest(7), 0x8b4b2b099b693003ULL);
+  EXPECT_EQ(MixedGrantDigest(8), 0xaa9f8872048e82a5ULL);
+}
+
+// 32 tasks pass 4 tokens around a ring of mailboxes, so most tasks sit
+// parked at any moment while grants hop between them.
+TEST(SimSchedulerTest, RingOfParkedTasksPassesTokens) {
+  constexpr size_t kTasks = 32;
+  constexpr int kTokens = 4;
+  constexpr int kHops = 200;
+  const auto run = [&](uint64_t seed) {
+    SimScheduler sched(seed);
+    std::vector<BlockingQueue<int>> mail(kTasks);
+    std::mutex mu;
+    std::vector<size_t> order;
+    int retired = 0;
+    for (int t = 0; t < kTokens; ++t) mail[t * kTasks / kTokens].Push(0);
+    std::vector<std::thread> threads;
+    for (size_t i = 0; i < kTasks; ++i) {
+      const SimTaskId id = sched.AddTask("ring-" + std::to_string(i));
+      threads.emplace_back([&, i, id] {
+        sched.TaskMain(id, [&, i] {
+          while (std::optional<int> hops = sched.Pop(&mail[i], -1)) {
+            bool last = false;
+            bool yield = false;
+            {
+              std::lock_guard<std::mutex> lock(mu);
+              order.push_back(i);
+              last = *hops + 1 == kHops && ++retired == kTokens;
+              yield = order.size() % 3 == 0;
+            }
+            if (*hops + 1 < kHops) {
+              mail[(i + 1) % kTasks].Push(*hops + 1);
+            } else if (last) {
+              for (auto& queue : mail) queue.Close();
+            }
+            if (yield) sched.Yield();
+          }
+        });
+      });
+    }
+    EXPECT_TRUE(sched.DrainAll().ok());
+    for (auto& t : threads) t.join();
+    return order;
+  };
+  const std::vector<size_t> a = run(5);
+  EXPECT_EQ(a.size(), static_cast<size_t>(kTokens * kHops));
+  EXPECT_EQ(a, run(5));
+  EXPECT_NE(a, run(6));
 }
 
 ExperimentConfig SimConfig(uint64_t seed) {

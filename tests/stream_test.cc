@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <iterator>
+#include <memory>
+#include <thread>
 
 #include "common/clock.h"
 #include "harness/experiment.h"
@@ -234,17 +237,19 @@ TEST(StreamSetTest, AllStreamsRepresented) {
 }
 
 // Folds 250k merged events (id, stream, timestamp, value bits) and the bit
-// pattern of `TotalRate()` after every chunk into one 64-bit digest, and
-// counts events that share the previous event's timestamp. The chunks are
-// uneven so block refills land at every offset; size-1 chunks go through
-// `Next`, the rest through `NextBatch`.
+// pattern of the reported rate after every chunk into one 64-bit digest,
+// and counts events that share the previous event's timestamp. The chunks
+// are uneven so block refills land at every offset. `pull(want, &out)`
+// appends up to `want` events and returns how many it appended.
 struct MergeDigest {
   uint64_t digest = 0;
   size_t timestamp_ties = 0;
 };
 
-MergeDigest StreamSetDigest(const std::vector<StreamConfig>& configs) {
-  constexpr size_t kTotal = 250'000;
+constexpr size_t kDigestEvents = 250'000;
+
+template <typename Pull, typename Rate>
+MergeDigest FoldDigest(Pull pull, Rate rate) {
   constexpr size_t kChunks[] = {1, 7, 4096, 33'333, 1, 3, 1000, 65'536, 13};
   uint64_t h = 0xcbf29ce484222325ULL;
   auto fold = [&h](uint64_t word) {
@@ -256,20 +261,15 @@ MergeDigest StreamSetDigest(const std::vector<StreamConfig>& configs) {
     std::memcpy(&u, &v, sizeof(u));
     return u;
   };
-  StreamSet set(configs);
   EventVec out;
   size_t done = 0;
   size_t ties = 0;
   EventTime last_ts = -1;
-  for (size_t c = 0; done < kTotal; ++c) {
-    const size_t n =
-        std::min(kChunks[c % std::size(kChunks)], kTotal - done);
+  for (size_t c = 0; done < kDigestEvents; ++c) {
     out.clear();
-    if (n == 1) {
-      out.push_back(set.Next());
-    } else {
-      set.NextBatch(n, &out);
-    }
+    const size_t n = pull(kChunks[c % std::size(kChunks)], &out);
+    EXPECT_GT(n, 0u);
+    if (n == 0) break;
     for (const Event& e : out) {
       if (e.timestamp == last_ts) ++ties;
       last_ts = e.timestamp;
@@ -278,42 +278,97 @@ MergeDigest StreamSetDigest(const std::vector<StreamConfig>& configs) {
       fold(static_cast<uint64_t>(e.timestamp));
       fold(bits(e.value));
     }
-    fold(bits(set.TotalRate()));
+    fold(bits(rate()));
     done += n;
   }
-  EXPECT_EQ(set.position(), kTotal);
+  EXPECT_EQ(done, kDigestEvents);
   return MergeDigest{h, ties};
 }
 
-// Pins the merged generator output and the reported rate bit for bit, so
-// a faster generator or merge cannot drift from the sequence every
-// recorded run, oracle and baseline was produced with.
-TEST(StreamSetTest, GoldenDigestsPinOutputAndTotalRate) {
-  // Local 1 of perfbench's paper-async workload: 4 streams, 1% change.
+// The digest straight off a `StreamSet`: size-1 chunks go through `Next`,
+// the rest through `NextBatch`.
+MergeDigest StreamSetDigest(const std::vector<StreamConfig>& configs) {
+  StreamSet set(configs);
+  const MergeDigest merged = FoldDigest(
+      [&set](size_t want, EventVec* out) {
+        const size_t n = std::min<uint64_t>(want, kDigestEvents -
+                                                      set.position());
+        if (n == 1) {
+          out->push_back(set.Next());
+        } else {
+          set.NextBatch(n, out);
+        }
+        return n;
+      },
+      [&set] { return set.TotalRate(); });
+  EXPECT_EQ(set.position(), kDigestEvents);
+  return merged;
+}
+
+// The same digest pulled through an `IngestSource` whose budget is exactly
+// the digest's length, so the last pull comes back short.
+MergeDigest IngestSourceDigest(const std::vector<StreamConfig>& configs) {
+  IngestConfig config;
+  config.streams = configs;
+  config.events_to_produce = kDigestEvents;
+  IngestSource source(config, SystemClock::Default());
+  TimeNanos created = 0;
+  const MergeDigest merged = FoldDigest(
+      [&](size_t want, EventVec* out) {
+        return source.Pull(want, out, &created);
+      },
+      [&source] { return source.TotalRate(); });
+  EventVec out;
+  EXPECT_EQ(source.Pull(1, &out, &created), 0u);
+  EXPECT_TRUE(source.exhausted());
+  EXPECT_EQ(source.position(), kDigestEvents);
+  return merged;
+}
+
+ExperimentConfig PaperAsyncLocals() {
   ExperimentConfig paper;
   paper.num_locals = 3;
   paper.streams_per_local = 4;
   paper.base_rate = 1'000'000.0;
   paper.query.window = WindowSpec::CountTumbling(100'000);
   paper.seed = 7001;
-  EXPECT_EQ(StreamSetDigest(MakeIngestConfig(paper, 1).streams).digest,
-            0x828ff1aed4196e5dULL);
+  return paper;
+}
 
-  // One stream whose rate is redrawn on every event.
+// One stream whose rate is redrawn on every event.
+StreamConfig RedrawEveryEvent() {
   StreamConfig single = BasicStream(0, 1000, 1.0, 99);
   single.rate.epoch_events = 1;
-  EXPECT_EQ(StreamSetDigest({single}).digest, 0xfa2ac5629b79297eULL);
+  return single;
+}
 
-  // Eight streams at distinct, nanosecond-scale gaps: timestamps collide
-  // across streams, so the (timestamp, stream, id) tie-break is pinned.
+// Eight streams at distinct, nanosecond-scale gaps: timestamps collide
+// across streams, so the (timestamp, stream, id) tie-break is pinned.
+std::vector<StreamConfig> EightCollidingStreams() {
   std::vector<StreamConfig> eight;
   for (StreamId s = 0; s < 8; ++s) {
     StreamConfig config = BasicStream(s, 1e8 + 2.5e7 * s, 0.5, 1000 + s);
     config.rate.epoch_events = 3;
     eight.push_back(config);
   }
-  const MergeDigest merged = StreamSetDigest(eight);
-  EXPECT_EQ(merged.digest, 0x727f46178794eb75ULL);
+  return eight;
+}
+
+constexpr uint64_t kPaperDigest = 0x828ff1aed4196e5dULL;
+constexpr uint64_t kRedrawDigest = 0xfa2ac5629b79297eULL;
+constexpr uint64_t kEightDigest = 0x727f46178794eb75ULL;
+
+// Pins the merged generator output and the reported rate bit for bit, so
+// a faster generator or merge cannot drift from the sequence every
+// recorded run, oracle and baseline was produced with.
+TEST(StreamSetTest, GoldenDigestsPinOutputAndTotalRate) {
+  // Local 1 of perfbench's paper-async workload: 4 streams, 1% change.
+  EXPECT_EQ(StreamSetDigest(MakeIngestConfig(PaperAsyncLocals(), 1).streams)
+                .digest,
+            kPaperDigest);
+  EXPECT_EQ(StreamSetDigest({RedrawEveryEvent()}).digest, kRedrawDigest);
+  const MergeDigest merged = StreamSetDigest(EightCollidingStreams());
+  EXPECT_EQ(merged.digest, kEightDigest);
   EXPECT_GT(merged.timestamp_ties, 10'000u);
 }
 
@@ -371,6 +426,86 @@ TEST(IngestSourceTest, CpuThrottleLimitsRate) {
   const TimeNanos elapsed = SystemClock::Default()->NowNanos() - start;
   EXPECT_EQ(pulled, 10'000u);
   EXPECT_GT(elapsed, 300 * kNanosPerMilli);
+}
+
+// The ingest front end reports exactly what the generator produced: the
+// same events in the same order, and after every pull the rate the
+// generator reports at that stream position. The uneven pulls straddle
+// any internal buffering, and the last one is cut short by the budget.
+TEST(IngestSourceTest, GoldenDigestsMatchTheGenerator) {
+  EXPECT_EQ(
+      IngestSourceDigest(MakeIngestConfig(PaperAsyncLocals(), 1).streams)
+          .digest,
+      kPaperDigest);
+  EXPECT_EQ(IngestSourceDigest({RedrawEveryEvent()}).digest, kRedrawDigest);
+  EXPECT_EQ(IngestSourceDigest(EightCollidingStreams()).digest, kEightDigest);
+}
+
+IngestConfig LargeBudget(uint64_t seed) {
+  IngestConfig config;
+  for (StreamId s = 0; s < 3; ++s) {
+    config.streams.push_back(BasicStream(s, 1000 + 100 * s, 0.5, seed + s));
+  }
+  config.events_to_produce = 10'000'000;
+  config.batch_size = 512;
+  return config;
+}
+
+TEST(IngestSourceTest, DestroysBeforeAnyPull) {
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    IngestSource source(LargeBudget(seed), SystemClock::Default());
+    EXPECT_EQ(source.position(), 0u);
+  }
+}
+
+TEST(IngestSourceTest, DestroysWithFullBuffer) {
+  IngestSource source(LargeBudget(3), SystemClock::Default());
+  EventVec out;
+  TimeNanos created = 0;
+  EXPECT_EQ(source.Pull(100, &out, &created), 100u);
+  // Give any read-ahead time to fill up and wait for room.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+}
+
+TEST(IngestSourceTest, DestroysAfterExhaustion) {
+  IngestConfig config = LargeBudget(5);
+  config.events_to_produce = 1000;
+  IngestSource source(config, SystemClock::Default());
+  EventVec out;
+  TimeNanos created = 0;
+  while (source.Pull(300, &out, &created) > 0) {
+  }
+  EXPECT_EQ(out.size(), 1000u);
+  EXPECT_TRUE(source.exhausted());
+}
+
+// Two sources pulled in turn on one thread each track their own
+// generator: events and the rate after every pull.
+TEST(IngestSourceTest, TwoSourcesPulledAlternately) {
+  const IngestConfig configs[2] = {LargeBudget(11), LargeBudget(23)};
+  std::unique_ptr<IngestSource> sources[2];
+  std::unique_ptr<StreamSet> truth[2];
+  for (int i = 0; i < 2; ++i) {
+    sources[i] =
+        std::make_unique<IngestSource>(configs[i], SystemClock::Default());
+    truth[i] = std::make_unique<StreamSet>(configs[i].streams);
+    EXPECT_EQ(sources[i]->TotalRate(), truth[i]->TotalRate());
+  }
+  EventVec got;
+  EventVec want;
+  TimeNanos created = 0;
+  for (size_t round = 0; round < 200; ++round) {
+    for (int i = 0; i < 2; ++i) {
+      const size_t n = 1 + (round * 37 + i * 101) % 700;
+      got.clear();
+      want.clear();
+      ASSERT_EQ(sources[i]->Pull(n, &got, &created), n);
+      truth[i]->NextBatch(n, &want);
+      ASSERT_TRUE(got == want) << "source " << i << ", round " << round;
+      ASSERT_EQ(sources[i]->TotalRate(), truth[i]->TotalRate());
+      ASSERT_EQ(sources[i]->position(), truth[i]->position());
+    }
+  }
 }
 
 }  // namespace
