@@ -3,7 +3,8 @@
 //  1. The delta safety multiplier: the paper's literal Eq. 2 (x1.0) sizes
 //     the raw edge at the mean absolute size change, which misses ~45% of
 //     normal-tailed changes; widening it trades raw bytes for fewer
-//     corrections.
+//     corrections. The default (0) derives it from the number of locals
+//     (`FleetDeltaMultiplier`, 2.81 for the 2 locals here).
 //  2. The delta history length m (paper §4.2.2): small m reacts fast but
 //     noisily, large m smooths.
 // Output: corrections per 100 windows and network cost per cell.
@@ -34,7 +35,11 @@ ExperimentConfig MakeConfig(double multiplier, size_t history_m,
 
 std::string CellLabel(double multiplier, size_t m) {
   char buf[48];
-  std::snprintf(buf, sizeof(buf), "mult=%g/m=%zu", multiplier, m);
+  if (multiplier == 0.0) {
+    std::snprintf(buf, sizeof(buf), "mult=fleet/m=%zu", m);
+  } else {
+    std::snprintf(buf, sizeof(buf), "mult=%g/m=%zu", multiplier, m);
+  }
   return buf;
 }
 
@@ -58,7 +63,8 @@ int main(int argc, char** argv) {
               "(rate change %.1f%%)\n", change * 100);
   std::printf("%-12s %-10s %16s %12s %14s\n", "multiplier", "history-m",
               "corrections/100w", "net(MB)", "tput(Mev/s)");
-  for (double multiplier : {1.0, 2.0, 3.0, 4.0}) {
+  // 0 is the default: the multiplier derived for the 2-local fleet.
+  for (double multiplier : {0.0, 1.0, 2.0, 3.0, 4.0}) {
     for (size_t m : {size_t{1}, size_t{4}, size_t{16}}) {
       const std::string label = CellLabel(multiplier, m);
       RunReport report;
@@ -81,7 +87,8 @@ int main(int argc, char** argv) {
               ? 0.0
               : 100.0 * static_cast<double>(report.correction_steps) /
                     static_cast<double>(report.windows_emitted);
-      std::printf("%-12.1f %-10zu %16.1f %12.3f %14.3f\n", multiplier, m,
+      std::printf("%-12.2f %-10zu %16.1f %12.3f %14.3f\n",
+                  multiplier == 0.0 ? FleetDeltaMultiplier(2) : multiplier, m,
                   corr100,
                   static_cast<double>(report.network.total_bytes) / 1e6,
                   report.throughput_eps / 1e6);

@@ -1,11 +1,13 @@
 // Reproduces Figure 7 of the paper: end-to-end throughput (7a) and latency
-// (7b) of Central, Scotty, Disco and Deco_async on a 9-node cluster (one
-// root, eight local nodes), tumbling count window, sum aggregate, 1% event
-// rate change. The paper uses 1M-event windows and a physical cluster; the
-// defaults here scale the window to 200k events on the in-process fabric
-// (see DESIGN.md for the substitution argument). Expected shape: Deco_async
-// an order of magnitude above Scotty in throughput and far below Central in
-// latency; Disco slowest (single-threaded text decoding).
+// (7b) of Central, Scotty, Disco and the Deco schemes on a 9-node cluster
+// (one root, eight local nodes), tumbling count window, sum aggregate, 1%
+// event rate change. The paper uses 1M-event windows and a physical
+// cluster; the defaults here scale the window to 200k events on the
+// in-process fabric (see DESIGN.md for the substitution argument). Expected
+// shape: Deco_async an order of magnitude above Scotty in throughput and
+// far below Central in latency; Disco slowest (single-threaded text
+// decoding); every Deco scheme ships fewer bytes per event than Central
+// (check_bench_json.py gates that on sim documents).
 
 #include "bench/bench_util.h"
 
@@ -32,8 +34,10 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(events));
   bench::PrintHeader("Fig 7a/7b: throughput and latency");
 
-  for (Scheme scheme : opts.Schemes({Scheme::kCentral, Scheme::kScotty,
-                                     Scheme::kDisco, Scheme::kDecoAsync})) {
+  for (Scheme scheme :
+       opts.Schemes({Scheme::kCentral, Scheme::kScotty, Scheme::kDisco,
+                     Scheme::kDecoSync, Scheme::kDecoMon,
+                     Scheme::kDecoAsync})) {
     ExperimentConfig config;
     config.scheme = scheme;
     config.query.window = WindowSpec::CountTumbling(window);

@@ -26,6 +26,9 @@ int main() {
   config.events_per_local = 4'000'000;
   config.base_rate = 2'000'000;
   config.rate_change = 0.01;
+  // Pace each local at 2M events/s so the crash and the restart land
+  // mid-stream however fast the host runs the protocol.
+  config.cpu_events_per_sec = 2'000'000;
   config.root_options.node_timeout_nanos = 250 * kNanosPerMilli;
 
   config.chaos.schedule = ChaosSchedule()

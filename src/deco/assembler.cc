@@ -32,7 +32,6 @@ WindowAssembler::WindowAssembler(size_t num_nodes,
       eos_(num_nodes, false),
       removed_(num_nodes, false),
       candidates_(num_nodes),
-      candidates_present_(num_nodes, false),
       candidates_complete_(num_nodes, false) {}
 
 WindowAssembler::PendingWindow& WindowAssembler::GetWindow(uint64_t w) {
@@ -110,7 +109,6 @@ void WindowAssembler::RemoveNode(size_t node) {
   removed_[node] = true;
   leftover_[node].clear();
   candidates_[node].clear();
-  candidates_present_[node] = false;
   for (auto& [w, pw] : pending_) {
     if (!pw.nodes.empty()) pw.nodes[node] = NodeWindowState{};
   }
@@ -124,7 +122,6 @@ void WindowAssembler::ReadmitNode(size_t node) {
   leftover_[node].clear();
   carry_[node] = 0;
   candidates_[node].clear();
-  candidates_present_[node] = false;
   candidates_complete_[node] = false;
   for (auto& [w, pw] : pending_) {
     if (!pw.nodes.empty()) pw.nodes[node] = NodeWindowState{};
@@ -499,7 +496,6 @@ void WindowAssembler::BeginCorrection() {
   for (auto& q : leftover_) q.clear();
   std::fill(carry_.begin(), carry_.end(), 0);
   for (auto& c : candidates_) c.clear();
-  std::fill(candidates_present_.begin(), candidates_present_.end(), false);
   std::fill(candidates_complete_.begin(), candidates_complete_.end(), false);
   // The correction rolls every local node back: nodes that had announced
   // end-of-stream will re-produce their retained events and re-announce.
@@ -513,7 +509,6 @@ void WindowAssembler::MarkCandidatesComplete(size_t node) {
 void WindowAssembler::ClearCandidates(size_t node) {
   if (node >= num_nodes_) return;
   candidates_[node].clear();
-  candidates_present_[node] = false;
   candidates_complete_[node] = false;
 }
 
@@ -531,7 +526,6 @@ Status WindowAssembler::AddCandidates(size_t node, const EventVec& events,
   for (const Event& e : events) {
     list.push_back(TimedEvent{e, create_mean});
   }
-  candidates_present_[node] = true;
   if (provenance_ != nullptr) {
     provenance_->OnCorrectionResponse(next_window_, node, create_mean);
   }
@@ -625,7 +619,6 @@ WindowAssembler::CorrectionOutcome WindowAssembler::TryAssembleCorrected(
     }
     out->consumed[n] = sel[n];
     candidates_[n].clear();
-    candidates_present_[n] = false;
   }
   if (nslots > 0) out->slots[0] = out->partial;
   out->event_count = global_size_;

@@ -129,7 +129,7 @@ class WindowAssembler {
   /// \brief Re-admits a previously removed node (rejoin protocol,
   /// DESIGN.md §6): clears its removed/EOS flags and discards any stale
   /// per-window state so the correction step rebuilds its contribution
-  /// from the node's full retained resend.
+  /// from the node's retained stream.
   void ReadmitNode(size_t node);
 
   bool IsEos(size_t node) const { return eos_[node]; }
@@ -170,13 +170,20 @@ class WindowAssembler {
 
   /// \brief Enters correction mode for `next_window()`: all pending
   /// per-window inputs and leftovers are discarded (local nodes will
-  /// resend the full raw region and re-plan subsequent windows).
+  /// resend a prefix of their retained raw stream and re-plan subsequent
+  /// windows).
   void BeginCorrection();
 
-  /// \brief Installs node `node`'s full retained raw region (its
+  /// \brief Installs a prefix of node `node`'s retained raw stream (its
   /// `CorrectionResponse`). Appends on repeated calls (top-ups).
   Status AddCandidates(size_t node, const EventVec& events,
                        double create_mean);
+
+  /// \brief Candidates held for node `node` in the current correction:
+  /// where its next top-up starts in its retained stream.
+  uint64_t candidate_count(size_t node) const {
+    return candidates_[node].size();
+  }
 
   /// \brief Declares that node `node`'s candidate list is its complete
   /// remaining stream (its budget is exhausted): no top-up can extend it,
@@ -185,14 +192,14 @@ class WindowAssembler {
   void MarkCandidatesComplete(size_t node);
 
   /// \brief Discards node `node`'s candidate state so the root can
-  /// re-solicit its full retained region after a lost request/response
-  /// (drop or partition chaos); the fresh full response replaces, not
-  /// appends to, whatever this round had accumulated.
+  /// re-solicit its retained stream from the start after a lost
+  /// request/response (drop or partition chaos); the fresh response
+  /// replaces, not appends to, whatever this round had accumulated.
   void ClearCandidates(size_t node);
 
   enum class CorrectionOutcome {
     kAssembled,  ///< exact window produced
-    kNeedMore,   ///< request top-up batches from the nodes in `need_more`
+    kNeedMore,   ///< request top-ups from the nodes in `need_more`
     kEndOfStream,///< all nodes EOS; cannot fill a window
   };
 
@@ -276,7 +283,6 @@ class WindowAssembler {
   // Correction state.
   bool correcting_ = false;
   std::vector<std::vector<TimedEvent>> candidates_;
-  std::vector<bool> candidates_present_;
   std::vector<bool> candidates_complete_;
 };
 

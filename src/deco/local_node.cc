@@ -39,6 +39,13 @@ Status DecoLocalNode::SendOrCrash(Message msg) {
     crashed_ = true;
     return Status::OK();
   }
+  if (status.IsCancelled()) {
+    // The fabric shut down: the run ended while this send was on its way
+    // (a local revived on the instant the others finished). Nobody is
+    // left to hear it, so this is the end of the run, not an error.
+    done_ = true;
+    return Status::OK();
+  }
   return status;
 }
 
@@ -86,15 +93,14 @@ Status DecoLocalNode::HandleCrash() {
   return SendOrCrash(std::move(msg));
 }
 
-bool DecoLocalNode::PullIntoRetained() {
+bool DecoLocalNode::PullIntoRetained(size_t limit) {
   if (source_->exhausted()) return false;
-  if (retained_front_ > 0 &&
-      retained_.size() + ingest_config_.batch_size > retained_.capacity()) {
+  const size_t n = std::min(limit, ingest_config_.batch_size);
+  if (retained_front_ > 0 && retained_.size() + n > retained_.capacity()) {
     CompactRetained();  // reuse the dropped prefix rather than grow
   }
   TimeNanos create_time = 0;
-  const size_t pulled =
-      source_->Pull(ingest_config_.batch_size, &retained_, &create_time);
+  const size_t pulled = source_->Pull(n, &retained_, &create_time);
   if (pulled == 0) return false;
   metrics()->counter("local.events_ingested")->Add(
       static_cast<int64_t>(pulled));
@@ -104,7 +110,7 @@ bool DecoLocalNode::PullIntoRetained() {
 
 size_t DecoLocalNode::TakeRegion(size_t want) {
   while (retained_size() - cursor_ < want) {
-    if (!PullIntoRetained()) break;
+    if (!PullIntoRetained(want - (retained_size() - cursor_))) break;
   }
   const size_t served = std::min(want, retained_size() - cursor_);
   cursor_ += served;
@@ -417,38 +423,30 @@ Status DecoLocalNode::HandleCorrectionRequest(const Message& msg) {
     DECO_LOG(DEBUG) << "local " << id_ << ": correction watermark dropped "
                     << wm_dropped << " retained events";
   }
+  // Ship the solicited prefix `[from_index, from_index + count)` of the
+  // retained stream, pulling only its shortfall: a correction costs about
+  // one window, not every unverified window the node still retains.
+  const size_t end = request.from_index +
+                     std::min(request.count, SIZE_MAX - request.from_index);
+  while (retained_size() < end) {
+    if (!PullIntoRetained(end - retained_size())) break;
+  }
+  const size_t begin = std::min<size_t>(request.from_index, retained_size());
+  const size_t n = std::min<size_t>(end, retained_size()) - begin;
+  DECO_LOG(DEBUG) << "local " << id_ << ": correction w"
+                  << request.window_index << " ships [" << begin << ", "
+                  << begin + n << ") of retained=" << retained_size()
+                  << " pos=" << source_->position();
   CorrectionResponse response;
   response.window_index = request.window_index;
   response.round = request.round;
+  response.from_offset = source_->position() - retained_size() + begin;
+  response.events.assign(retained_events() + begin,
+                         retained_events() + begin + n);
+  response.end_of_stream =
+      source_->exhausted() && begin + n == retained_size();
   Message out;
-  if (request.topup_events == 0) {
-    const size_t n = retained_size();
-    DECO_LOG(DEBUG) << "local " << id_ << ": correction w"
-                    << request.window_index << " resend retained=" << n
-                    << " cursor=" << cursor_
-                    << " pos=" << source_->position();
-    // Full retained region of the unverified windows.
-    response.from_offset = source_->position() - n;
-    response.events.assign(retained_events(), retained_events() + n);
-    if (n > 0) out.MergeLatencyMeta(CreateMean(0, n), n);
-  } else {
-    // Top-up: extend the retained region with fresh events. Pulls add
-    // whole ingest batches; ship everything they added, even past
-    // `topup_events`, so the root's candidate list mirrors the retained
-    // buffer.
-    response.from_offset = source_->position();
-    const size_t before = retained_size();
-    while (retained_size() - before < request.topup_events) {
-      if (!PullIntoRetained()) break;
-    }
-    response.events.assign(retained_events() + before,
-                           retained_events() + retained_size());
-    const double* create = retained_create_.data() + retained_front_;
-    for (size_t i = before; i < retained_size(); ++i) {
-      out.MergeLatencyMeta(create[i], 1);
-    }
-  }
-  response.end_of_stream = source_->exhausted();
+  if (n > 0) out.MergeLatencyMeta(CreateMean(begin, n), n);
   DECO_TRACE_SPAN_MSG(*run_, id_, TracePhase::kCorrect, request.window_index,
                       static_cast<int64_t>(response.events.size()),
                       MessageCausalId(msg));

@@ -82,15 +82,16 @@ class DecoLocalNode final : public Actor {
   Status Run() override;
 
  private:
-  /// Assigns the next `want` retained events to a region, pulling fresh
-  /// events from the generator as needed. The region is the index range
-  /// `[cursor_ before the call, cursor_ after it)`; returns its length
-  /// (less than `want` only at end of stream).
+  /// Assigns the next `want` retained events to a region, pulling only
+  /// the events the region lacks from the generator. The region is the
+  /// index range `[cursor_ before the call, cursor_ after it)`; returns its
+  /// length (less than `want` only at end of stream).
   size_t TakeRegion(size_t want);
 
-  /// Pulls one ingest batch onto the end of the retained buffer; false at
-  /// EOS. May reallocate the buffer, so callers hold indices across it.
-  bool PullIntoRetained();
+  /// Pulls at most `min(limit, batch_size)` events onto the end of the
+  /// retained buffer, so it holds only planned or solicited events; false
+  /// at EOS. May reallocate the buffer, so callers hold indices across it.
+  bool PullIntoRetained(size_t limit);
 
   /// Number of retained events, and the first of them; the pointer is
   /// valid until the next pull or drop.
@@ -119,12 +120,14 @@ class DecoLocalNode final : public Actor {
   /// Dispatches one control message; updates assignment/epoch state.
   Status HandleControl(const Message& msg);
 
-  /// Responds to a correction request (full region or top-up).
+  /// Responds to a correction request with the solicited prefix of the
+  /// retained stream.
   Status HandleCorrectionRequest(const Message& msg);
 
   /// `Send` wrapper that turns the fabric's NodeFailed (this node was
-  /// crashed by the chaos controller) into the `crashed_` flag instead of
-  /// an error: a dead host doesn't observe its own failed sends.
+  /// crashed by the chaos controller) into the `crashed_` flag, and its
+  /// Cancelled (the fabric shut down: the run is over) into `done_`,
+  /// instead of an error: a dead host doesn't observe its own failed sends.
   Status SendOrCrash(Message msg);
 
   /// Crash limbo: waits until the fabric revives this node (or the run is

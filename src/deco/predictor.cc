@@ -1,8 +1,17 @@
 #include "deco/predictor.h"
 
 #include <algorithm>
+#include <cmath>
+#include <numbers>
 
 namespace deco {
+namespace {
+
+// Share of global windows allowed to need a correction when the slack is
+// sized for the fleet.
+constexpr double kFleetMissTarget = 0.05;
+
+}  // namespace
 
 LocalWindowPredictor::LocalWindowPredictor(size_t history_m,
                                            uint64_t delta_floor,
@@ -34,6 +43,24 @@ uint64_t LocalWindowPredictor::Delta() const {
                      static_cast<double>(recent_deltas_.size());
   return std::max(delta_floor_,
                   static_cast<uint64_t>(avg * delta_multiplier_ + 0.5));
+}
+
+double FleetDeltaMultiplier(size_t num_locals) {
+  // Upper-tail normal quantile: the z with 0.5 * erfc(z / sqrt2) = tail,
+  // by bisection (the tail falls monotonically in z).
+  const double n = static_cast<double>(std::max<size_t>(1, num_locals));
+  const double tail = kFleetMissTarget / (2.0 * n);
+  double lo = 0.0;
+  double hi = 40.0;
+  for (int i = 0; i < 100; ++i) {
+    const double mid = 0.5 * (lo + hi);
+    if (0.5 * std::erfc(mid / std::numbers::sqrt2) > tail) {
+      lo = mid;
+    } else {
+      hi = mid;
+    }
+  }
+  return std::sqrt(std::numbers::pi / 2.0) * 0.5 * (lo + hi);
 }
 
 }  // namespace deco

@@ -29,7 +29,7 @@ class LocalWindowPredictor {
   /// \param delta_multiplier safety factor applied to the averaged delta;
   ///        the paper's literal Eq. 2 corresponds to 1.0, but an E|diff|-
   ///        sized buffer misses ~45% of normal-tailed size changes, so the
-  ///        default widens it
+  ///        default widens it (see `FleetDeltaMultiplier` for the root's)
   explicit LocalWindowPredictor(size_t history_m = 4,
                                 uint64_t delta_floor = 1,
                                 double delta_multiplier = 2.0);
@@ -61,5 +61,14 @@ class LocalWindowPredictor {
   std::deque<uint64_t> recent_deltas_;  // |l_i - l_{i-1}|, newest at back
   uint64_t delta_sum_ = 0;
 };
+
+/// \brief Delta multiplier that keeps the share T of global windows
+/// needing a correction near 5% across `num_locals` nodes:
+/// `sqrt(pi/2) * Phi^-1(1 - T / (2 n))`. Eq. 1 predicts the last size, so
+/// the prediction error `l_i - l_{i-1}` has a standard deviation of about
+/// `sqrt(pi/2) * E|diff|`, and E|diff| is what `Delta()` averages. A
+/// window misses when any of the n locals misses, on either side, so each
+/// tail of each local gets T / 2n. 2.46 at n=1, 3.43 at 8, 5.08 at 1000.
+double FleetDeltaMultiplier(size_t num_locals);
 
 }  // namespace deco

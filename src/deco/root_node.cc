@@ -92,10 +92,12 @@ Status DecoRootNode::Run() {
   if (serve_sync_needed_) {
     DECO_RETURN_NOT_OK(SendServeSnapshot(SIZE_MAX));
   }
+  delta_multiplier_ = options_.delta_multiplier > 0.0
+                          ? options_.delta_multiplier
+                          : FleetDeltaMultiplier(m);
   predictors_.assign(
       m, LocalWindowPredictor(options_.predictor_history_m,
-                              options_.delta_floor,
-                              options_.delta_multiplier));
+                              options_.delta_floor, delta_multiplier_));
   last_consumed_.assign(m, 0);
   latest_rates_.assign(m, 0.0);
   correction_responded_.assign(m, false);
@@ -156,10 +158,10 @@ Status DecoRootNode::Dispatch(const Message& msg) {
     // removal (only a crash victim announces kRejoin, on revival). Any
     // message proves liveness: re-admit it. The message itself is dropped
     // (its epoch predates the removal rollback); the readmission
-    // correction re-solicits the node's full retained region, so nothing
-    // it buffered is lost. Found by tests/chaos_fuzz_test.cc: a healed
-    // partition used to leave the victim producing into the void for the
-    // rest of the run.
+    // correction re-solicits the node's retained stream from the
+    // watermark, so nothing it buffered is lost. Found by
+    // tests/chaos_fuzz_test.cc: a healed partition used to leave the
+    // victim producing into the void for the rest of the run.
     RateReport report;
     report.event_rate = latest_rates_[node];
     // Synthetic report (the node never announced kRejoin): take its
@@ -218,7 +220,7 @@ Status DecoRootNode::Dispatch(const Message& msg) {
       if (response.round != correction_round_[node] ||
           correction_responded_[node]) {
         // A delayed response overtaken by a lost-message retry (or a
-        // duplicate): the latest round's full resend supersedes it, and
+        // duplicate): the latest round's response supersedes it, and
         // accepting both would double-count the overlap.
         DECO_LOG(DEBUG) << "root: dropping superseded correction response "
                         << "from " << node << " (round " << response.round
@@ -265,10 +267,12 @@ Status DecoRootNode::Progress() {
         DECO_RETURN_NOT_OK(FinishWindow(assembly, /*corrected=*/true));
         break;
       case WindowAssembler::CorrectionOutcome::kNeedMore:
+        // Extend each short prefix by a quarter of the node's share.
         for (size_t n : need_more) {
           correction_responded_[n] = false;
-          DECO_RETURN_NOT_OK(
-              SendCorrectionRequest(n, options_.correction_topup));
+          DECO_RETURN_NOT_OK(SendCorrectionRequest(
+              n, assembler_->candidate_count(n),
+              std::max<uint64_t>(1, CorrectionShare(n) / 4)));
         }
         break;
       case WindowAssembler::CorrectionOutcome::kEndOfStream:
@@ -327,15 +331,29 @@ Status DecoRootNode::StartCorrection() {
   }
   for (size_t n = 0; n < topology_.num_locals(); ++n) {
     if (assembler_->IsRemoved(n)) continue;
-    DECO_RETURN_NOT_OK(SendCorrectionRequest(n, /*topup=*/0));
+    DECO_RETURN_NOT_OK(SolicitCorrection(n));
   }
   return Status::OK();
 }
 
-Status DecoRootNode::SendCorrectionRequest(size_t node, uint64_t topup) {
+uint64_t DecoRootNode::CorrectionShare(size_t node) const {
+  return predictors_[node].Ready() ? predictors_[node].PredictedSize()
+                                   : pane_length_;
+}
+
+Status DecoRootNode::SolicitCorrection(size_t node) {
+  const LocalWindowPredictor& p = predictors_[node];
+  const uint64_t slack = p.Ready() ? 2 * p.Delta() : 1;
+  return SendCorrectionRequest(node, /*from_index=*/0,
+                               CorrectionShare(node) + slack);
+}
+
+Status DecoRootNode::SendCorrectionRequest(size_t node, uint64_t from_index,
+                                           uint64_t count) {
   CorrectionRequest request;
   request.window_index = correction_window_;
-  request.topup_events = topup;  // 0 = full retained region
+  request.from_index = from_index;
+  request.count = count;
   request.wm_ts = last_watermark_.ts;
   request.wm_stream = last_watermark_.stream;
   request.wm_id = last_watermark_.id;
@@ -361,9 +379,8 @@ Status DecoRootNode::HandleRejoin(size_t node, const RateReport& report) {
   // Scrub every per-node trace of the pre-crash incarnation; the node's
   // durable retained queue is re-solicited by the correction below.
   assembler_->ReadmitNode(node);
-  predictors_[node] =
-      LocalWindowPredictor(options_.predictor_history_m, options_.delta_floor,
-                           options_.delta_multiplier);
+  predictors_[node] = LocalWindowPredictor(
+      options_.predictor_history_m, options_.delta_floor, delta_multiplier_);
   last_consumed_[node] = 0;
   if (report.event_rate > 0.0) latest_rates_[node] = report.event_rate;
   last_heard_[node] = NowNanos();
@@ -380,9 +397,9 @@ Status DecoRootNode::HandleRejoin(size_t node, const RateReport& report) {
   }
   if (assembler_->correcting()) {
     // Fold the rejoined node into the in-flight correction: solicit its
-    // full retained region alongside the outstanding responses.
+    // retained stream from the start alongside the outstanding responses.
     correction_responded_[node] = false;
-    return SendCorrectionRequest(node, /*topup=*/0);
+    return SolicitCorrection(node);
   }
   // Rebuild the current window with the rejoined node contributing; the
   // epoch bump doubles as the rollback signal ending its rejoin wait.
@@ -767,10 +784,10 @@ Status DecoRootNode::CheckNodeTimeouts() {
     // The current window has been unassemblable for two full timeouts
     // with every contributor alive: some data-plane message (a partial,
     // an event batch, an assignment) was lost to drop/partition chaos.
-    // A correction re-solicits the full retained region of every live
-    // node, which re-covers whatever was dropped. The 2x margin keeps a
-    // slow-but-progressing window (low rate, large window) from paying
-    // a spurious correction. Found by tests/chaos_fuzz_test.cc: a
+    // A correction re-solicits every live node's retained stream from
+    // the watermark, which re-covers whatever was dropped. The 2x margin
+    // keeps a slow-but-progressing window (low rate, large window) from
+    // paying a spurious correction. Found by tests/chaos_fuzz_test.cc: a
     // dropped deco-async partial stalled the run until the virtual-time
     // limit while heartbeats kept all nodes admitted.
     DECO_LOG(WARNING) << "deco root: window " << stall_window_
@@ -807,14 +824,15 @@ Status DecoRootNode::CheckNodeTimeouts() {
       // removal branch above can never fire) yet its correction response
       // is overdue: the request or the response was lost to drop/partition
       // chaos, and neither side will ever resend on its own. Re-solicit
-      // the full retained region under a fresh round; the round check on
-      // arrival discards the original if it was merely delayed. Found by
-      // tests/chaos_fuzz_test.cc (seed 29): a response dropped during a
-      // rejoin correction stalled deco-sync until the virtual-time limit.
+      // its retained stream from the start under a fresh round; the round
+      // check on arrival discards the original if it was merely delayed.
+      // Found by tests/chaos_fuzz_test.cc (seed 29): a response dropped
+      // during a rejoin correction stalled deco-sync until the virtual-time
+      // limit.
       DECO_LOG(WARNING) << "deco root: local node " << topology_.locals[n]
                         << " correction response overdue; re-soliciting";
       assembler_->ClearCandidates(n);
-      DECO_RETURN_NOT_OK(SendCorrectionRequest(n, /*topup=*/0));
+      DECO_RETURN_NOT_OK(SolicitCorrection(n));
     }
   }
   if ((removed_any || stalled) && !assembler_->correcting()) {

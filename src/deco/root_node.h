@@ -41,15 +41,14 @@ struct DecoRootOptions {
 
   /// Safety factor widening the averaged delta (1.0 = paper's literal
   /// Eq. 2; larger trades a slightly wider raw edge for fewer
-  /// corrections).
-  double delta_multiplier = 2.0;
+  /// corrections). 0 derives it from the number of locals
+  /// (`FleetDeltaMultiplier`), since a window needs a correction when any
+  /// one of them misses.
+  double delta_multiplier = 0.0;
 
   /// Bootstrap slack: before the predictor has history, delta is
   /// `max(delta_floor, share / bootstrap_slack_divisor)`.
   uint64_t bootstrap_slack_divisor = 8;
-
-  /// Top-up request size during corrections, in events.
-  uint64_t correction_topup = 4096;
 
   /// Per-node silence timeout for failure detection; 0 disables
   /// (paper §4.3.4). Wall-clock nanoseconds.
@@ -117,10 +116,22 @@ class DecoRootNode final : public Actor {
   Status SendServeSnapshot(size_t node);
   Status StartCorrection();
 
-  /// Sends one correction request (full resend when `topup == 0`), tagged
-  /// with the current epoch and the verified watermark so a rejoining
-  /// local can drop already-emitted retained events.
-  Status SendCorrectionRequest(size_t node, uint64_t topup);
+  /// Node `node`'s predicted share of the window being corrected, or the
+  /// whole window while its predictor is not ready (start, rejoin).
+  uint64_t CorrectionShare(size_t node) const;
+
+  /// Starts (or restarts) node `node`'s part of the current correction:
+  /// asks for the first `share + 2 delta` events of its retained stream,
+  /// or one window + 1, which bounds the cut on its own, while its
+  /// predictor is not ready.
+  Status SolicitCorrection(size_t node);
+
+  /// Sends one correction request for retained events
+  /// `[from_index, from_index + count)`, tagged with the current epoch and
+  /// the verified watermark so a rejoining local can drop already-emitted
+  /// retained events.
+  Status SendCorrectionRequest(size_t node, uint64_t from_index,
+                               uint64_t count);
 
   /// Re-admits a restarted local (kRejoin): scrubs its assembler state,
   /// resets its predictor, and folds it into a (possibly new) correction
@@ -144,6 +155,8 @@ class DecoRootNode final : public Actor {
   std::unique_ptr<AggregateFunction> func_;
   std::unique_ptr<WindowAssembler> assembler_;
   std::vector<LocalWindowPredictor> predictors_;
+  // `options_.delta_multiplier`, or the fleet-derived one when that is 0.
+  double delta_multiplier_ = 0.0;
   std::vector<uint64_t> last_consumed_;
 
   // Latest instantaneous event rate reported by each node (via rate

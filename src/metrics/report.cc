@@ -10,7 +10,7 @@ namespace deco {
 
 std::string RunReport::Summary() const {
   char buf[512];
-  std::snprintf(
+  int n = std::snprintf(
       buf, sizeof(buf),
       "%-12s windows=%llu events=%llu tput=%.3fM ev/s lat(mean)=%.3f ms "
       "lat(p99)=%.3f ms net=%.2f MB (%.2f B/ev) corrections=%llu",
@@ -20,6 +20,19 @@ std::string RunReport::Summary() const {
       static_cast<double>(latency.Percentile(0.99)) / 1e6,
       static_cast<double>(network.total_bytes) / 1e6, BytesPerEvent(),
       static_cast<unsigned long long>(correction_steps));
+  if (correction_steps > 0 && n > 0 && static_cast<size_t>(n) < sizeof(buf)) {
+    // What the corrections cost: the raw events they shipped, per event.
+    uint64_t bytes = 0;
+    for (const NodeTrafficStats& node : network.per_node) {
+      bytes += node.bytes_sent_by_type[static_cast<size_t>(
+          MessageType::kCorrectionResult)];
+    }
+    const double per_event =
+        events_processed == 0 ? 0.0
+                              : static_cast<double>(bytes) /
+                                    static_cast<double>(events_processed);
+    std::snprintf(buf + n, sizeof(buf) - n, " (%.2f B/ev)", per_event);
+  }
   return buf;
 }
 

@@ -121,7 +121,8 @@ Result<RateReport> DecodeRateReport(BinaryReader* reader) {
 void EncodeCorrectionRequest(const CorrectionRequest& request,
                              BinaryWriter* writer) {
   writer->PutU64(request.window_index);
-  writer->PutU64(request.topup_events);
+  writer->PutU64(request.from_index);
+  writer->PutU64(request.count);
   writer->PutI64(request.wm_ts);
   writer->PutU32(request.wm_stream);
   writer->PutU64(request.wm_id);
@@ -131,7 +132,8 @@ void EncodeCorrectionRequest(const CorrectionRequest& request,
 Result<CorrectionRequest> DecodeCorrectionRequest(BinaryReader* reader) {
   CorrectionRequest request;
   DECO_ASSIGN_OR_RETURN(request.window_index, reader->GetU64());
-  DECO_ASSIGN_OR_RETURN(request.topup_events, reader->GetU64());
+  DECO_ASSIGN_OR_RETURN(request.from_index, reader->GetU64());
+  DECO_ASSIGN_OR_RETURN(request.count, reader->GetU64());
   DECO_ASSIGN_OR_RETURN(request.wm_ts, reader->GetI64());
   DECO_ASSIGN_OR_RETURN(request.wm_stream, reader->GetU32());
   DECO_ASSIGN_OR_RETURN(request.wm_id, reader->GetU64());

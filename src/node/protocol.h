@@ -155,9 +155,14 @@ Result<RateReport> DecodeRateReport(BinaryReader* reader);
 struct CorrectionRequest {
   uint64_t window_index = 0;
 
-  /// When 0: send the full retained raw region of the current window.
-  /// When > 0: top-up — send this many further events from the stream.
-  uint64_t topup_events = 0;
+  /// The local ships retained events `[from_index, from_index + count)`,
+  /// pulling only the shortfall from its stream. Indices count from the
+  /// first retained event after the watermark drop below, so the prefixes
+  /// one correction solicits neither overlap nor skip: the first request
+  /// asks from 0 for about the node's share of the window, and each top-up
+  /// asks from the number of candidates the root already holds.
+  uint64_t from_index = 0;
+  uint64_t count = 0;
 
   /// The root's verified watermark as a total-order key, mirroring
   /// `WindowAssignment`. A rejoining local drops retained events at or
@@ -190,8 +195,8 @@ struct CorrectionResponse {
   /// Cumulative stream offset of `events.front()` at this node.
   uint64_t from_offset = 0;
 
-  /// True when the node's stream budget is exhausted: no top-up can ever
-  /// return more events.
+  /// True when the node's stream budget is exhausted and `events` reaches
+  /// the end of its retained stream: no top-up can ever return more.
   bool end_of_stream = false;
 
   /// Echo of `CorrectionRequest::round`; the root only accepts the

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 
 #include "deco/local_node.h"
@@ -85,10 +86,12 @@ class LocalNodeProtocolTest : public ::testing::Test {
     ASSERT_TRUE(fabric_->Send(std::move(msg)).ok());
   }
 
-  void SendCorrectionRequest(uint64_t w, uint64_t topup, uint64_t epoch) {
+  void SendCorrectionRequest(uint64_t w, uint64_t from_index, uint64_t count,
+                             uint64_t epoch) {
     CorrectionRequest request;
     request.window_index = w;
-    request.topup_events = topup;
+    request.from_index = from_index;
+    request.count = count;
     BinaryWriter writer;
     EncodeCorrectionRequest(request, &writer);
     Message msg;
@@ -99,6 +102,15 @@ class LocalNodeProtocolTest : public ::testing::Test {
     msg.epoch = epoch;
     msg.payload = writer.Release();
     ASSERT_TRUE(fabric_->Send(std::move(msg)).ok());
+  }
+
+  // Receives the next correction response and decodes it.
+  CorrectionResponse ReceiveCorrection() {
+    auto msg = ReceiveOfType(MessageType::kCorrectionResult);
+    EXPECT_TRUE(msg.has_value());
+    if (!msg.has_value()) return {};
+    BinaryReader reader(msg->payload);
+    return DecodeCorrectionResponse(&reader).value();
   }
 
   RunContext run_;
@@ -211,45 +223,116 @@ TEST_F(LocalNodeProtocolTest, AsyncFirstWindowIsSlackLayout) {
   EXPECT_EQ(DecodeEventBatch(&reader).value().role, BatchRole::kFront);
 }
 
-TEST_F(LocalNodeProtocolTest, CorrectionResendsFullRetainedRegion) {
+TEST_F(LocalNodeProtocolTest, CorrectionShipsRequestedPrefix) {
   Start(DecoScheme::kSync);
   ASSERT_TRUE(ReceiveOfType(MessageType::kEventRate).has_value());
   SendAssignment(0, 5000, 100);
   ASSERT_TRUE(ReceiveOfType(MessageType::kPartialResult).has_value());
   ASSERT_TRUE(ReceiveOfType(MessageType::kEventBatch).has_value());
 
-  SendCorrectionRequest(0, 0, /*epoch=*/1);
+  // Pulls stop at the region boundary: the node retains exactly the 5100
+  // planned events, not whole 512-event ingest batches.
+  SendCorrectionRequest(0, 0, 5100, /*epoch=*/1);
   auto response_msg = ReceiveOfType(MessageType::kCorrectionResult);
   ASSERT_TRUE(response_msg.has_value());
   EXPECT_EQ(response_msg->epoch, 1u);  // echoes the request epoch
   BinaryReader reader(response_msg->payload);
   const CorrectionResponse response =
       DecodeCorrectionResponse(&reader).value();
-  // Retained = the produced region (5100 events) rounded up to whole
-  // ingest batches (512): events are pulled batch-wise into retention.
-  EXPECT_EQ(response.events.size(), 5120u);
+  EXPECT_EQ(response.events.size(), 5100u);
   EXPECT_EQ(response.from_offset, 0u);
   EXPECT_FALSE(response.end_of_stream);
+
+  // A longer prefix pulls only its shortfall: the heartbeat the blocked
+  // node sends next reports the stream position at exactly 5300.
+  SendCorrectionRequest(0, 0, 5300, 1);
+  const CorrectionResponse longer = ReceiveCorrection();
+  EXPECT_EQ(longer.events.size(), 5300u);
+  EXPECT_EQ(longer.from_offset, 0u);
+  EXPECT_TRUE(std::equal(response.events.begin(), response.events.end(),
+                         longer.events.begin()));
+  auto heartbeat = ReceiveOfType(MessageType::kEventRate);
+  ASSERT_TRUE(heartbeat.has_value());
+  BinaryReader hb_reader(heartbeat->payload);
+  EXPECT_EQ(DecodeRateReport(&hb_reader).value().stream_position, 5300u);
 }
 
-TEST_F(LocalNodeProtocolTest, CorrectionTopUpPullsFreshEvents) {
+TEST_F(LocalNodeProtocolTest, CorrectionTopUpContinuesAtFromIndex) {
   Start(DecoScheme::kSync);
   ASSERT_TRUE(ReceiveOfType(MessageType::kEventRate).has_value());
   SendAssignment(0, 5000, 100);
   ASSERT_TRUE(ReceiveOfType(MessageType::kPartialResult).has_value());
   ASSERT_TRUE(ReceiveOfType(MessageType::kEventBatch).has_value());
 
-  SendCorrectionRequest(0, 0, 1);
-  ASSERT_TRUE(ReceiveOfType(MessageType::kCorrectionResult).has_value());
-  SendCorrectionRequest(0, 300, 1);
-  auto topup_msg = ReceiveOfType(MessageType::kCorrectionResult);
-  ASSERT_TRUE(topup_msg.has_value());
-  BinaryReader reader(topup_msg->payload);
-  const CorrectionResponse topup =
-      DecodeCorrectionResponse(&reader).value();
-  // Top-ups are served in whole ingest batches (>= the requested count).
-  EXPECT_GE(topup.events.size(), 300u);
-  EXPECT_EQ(topup.from_offset, 5120u);
+  SendCorrectionRequest(0, 0, 2000, 1);
+  const CorrectionResponse first = ReceiveCorrection();
+  ASSERT_EQ(first.events.size(), 2000u);
+
+  // A top-up at from_index k continues at stream offset k with exactly the
+  // requested count, inside the retained region and past its end alike.
+  SendCorrectionRequest(0, 2000, 300, 1);
+  const CorrectionResponse inside = ReceiveCorrection();
+  EXPECT_EQ(inside.from_offset, 2000u);
+  ASSERT_EQ(inside.events.size(), 300u);
+  EXPECT_GT(inside.events.front().timestamp, first.events.back().timestamp);
+
+  SendCorrectionRequest(0, 5000, 300, 1);
+  const CorrectionResponse beyond = ReceiveCorrection();
+  EXPECT_EQ(beyond.from_offset, 5000u);
+  EXPECT_EQ(beyond.events.size(), 300u);
+  EXPECT_FALSE(beyond.end_of_stream);
+
+  // The same prefix asked again (a lost-message retry) ships the same
+  // events: indices count from the watermark, not from earlier replies.
+  SendCorrectionRequest(0, 2000, 300, 1);
+  const CorrectionResponse again = ReceiveCorrection();
+  EXPECT_EQ(again.from_offset, 2000u);
+  EXPECT_EQ(again.events, inside.events);
+}
+
+TEST_F(LocalNodeProtocolTest, CorrectionAtStreamEndMarksCompletePrefixOnly) {
+  Start(DecoScheme::kSync, /*events=*/6000);
+  ASSERT_TRUE(ReceiveOfType(MessageType::kEventRate).has_value());
+  SendAssignment(0, 5000, 100);
+  ASSERT_TRUE(ReceiveOfType(MessageType::kPartialResult).has_value());
+  ASSERT_TRUE(ReceiveOfType(MessageType::kEventBatch).has_value());
+
+  // Asking past the budget exhausts the source and reaches the retained
+  // end: the node's candidates are complete.
+  SendCorrectionRequest(0, 0, 7000, 1);
+  const CorrectionResponse all = ReceiveCorrection();
+  EXPECT_EQ(all.events.size(), 6000u);
+  EXPECT_TRUE(all.end_of_stream);
+
+  // An exhausted source with retained events past the prefix is not.
+  SendCorrectionRequest(0, 0, 5100, 1);
+  const CorrectionResponse prefix = ReceiveCorrection();
+  EXPECT_EQ(prefix.events.size(), 5100u);
+  EXPECT_FALSE(prefix.end_of_stream);
+}
+
+TEST_F(LocalNodeProtocolTest, AsyncCorrectionShipsOneShareNotEveryWindow) {
+  Start(DecoScheme::kAsync, 100'000);
+  ASSERT_TRUE(ReceiveOfType(MessageType::kEventRate).has_value());
+  SendAssignment(0, 5000, 100);
+  // With no further assignment the node runs max_unverified_windows ahead
+  // and blocks; its first heartbeat says it holds every one of them.
+  int slices = 0;
+  while (true) {
+    auto msg = ReceiveAtRoot();
+    ASSERT_TRUE(msg.has_value());
+    if (msg->type == MessageType::kEventRate) break;
+    if (msg->type == MessageType::kPartialResult) ++slices;
+  }
+  ASSERT_GE(slices, 4);
+
+  // The correction asks for the node's share plus 2 delta; it gets no
+  // more, not the 4+ unverified windows it retains.
+  SendCorrectionRequest(0, 0, 5000 + 2 * 100, 1);
+  const CorrectionResponse response = ReceiveCorrection();
+  EXPECT_EQ(response.from_offset, 0u);
+  EXPECT_GT(response.events.size(), 0u);
+  EXPECT_LE(response.events.size(), 5200u);
 }
 
 TEST_F(LocalNodeProtocolTest, RollbackReplansFromWatermark) {
@@ -265,7 +348,7 @@ TEST_F(LocalNodeProtocolTest, RollbackReplansFromWatermark) {
   // Pretend the correction consumed exactly 5000 events; the watermark is
   // the key of the 5000th event (the 100th event of the end buffer).
   const Event& cut = end_batch.events[99];
-  SendCorrectionRequest(0, 0, 1);
+  SendCorrectionRequest(0, 0, 5100, 1);
   ASSERT_TRUE(ReceiveOfType(MessageType::kCorrectionResult).has_value());
   SendAssignment(1, 5000, 100, /*epoch=*/1,
                  EventKey{cut.timestamp, cut.stream_id, cut.id});
@@ -325,7 +408,7 @@ TEST_F(LocalNodeProtocolTest, RollbackTrimsConsumedEventsExactly) {
 
   // Correct window 0 consuming 4950 events; rollback assignment carries
   // the cut key and the bumped epoch.
-  SendCorrectionRequest(0, 0, 1);
+  SendCorrectionRequest(0, 0, 5100, 1);
   ASSERT_TRUE(ReceiveOfType(MessageType::kCorrectionResult).has_value());
   const Event& cut = end_batch.events[49];  // slice 4900 + 50
   SendAssignment(1, 5000, 100, /*epoch=*/1,
@@ -339,9 +422,9 @@ TEST_F(LocalNodeProtocolTest, RollbackTrimsConsumedEventsExactly) {
   const SliceSummary summary = DecodeSliceSummary(&reader).value();
   EXPECT_EQ(summary.min_ts, end_batch.events[50].timestamp);
 
-  // And a second correction must resend a region whose size reflects the
-  // trim: everything retained minus the 4950 consumed events.
-  SendCorrectionRequest(1, 0, 2);
+  // And a second correction must resend from the trim: its prefix starts
+  // right after the 4950 consumed events.
+  SendCorrectionRequest(1, 0, 5100, 2);
   auto resend_msg = ReceiveOfType(MessageType::kCorrectionResult);
   ASSERT_TRUE(resend_msg.has_value());
   BinaryReader resend_reader(resend_msg->payload);

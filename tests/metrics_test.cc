@@ -212,6 +212,21 @@ TEST(RunReportTest, SummaryAndBytesPerEvent) {
   const std::string summary = report.Summary();
   EXPECT_NE(summary.find("deco-sync"), std::string::npos);
   EXPECT_NE(summary.find("windows=10"), std::string::npos);
+  // A run without corrections prints no correction cost.
+  EXPECT_TRUE(summary.ends_with(" corrections=0")) << summary;
+
+  // With corrections, their bytes (sent as correction results, by any
+  // node) follow the count, per event processed.
+  report.correction_steps = 3;
+  report.network.per_node.resize(3);
+  const auto correction = static_cast<size_t>(MessageType::kCorrectionResult);
+  report.network.per_node[1].bytes_sent_by_type[correction] = 300;
+  report.network.per_node[2].bytes_sent_by_type[correction] = 110;
+  report.network.per_node[2].bytes_sent_by_type[static_cast<size_t>(
+      MessageType::kEventBatch)] = 4000;
+  const std::string corrected = report.Summary();
+  EXPECT_TRUE(corrected.ends_with(" corrections=3 (0.41 B/ev)"))
+      << corrected;
 }
 
 TEST(RunReportTest, BytesPerEventZeroWhenNoEvents) {

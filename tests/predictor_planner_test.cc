@@ -62,6 +62,28 @@ TEST(PredictorTest, DeltaMultiplierWidens) {
   EXPECT_EQ(p.Delta(), 20u);  // 10 * 2.0
 }
 
+TEST(PredictorTest, FleetDeltaMultiplierMatchesNormalQuantile) {
+  // sqrt(pi/2) * Phi^-1(1 - 0.05 / 2n): a 5% share of windows needing a
+  // correction, split across the n locals.
+  EXPECT_NEAR(FleetDeltaMultiplier(1), 2.456, 0.005);
+  EXPECT_NEAR(FleetDeltaMultiplier(2), 2.809, 0.005);
+  EXPECT_NEAR(FleetDeltaMultiplier(3), 3.000, 0.005);
+  EXPECT_NEAR(FleetDeltaMultiplier(8), 3.427, 0.005);
+  EXPECT_NEAR(FleetDeltaMultiplier(32), 3.964, 0.005);
+  EXPECT_NEAR(FleetDeltaMultiplier(1000), 5.083, 0.005);
+  // Zero locals is read as one.
+  EXPECT_DOUBLE_EQ(FleetDeltaMultiplier(0), FleetDeltaMultiplier(1));
+}
+
+TEST(PredictorTest, FleetDeltaMultiplierRisesWithTheFleet) {
+  double previous = 0.0;
+  for (size_t n = 1; n <= 4096; n *= 2) {
+    const double multiplier = FleetDeltaMultiplier(n);
+    EXPECT_GT(multiplier, previous) << n << " locals";
+    previous = multiplier;
+  }
+}
+
 TEST(PredictorTest, SmallMIsReactiveLargeMIsSteady) {
   // Paper §4.2.2: small m reacts to changes, large m smooths them.
   LocalWindowPredictor reactive(1, 1, 1.0);

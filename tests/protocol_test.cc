@@ -80,7 +80,10 @@ TEST(ProtocolTest, RateReportRoundTrip) {
 TEST(ProtocolTest, CorrectionRequestRoundTrip) {
   CorrectionRequest request;
   request.window_index = 8;
-  request.topup_events = 4096;
+  // The root asks for a prefix of the node's retained stream.
+  request.from_index = 1200;
+  request.count = 4096;
+  request.round = 3;
   // The root's watermark rides along so a rejoining local can discard
   // retained events at or below it (already covered by emitted windows).
   request.wm_ts = 123456789;
@@ -91,7 +94,9 @@ TEST(ProtocolTest, CorrectionRequestRoundTrip) {
   BinaryReader reader(writer.buffer());
   const CorrectionRequest decoded = DecodeCorrectionRequest(&reader).value();
   EXPECT_EQ(decoded.window_index, 8u);
-  EXPECT_EQ(decoded.topup_events, 4096u);
+  EXPECT_EQ(decoded.from_index, 1200u);
+  EXPECT_EQ(decoded.count, 4096u);
+  EXPECT_EQ(decoded.round, 3u);
   EXPECT_EQ(decoded.wm_ts, 123456789);
   EXPECT_EQ(decoded.wm_stream, 7u);
   EXPECT_EQ(decoded.wm_id, 42u);
@@ -230,6 +235,20 @@ TEST(ProtocolTest, EveryEventBatchPrefixFailsToDecode) {
   BinaryWriter writer;
   EncodeEventBatch(batch, &writer);
   ExpectEveryPrefixFails(writer.buffer(), DecodeEventBatch);
+}
+
+TEST(ProtocolTest, EveryCorrectionRequestPrefixFailsToDecode) {
+  CorrectionRequest request;
+  request.window_index = 3;
+  request.from_index = 250;
+  request.count = 1001;
+  request.wm_ts = 9000;
+  request.wm_stream = 2;
+  request.wm_id = 17;
+  request.round = 4;
+  BinaryWriter writer;
+  EncodeCorrectionRequest(request, &writer);
+  ExpectEveryPrefixFails(writer.buffer(), DecodeCorrectionRequest);
 }
 
 TEST(ProtocolTest, EveryCorrectionResponsePrefixFailsToDecode) {

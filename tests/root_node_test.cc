@@ -123,6 +123,54 @@ class RootNodeProtocolTest : public ::testing::Test {
     return std::nullopt;
   }
 
+  // Answers a correction request as local `node` would.
+  void SendCorrectionResponse(size_t node, uint64_t round,
+                              const EventVec& events) {
+    CorrectionResponse response;
+    response.window_index = 0;
+    response.events = events;
+    response.round = round;  // echo the solicitation round
+    BinaryWriter writer;
+    EncodeCorrectionResponse(response, &writer);
+    Message msg;
+    msg.type = MessageType::kCorrectionResult;
+    msg.src = topology_.locals[node];
+    msg.dst = topology_.root;
+    msg.window_index = 0;
+    msg.epoch = epoch_;
+    msg.payload = writer.Release();
+    ASSERT_TRUE(fabric_->Send(std::move(msg)).ok());
+  }
+
+  CorrectionRequest DecodeRequestOrDie(const Message& msg) {
+    BinaryReader reader(msg.payload);
+    return std::move(DecodeCorrectionRequest(&reader)).value();
+  }
+
+  // Sends rate reports, takes window 0's assignments, and ships slices
+  // that alone exceed the window (550 + 550 > 1000), so the root starts a
+  // correction of window 0; returns its request to each local.
+  std::vector<CorrectionRequest> OverestimateFirstWindow() {
+    SendRate(0, 0, 500.0);
+    SendRate(1, 0, 500.0);
+    EXPECT_TRUE(ReceiveAt(0, MessageType::kWindowAssignment).has_value());
+    EXPECT_TRUE(ReceiveAt(1, MessageType::kWindowAssignment).has_value());
+    for (size_t n = 0; n < 2; ++n) {
+      SendSlice(n, 0, Take(n, 550));
+      SendEndRaw(n, 0, Take(n, 20));
+    }
+    std::vector<CorrectionRequest> requests;
+    for (size_t n = 0; n < 2; ++n) {
+      auto msg = ReceiveAt(n, MessageType::kCorrectionRequest);
+      EXPECT_TRUE(msg.has_value());
+      if (!msg.has_value()) return {};
+      EXPECT_GT(msg->epoch, 0u);  // epoch bumped
+      epoch_ = msg->epoch;
+      requests.push_back(DecodeRequestOrDie(*msg));
+    }
+    return requests;
+  }
+
   WindowAssignment DecodeAssignmentOrDie(const Message& msg) {
     BinaryReader reader(msg.payload);
     return std::move(DecodeWindowAssignment(&reader)).value();
@@ -183,44 +231,20 @@ TEST_F(RootNodeProtocolTest, VerifiedWindowEmitsResultAndNextAssignment) {
 
 TEST_F(RootNodeProtocolTest, OverestimateTriggersCorrectionFlow) {
   Start(DecoScheme::kSync);
-  SendRate(0, 0, 500.0);
-  SendRate(1, 0, 500.0);
-  ASSERT_TRUE(ReceiveAt(0, MessageType::kWindowAssignment).has_value());
-  ASSERT_TRUE(ReceiveAt(1, MessageType::kWindowAssignment).has_value());
-
-  // Slices alone exceed the window: 550 + 550 > 1000.
-  for (size_t n = 0; n < 2; ++n) {
-    SendSlice(n, 0, Take(n, 550));
-    SendEndRaw(n, 0, Take(n, 20));
+  const std::vector<CorrectionRequest> requests = OverestimateFirstWindow();
+  ASSERT_EQ(requests.size(), 2u);
+  for (const CorrectionRequest& request : requests) {
+    EXPECT_EQ(request.window_index, 0u);
+    // No predictor history yet: each local is asked for one window + 1,
+    // which bounds the cut on its own.
+    EXPECT_EQ(request.from_index, 0u);
+    EXPECT_EQ(request.count, kWindow + 1);
   }
-  auto request_msg = ReceiveAt(0, MessageType::kCorrectionRequest);
-  ASSERT_TRUE(request_msg.has_value());
-  BinaryReader reader(request_msg->payload);
-  const CorrectionRequest request =
-      std::move(DecodeCorrectionRequest(&reader)).value();
-  EXPECT_EQ(request.window_index, 0u);
-  EXPECT_EQ(request.topup_events, 0u);  // full resend
-  EXPECT_GT(request_msg->epoch, 0u);    // epoch bumped
 
-  // Both locals resend their complete regions (570 events each).
-  epoch_ = request_msg->epoch;
+  // Both locals resend 570 events from the window start.
   for (size_t n = 0; n < 2; ++n) {
-    CorrectionResponse response;
-    response.window_index = 0;
     next_id_[n] = 0;  // replay from the window start
-    response.events = Take(n, 570);
-    response.end_of_stream = false;
-    response.round = request.round;  // echo the solicitation round
-    BinaryWriter writer;
-    EncodeCorrectionResponse(response, &writer);
-    Message msg;
-    msg.type = MessageType::kCorrectionResult;
-    msg.src = topology_.locals[n];
-    msg.dst = topology_.root;
-    msg.window_index = 0;
-    msg.epoch = epoch_;
-    msg.payload = writer.Release();
-    ASSERT_TRUE(fabric_->Send(std::move(msg)).ok());
+    SendCorrectionResponse(n, requests[n].round, Take(n, 570));
   }
   // The corrected window emits exactly 1000 events (500 per node by the
   // interleaved timestamps), and the next assignment carries the bumped
@@ -234,6 +258,78 @@ TEST_F(RootNodeProtocolTest, OverestimateTriggersCorrectionFlow) {
   EXPECT_EQ(report_.correction_steps, 1u);
   EXPECT_EQ(report_.consumption.window(0)[0], 500u);
   EXPECT_EQ(report_.consumption.window(0)[1], 500u);
+}
+
+TEST_F(RootNodeProtocolTest, CorrectionTopUpAsksFromCandidatesHeld) {
+  Start(DecoScheme::kSync);
+  const std::vector<CorrectionRequest> requests = OverestimateFirstWindow();
+  ASSERT_EQ(requests.size(), 2u);
+  // Local b's 460 events all fall inside the cut (540 of a's are needed
+  // besides), so none of its candidates bounds the cut.
+  next_id_.assign(2, 0);
+  SendCorrectionResponse(0, requests[0].round, Take(0, 570));
+  SendCorrectionResponse(1, requests[1].round, Take(1, 460));
+
+  // Only b is asked for more, from the 460 candidates the root holds, a
+  // quarter of its share at a time.
+  auto topup_msg = ReceiveAt(1, MessageType::kCorrectionRequest);
+  ASSERT_TRUE(topup_msg.has_value());
+  const CorrectionRequest topup = DecodeRequestOrDie(*topup_msg);
+  EXPECT_EQ(topup.window_index, 0u);
+  EXPECT_EQ(topup.from_index, 460u);
+  EXPECT_EQ(topup.count, kWindow / 4);
+  EXPECT_GT(topup.round, requests[1].round);
+  EXPECT_EQ(topup_msg->epoch, epoch_);
+  SendCorrectionResponse(1, topup.round, Take(1, topup.count));
+
+  auto next = ReceiveAt(0, MessageType::kWindowAssignment);
+  ASSERT_TRUE(next.has_value());
+  EXPECT_EQ(report_.windows_emitted, 1u);
+  EXPECT_TRUE(report_.windows[0].corrected);
+  EXPECT_DOUBLE_EQ(report_.windows[0].value, 1000.0);
+  EXPECT_EQ(report_.consumption.window(0)[0], 500u);
+  EXPECT_EQ(report_.consumption.window(0)[1], 500u);
+}
+
+TEST_F(RootNodeProtocolTest, CorrectionAfterVerifiedWindowsAsksShareAndSlack) {
+  Start(DecoScheme::kSync);
+  SendRate(0, 0, 500.0);
+  SendRate(1, 0, 500.0);
+  ASSERT_TRUE(ReceiveAt(0, MessageType::kWindowAssignment).has_value());
+  ASSERT_TRUE(ReceiveAt(1, MessageType::kWindowAssignment).has_value());
+  // Two verified windows; the second's slices report rates 600/400, so
+  // the predictors see sizes 500 then 600 (a) and 500 then 400 (b).
+  PlayBalancedWindow(0, 480, 40);
+  ASSERT_TRUE(ReceiveAt(0, MessageType::kWindowAssignment).has_value());
+  ASSERT_TRUE(ReceiveAt(1, MessageType::kWindowAssignment).has_value());
+  const double rates[2] = {600.0, 400.0};
+  for (size_t n = 0; n < 2; ++n) {
+    SendSlice(n, 1, Take(n, 480), rates[n]);
+    SendEndRaw(n, 1, Take(n, 40));
+  }
+  ASSERT_TRUE(ReceiveAt(0, MessageType::kWindowAssignment).has_value());
+  ASSERT_TRUE(ReceiveAt(1, MessageType::kWindowAssignment).has_value());
+  ASSERT_EQ(report_.windows_emitted, 2u);
+  ASSERT_EQ(report_.correction_steps, 0u);
+
+  // Window 2 overestimates; each local is asked for its predicted share
+  // plus two deltas, with the slack sized for a fleet of two.
+  for (size_t n = 0; n < 2; ++n) {
+    SendSlice(n, 2, Take(n, 550), rates[n]);
+    SendEndRaw(n, 2, Take(n, 20));
+  }
+  const uint64_t sizes[2][2] = {{500, 600}, {500, 400}};
+  for (size_t n = 0; n < 2; ++n) {
+    auto msg = ReceiveAt(n, MessageType::kCorrectionRequest);
+    ASSERT_TRUE(msg.has_value());
+    const CorrectionRequest request = DecodeRequestOrDie(*msg);
+    LocalWindowPredictor predictor(4, 1, FleetDeltaMultiplier(2));
+    for (uint64_t size : sizes[n]) predictor.ObserveActual(size);
+    EXPECT_EQ(request.window_index, 2u);
+    EXPECT_EQ(request.from_index, 0u);
+    EXPECT_EQ(request.count,
+              predictor.PredictedSize() + 2 * predictor.Delta());
+  }
 }
 
 TEST_F(RootNodeProtocolTest, HolisticAggregateIsRejected) {

@@ -29,7 +29,9 @@ Checks, per document:
     exempt — their linear growth is the point of the comparison);
   * ops-overhead pairs (a `<scheme>/ops` row next to its `<scheme>` row,
     emitted by fig7_end_to_end --ops_overhead) in sim documents keep the
-    live ops plane's throughput cost within 2% of the plain run.
+    live ops plane's throughput cost within 2% of the plain run;
+  * sim fig7_end_to_end documents carry the paper's byte claim: every
+    `deco-*` row's median bytes_per_event is below the `central` row's.
 
 Exits non-zero with a per-file message on the first violation in each
 file; prints a one-line OK per valid file.
@@ -201,6 +203,24 @@ def check_ops_overhead(doc, path):
                    f"{OPS_OVERHEAD_BOUND:.0%} bound")
 
 
+def check_deco_bytes(doc, path):
+    """The paper's network claim on fig7 (Deco ships slices plus narrow raw
+    edges, Central every event): in sim documents, whose bytes are exact,
+    each Deco row's median bytes/event must be below Central's."""
+    if doc["bench"] != "fig7_end_to_end" or not doc["config"].get("sim"):
+        return
+    rows = {row["label"]: row for row in doc["rows"]}
+    expect("central" in rows, "fig7 sim document has no 'central' row")
+    central = rows["central"]["metrics"]["bytes_per_event"]["median"]
+    for label, row in rows.items():
+        if not label.startswith("deco-"):
+            continue
+        deco = row["metrics"]["bytes_per_event"]["median"]
+        expect(deco < central,
+               f"row '{label}': {deco:.2f} bytes/event is not below "
+               f"central's {central:.2f}")
+
+
 def check_profile(profile, where):
     for key in ("enabled", "alloc_counted", "threads"):
         expect(key in profile, f"{where}: cpu_breakdown missing '{key}'")
@@ -249,6 +269,7 @@ def check_doc(doc, path):
             check_profile(row["cpu_breakdown"], f"{where} ('{label}')")
     check_marginal_cost(doc, path)
     check_ops_overhead(doc, path)
+    check_deco_bytes(doc, path)
 
 
 def main():
