@@ -7,17 +7,13 @@
 
 namespace deco {
 
-const char* DecoSchemeToString(DecoScheme scheme) {
-  switch (scheme) {
-    case DecoScheme::kMon:
-      return "deco-mon";
-    case DecoScheme::kSync:
-      return "deco-sync";
-    case DecoScheme::kAsync:
-      return "deco-async";
-  }
-  return "deco-?";
-}
+namespace {
+
+/// Deco_monlocal has no root predictor, so each local widens its raw edge
+/// to `max(1, share / kPeerDeltaDivisor)`.
+constexpr uint64_t kPeerDeltaDivisor = 8;
+
+}  // namespace
 
 DecoLocalNode::DecoLocalNode(NetworkFabric* fabric, NodeId id, Clock* clock,
                              RunContext* run, const Topology& topology,
@@ -512,7 +508,9 @@ Status DecoLocalNode::Run() {
   // Initialization: report the observed rate so the root can apportion the
   // first global window (all schemes; Deco_mon repeats this per window).
   DECO_RETURN_NOT_OK(SendRateReport(0));
-  if (options_.peer_rate_exchange) DECO_RETURN_NOT_OK(BroadcastPeerRate(0));
+  if (scheme_ == DecoScheme::kMonLocal) {
+    DECO_RETURN_NOT_OK(BroadcastPeerRate(0));
+  }
 
   uint64_t w = 0;
   // Wait for the first assignment.
@@ -568,7 +566,7 @@ Status DecoLocalNode::Run() {
     if (source_->exhausted() && cursor_ == retained_size()) {
       // Everything produced and shipped; tell the root and stay responsive
       // for corrections until it shuts us down.
-      if (options_.peer_rate_exchange && !peer_eos_sent_) {
+      if (scheme_ == DecoScheme::kMonLocal && !peer_eos_sent_) {
         // Final broadcast: peers must not wait on rate reports from a
         // node that will never send another one.
         peer_eos_sent_ = true;
@@ -604,7 +602,7 @@ Status DecoLocalNode::Run() {
       size = adjusted > 0 ? static_cast<uint64_t>(adjusted) : 0;
       pending_size_adjust_ = 0;
     }
-    if (options_.peer_rate_exchange) {
+    if (scheme_ == DecoScheme::kMonLocal) {
       // Deco_monlocal: every local node computes the split itself from the
       // exchanged peer rates (paper §5.1 microbenchmark).
       DECO_RETURN_NOT_OK(
@@ -621,7 +619,7 @@ Status DecoLocalNode::Run() {
                  ? shares[self_ordinal_] - leftover
                  : 0;
       delta = std::max<uint64_t>(1, shares[self_ordinal_] /
-                                        options_.peer_delta_divisor);
+                                        kPeerDeltaDivisor);
       peer_rates_.erase(w);
       peer_rates_received_.erase(w);
     }
@@ -643,11 +641,11 @@ Status DecoLocalNode::Run() {
 
     // Deco_mon: report the fresh rate for the next window before blocking
     // (initialization step of window w+1, paper Fig. 3).
-    if (scheme_ == DecoScheme::kMon) {
+    if (scheme_ == DecoScheme::kMon || scheme_ == DecoScheme::kMonLocal) {
       DECO_RETURN_NOT_OK(SendRateReport(w));
-      if (options_.peer_rate_exchange) {
-        DECO_RETURN_NOT_OK(BroadcastPeerRate(w));
-      }
+    }
+    if (scheme_ == DecoScheme::kMonLocal) {
+      DECO_RETURN_NOT_OK(BroadcastPeerRate(w));
     }
   }
   return Status::OK();

@@ -25,7 +25,10 @@
 ///  - `kAsync`— calculate continuously with the latest received
 ///              prediction, never blocking on the root (§4.2.3), bounded
 ///              by `max_unverified_windows` (backpressure / memory bound,
-///              §4.3.2).
+///              §4.3.2);
+///  - `kMonLocal` — Deco_mon's flow, but the local nodes exchange event
+///              rates with each other and apportion the window
+///              themselves (paper §5.1 microbenchmark).
 
 namespace deco {
 
@@ -34,9 +37,10 @@ enum class DecoScheme : uint8_t {
   kMon = 0,
   kSync = 1,
   kAsync = 2,
+  /// Deco_monlocal: the root only verifies, aggregates, and signals the
+  /// start of the next window.
+  kMonLocal = 3,
 };
-
-const char* DecoSchemeToString(DecoScheme scheme);
 
 /// \brief Local-node tunables.
 struct DecoLocalOptions {
@@ -44,16 +48,6 @@ struct DecoLocalOptions {
   /// root-verified one before the local node blocks (memory bound, and the
   /// staleness bound of the size/delta values the node plans with).
   uint64_t max_unverified_windows = 4;
-
-  /// Deco_monlocal (paper §5.1 microbenchmark): exchange event rates with
-  /// the *other local nodes* instead of the root and apportion the local
-  /// window size locally; the root only verifies, aggregates, and signals
-  /// the start of the next window. Only meaningful with `kMon`.
-  bool peer_rate_exchange = false;
-
-  /// Delta divisor used by the peer-exchange mode (no root predictor is
-  /// available): delta = max(1, size / divisor).
-  uint64_t peer_delta_divisor = 8;
 
   /// While blocked with no traffic from the root for this long, re-send
   /// the rate report as a liveness heartbeat. A node removed by a false

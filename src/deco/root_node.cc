@@ -9,6 +9,14 @@
 
 namespace deco {
 
+namespace {
+
+/// Bootstrap slack: before a node's predictor has history, its delta is
+/// `max(delta_floor, share / kBootstrapSlackDivisor)`.
+constexpr uint64_t kBootstrapSlackDivisor = 8;
+
+}  // namespace
+
 DecoRootNode::DecoRootNode(NetworkFabric* fabric, NodeId id, Clock* clock,
                            RunContext* run, const Topology& topology,
                            const QueryConfig& query, DecoScheme scheme,
@@ -105,8 +113,6 @@ Status DecoRootNode::Run() {
   correction_requested_at_.assign(m, 0);
   last_heard_.assign(m, NowNanos());
   report_->consumption = ConsumptionLog(m);
-  report_->scheme = DecoSchemeToString(scheme_);
-  report_->start_wall_nanos = NowNanos();
 
   while (!stop_requested() && !finished_) {
     std::optional<Message> msg =
@@ -488,7 +494,6 @@ Status DecoRootNode::ProcessServeTriggers(uint64_t pane) {
     update.slot = q.slot;
     update.effective_pane = effective;
     update.add = trigger.add;
-    update.query = q.query;
     if (trigger.add) {
       slot_bank_.schedule()->Activate(q.slot, effective);
       serve_states_[trigger.query].composer->set_start_pane(effective);
@@ -633,7 +638,7 @@ Status DecoRootNode::MaybeSendAssignments() {
 
     const bool bootstrap = w == 0;
     const bool monitored = scheme_ == DecoScheme::kMon;
-    if (options_.peer_rate_exchange) {
+    if (scheme_ == DecoScheme::kMonLocal) {
       // Deco_monlocal: sizes are computed by the local nodes themselves;
       // the assignment only signals the window start and the watermark.
     } else if (bootstrap || monitored) {
@@ -653,7 +658,7 @@ Status DecoRootNode::MaybeSendAssignments() {
                         ? predictors_[n].Delta()
                         : std::max<uint64_t>(
                               options_.delta_floor,
-                              sizes[n] / options_.bootstrap_slack_divisor);
+                              sizes[n] / kBootstrapSlackDivisor);
       }
     } else {
       // Predicted split (Algorithm 1).
@@ -665,7 +670,7 @@ Status DecoRootNode::MaybeSendAssignments() {
           sizes[n] = last_consumed_[n];
           deltas[n] = std::max<uint64_t>(
               options_.delta_floor,
-              sizes[n] / options_.bootstrap_slack_divisor);
+              sizes[n] / kBootstrapSlackDivisor);
         }
       }
     }
@@ -715,7 +720,7 @@ Status DecoRootNode::MaybeSendAssignments() {
       // synchronous schemes must not re-plan them. Deco_async local nodes
       // run ahead of these assignments, so their layout self-balances
       // around the standing root-buffer slack instead.
-      if (options_.peer_rate_exchange) {
+      if (scheme_ == DecoScheme::kMonLocal) {
         // Deco_monlocal: the locals compute their own sizes; ship the
         // node's root-buffer carryover so it can subtract it.
         sizes[n] = assembler_->leftover_size(n);

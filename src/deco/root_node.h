@@ -27,7 +27,10 @@
 ///              (Algorithm 1/3);
 ///  - `kAsync`— same, but local nodes never wait for them; on a prediction
 ///              error the epoch is bumped so stale in-flight messages from
-///              rolled-back windows are discarded (Algorithm 5, §4.3.2).
+///              rolled-back windows are discarded (Algorithm 5, §4.3.2);
+///  - `kMonLocal` — the locals apportion each window among themselves;
+///              the assignment only signals the window start and carries
+///              each node's root-buffer carryover.
 
 namespace deco {
 
@@ -46,19 +49,9 @@ struct DecoRootOptions {
   /// one of them misses.
   double delta_multiplier = 0.0;
 
-  /// Bootstrap slack: before the predictor has history, delta is
-  /// `max(delta_floor, share / bootstrap_slack_divisor)`.
-  uint64_t bootstrap_slack_divisor = 8;
-
   /// Per-node silence timeout for failure detection; 0 disables
   /// (paper §4.3.4). Wall-clock nanoseconds.
   TimeNanos node_timeout_nanos = 0;
-
-  /// Deco_monlocal (paper §5.1 microbenchmark): local nodes apportion
-  /// window sizes among themselves; the root only verifies results and
-  /// signals window starts. Must match the local nodes'
-  /// `DecoLocalOptions::peer_rate_exchange`.
-  bool peer_rate_exchange = false;
 };
 
 /// \brief Deco root actor.

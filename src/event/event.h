@@ -55,16 +55,6 @@ struct EventTimestampLess {
 /// kept for readability at call sites.
 using EventVec = std::vector<Event>;
 
-/// \brief Event-time watermark: a promise that no event with
-/// `timestamp <= value` will arrive anymore on the emitting channel.
-struct Watermark {
-  EventTime value = 0;
-
-  friend bool operator==(const Watermark& a, const Watermark& b) {
-    return a.value == b.value;
-  }
-};
-
 /// \brief Renders an event as "(id=.., stream=.., v=.., ts=..)" for logs
 /// and test failure messages.
 std::string ToString(const Event& event);

@@ -71,20 +71,10 @@ bool IsDecentralized(Scheme scheme) {
 namespace {
 
 /// Per-query restrictions shared by the single-query path and every entry
-/// of a served set (the harness drives count windows; scheme limits apply
-/// to each query a scheme will actually execute).
+/// of a served set (scheme limits apply to each query a scheme will
+/// actually execute).
 Status ValidateServedQuery(Scheme scheme, const QueryConfig& query) {
   DECO_RETURN_NOT_OK(query.Validate());
-  if (query.window.measure != WindowMeasure::kCount) {
-    return Status::NotSupported(
-        "the experiment harness drives count-based windows (the paper's "
-        "subject); use the windowing library directly for time windows");
-  }
-  if (query.window.type == WindowType::kSession) {
-    return Status::NotSupported(
-        "session windows have no fixed size; the harness drives count "
-        "windows (use the windowing library directly)");
-  }
   if (scheme == Scheme::kApprox &&
       query.window.type == WindowType::kSliding) {
     return Status::NotSupported(
@@ -196,6 +186,23 @@ Status ExperimentConfig::Validate() const {
   return Status::OK();
 }
 
+namespace {
+
+/// Events between rate redraws: `config.rate_epoch_events`, or when unset
+/// a derivation from the query window. The paper's rates "change mildly
+/// but frequently": many redraws per local window, so consecutive windows
+/// see comparable drift and the delta predictor has a meaningful signal
+/// (long flat stretches would collapse the delta and turn every step into
+/// a correction).
+uint64_t RateEpochEvents(const ExperimentConfig& config) {
+  if (config.rate_epoch_events != 0) return config.rate_epoch_events;
+  return std::max<uint64_t>(
+      64, config.query.window.length /
+              std::max<size_t>(1, config.num_locals) / 16);
+}
+
+}  // namespace
+
 IngestConfig MakeIngestConfig(const ExperimentConfig& config,
                               size_t ordinal) {
   IngestConfig ingest;
@@ -203,17 +210,7 @@ IngestConfig MakeIngestConfig(const ExperimentConfig& config,
   ingest.batch_size = config.batch_size;
   ingest.cpu_events_per_sec = config.cpu_events_per_sec;
 
-  uint64_t rate_epoch = config.rate_epoch_events;
-  if (rate_epoch == 0) {
-    // The paper's rates "change mildly but frequently": many redraws per
-    // local window, so consecutive windows see comparable drift and the
-    // delta predictor has a meaningful signal (long flat stretches would
-    // collapse the delta and turn every step into a correction).
-    rate_epoch = std::max<uint64_t>(
-        64, config.query.window.length /
-                std::max<size_t>(1, config.num_locals) / 16);
-  }
-
+  const uint64_t rate_epoch = RateEpochEvents(config);
   const double node_rate =
       config.base_rate * (1.0 + config.rate_skew * static_cast<double>(
                                     ordinal));
@@ -408,28 +405,23 @@ Result<RunReport> RunExperiment(const ExperimentConfig& input) {
     case Scheme::kDecoAsync:
     case Scheme::kDecoMonLocal: {
       DecoScheme scheme = DecoScheme::kSync;
-      if (config.scheme == Scheme::kDecoMon ||
-          config.scheme == Scheme::kDecoMonLocal) {
+      if (config.scheme == Scheme::kDecoMon) {
         scheme = DecoScheme::kMon;
       } else if (config.scheme == Scheme::kDecoAsync) {
         scheme = DecoScheme::kAsync;
-      }
-      DecoRootOptions root_options = config.root_options;
-      DecoLocalOptions local_options = config.local_options;
-      if (config.scheme == Scheme::kDecoMonLocal) {
-        root_options.peer_rate_exchange = true;
-        local_options.peer_rate_exchange = true;
+      } else if (config.scheme == Scheme::kDecoMonLocal) {
+        scheme = DecoScheme::kMonLocal;
       }
       auto deco_root = std::make_unique<DecoRootNode>(
           &fabric, topology.root, clock, &run, topology, config.query,
-          scheme, &report, root_options);
+          scheme, &report, config.root_options);
       deco_root->set_provenance(provenance_tracker.get());
       if (serving) deco_root->set_serve(&registry);
       add_root(std::move(deco_root));
       for (size_t i = 0; i < config.num_locals; ++i) {
         auto local = std::make_unique<DecoLocalNode>(
             &fabric, topology.locals[i], clock, &run, topology,
-            ingest_for(i), config.query, scheme, local_options);
+            ingest_for(i), config.query, scheme, config.local_options);
         if (serving) local->set_serve(&registry);
         runtime.AddActor(std::move(local));
       }
@@ -623,7 +615,11 @@ Result<RunReport> RunExperiment(const ExperimentConfig& input) {
     }
   }
 
+  // One run start for every scheme, taken before any actor runs: the chaos
+  // controller counts its fault offsets from just after it, so every
+  // membership change lands at or after `start_wall_nanos` + its offset.
   const TimeNanos start = clock->NowNanos();
+  report.start_wall_nanos = start;
   runtime.StartAll();
   const Status chaos_started =
       chaos != nullptr ? chaos->Start() : Status::OK();
@@ -719,7 +715,6 @@ Result<RunReport> RunExperiment(const ExperimentConfig& input) {
   DECO_RETURN_NOT_OK(sim_run);
   DECO_RETURN_NOT_OK(joined);
 
-  report.scheme = SchemeToString(config.scheme);
   report.wall_seconds = static_cast<double>(end - start) /
                         static_cast<double>(kNanosPerSecond);
   report.throughput_eps =
@@ -889,14 +884,10 @@ Result<RunReport> RunServeFallback(const ExperimentConfig& input,
     } else {
       ExperimentConfig sub_cfg = primary_cfg;
       sub_cfg.query = q.query;
-      if (sub_cfg.rate_epoch_events == 0) {
-        // Ingest rate epochs derive from the query window when unset;
-        // pin them to the primary's derivation so every sub-run consumes
-        // the identical stream (one logical input, many queries).
-        sub_cfg.rate_epoch_events = std::max<uint64_t>(
-            64, primary_cfg.query.window.length /
-                    std::max<size_t>(1, primary_cfg.num_locals) / 16);
-      }
+      // Pin the rate epochs to the primary's, which may derive from its
+      // window, so every sub-run consumes the identical stream (one
+      // logical input, many queries).
+      sub_cfg.rate_epoch_events = RateEpochEvents(primary_cfg);
       sub_cfg.telemetry = TelemetryOptions{};
       sub_cfg.profile = ProfilerOptions{};
       sub_cfg.provenance = ProvenanceOptions{};

@@ -174,8 +174,9 @@ struct ServingSummary {
 struct RunReport {
   std::string scheme;
 
-  /// Root wall-clock at the start of the measured phase; membership event
-  /// times are offsets against this.
+  /// Run clock (virtual under the simulator) just before the actors start;
+  /// membership event times are offsets against this, and chaos fault
+  /// offsets count from just after it.
   TimeNanos start_wall_nanos = 0;
 
   /// Node removals / re-admissions, in root order.

@@ -56,7 +56,6 @@ void EncodeQueryUpdate(const QueryUpdate& update, BinaryWriter* writer) {
   writer->PutU64(update.effective_pane);
   writer->PutU8(update.add ? 1 : 0);
   writer->PutU8(update.slot_retired ? 1 : 0);
-  EncodeQueryConfig(update.query, writer);
 }
 
 Result<QueryUpdate> DecodeQueryUpdate(BinaryReader* reader) {
@@ -72,7 +71,6 @@ Result<QueryUpdate> DecodeQueryUpdate(BinaryReader* reader) {
   update.add = add != 0;
   DECO_ASSIGN_OR_RETURN(uint8_t retired, reader->GetU8());
   update.slot_retired = retired != 0;
-  DECO_ASSIGN_OR_RETURN(update.query, DecodeQueryConfig(reader));
   return update;
 }
 

@@ -8,7 +8,6 @@
 #include "common/result.h"
 #include "event/event.h"
 #include "event/serde.h"
-#include "node/query.h"
 
 /// \file protocol.h
 /// \brief Typed payloads of the messages exchanged by the schemes, with
@@ -87,10 +86,6 @@ struct QueryUpdate {
   /// Remove only: no other active query shares the slot at or after
   /// `effective_pane`, so locals stop computing it entirely.
   bool slot_retired = false;
-
-  /// Add only: the query definition (informational on locals — slices ship
-  /// partials, so only the aggregate kind and quantile matter there).
-  QueryConfig query;
 };
 
 void EncodeQueryUpdate(const QueryUpdate& update, BinaryWriter* writer);

@@ -11,30 +11,4 @@ uint64_t ProtocolWindowLength(const WindowSpec& window) {
   return window.length;
 }
 
-void EncodeQueryConfig(const QueryConfig& config, BinaryWriter* writer) {
-  writer->PutU8(static_cast<uint8_t>(config.window.type));
-  writer->PutU8(static_cast<uint8_t>(config.window.measure));
-  writer->PutU64(config.window.length);
-  writer->PutU64(config.window.slide);
-  writer->PutI64(config.window.session_gap);
-  writer->PutU8(static_cast<uint8_t>(config.aggregate));
-  writer->PutDouble(config.quantile_q);
-}
-
-Result<QueryConfig> DecodeQueryConfig(BinaryReader* reader) {
-  QueryConfig config;
-  DECO_ASSIGN_OR_RETURN(uint8_t type, reader->GetU8());
-  DECO_ASSIGN_OR_RETURN(uint8_t measure, reader->GetU8());
-  config.window.type = static_cast<WindowType>(type);
-  config.window.measure = static_cast<WindowMeasure>(measure);
-  DECO_ASSIGN_OR_RETURN(config.window.length, reader->GetU64());
-  DECO_ASSIGN_OR_RETURN(config.window.slide, reader->GetU64());
-  DECO_ASSIGN_OR_RETURN(config.window.session_gap, reader->GetI64());
-  DECO_ASSIGN_OR_RETURN(uint8_t agg, reader->GetU8());
-  config.aggregate = static_cast<AggregateKind>(agg);
-  DECO_ASSIGN_OR_RETURN(config.quantile_q, reader->GetDouble());
-  DECO_RETURN_NOT_OK(config.Validate());
-  return config;
-}
-
 }  // namespace deco

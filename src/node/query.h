@@ -3,14 +3,13 @@
 #include <cmath>
 
 #include "agg/aggregate.h"
-#include "common/result.h"
-#include "event/serde.h"
 #include "window/window.h"
 
 /// \file query.h
-/// \brief The streamed query a topology executes: a window definition plus
-/// an aggregation function. Shipped root → local at startup
-/// (`MessageType::kQueryConfig`).
+/// \brief The streamed query a topology executes: a count window plus an
+/// aggregation function. Every node is built with it; no message carries
+/// it (a local's runtime query changes arrive as slot updates,
+/// `QueryUpdate`).
 
 namespace deco {
 
@@ -41,11 +40,5 @@ struct QueryConfig {
 /// emitted windows from consecutive pane partials (an extension beyond the
 /// paper, which processes sliding count windows centrally).
 uint64_t ProtocolWindowLength(const WindowSpec& window);
-
-/// \brief Serializes a query config (binary wire format).
-void EncodeQueryConfig(const QueryConfig& config, BinaryWriter* writer);
-
-/// \brief Parses a query config.
-Result<QueryConfig> DecodeQueryConfig(BinaryReader* reader);
 
 }  // namespace deco

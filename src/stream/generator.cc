@@ -36,31 +36,4 @@ void StreamSource::NextBlock(size_t n, Event* out, double* rates) {
   }
 }
 
-DisorderInjector::DisorderInjector(StreamSource* source,
-                                   double lateness_probability,
-                                   size_t max_displacement, uint64_t seed)
-    : source_(source),
-      probability_(lateness_probability),
-      max_displacement_(max_displacement),
-      rng_(seed) {}
-
-Event DisorderInjector::Next() {
-  // Release a held event once it has been displaced far enough.
-  if (!held_.empty() && since_hold_ >= max_displacement_) {
-    Event e = held_.front();
-    held_.erase(held_.begin());
-    since_hold_ = 0;
-    return e;
-  }
-  Event e = source_->Next();
-  if (rng_.NextBool(probability_)) {
-    // Postpone this event and emit the next one in its place.
-    held_.push_back(e);
-    since_hold_ = 0;
-    e = source_->Next();
-  }
-  ++since_hold_;
-  return e;
-}
-
 }  // namespace deco

@@ -88,27 +88,4 @@ class StreamSource {
   EventId next_id_ = 0;
 };
 
-/// \brief Wraps a source and perturbs the emission order to create
-/// out-of-order (late) events, for testing the ordering machinery.
-///
-/// Each event is delayed past up to `max_displacement` successors with
-/// probability `lateness_probability`. Timestamps are untouched — events
-/// simply leave the injector out of timestamp order, exactly how network
-/// and scheduling delays reorder IoT streams.
-class DisorderInjector {
- public:
-  DisorderInjector(StreamSource* source, double lateness_probability,
-                   size_t max_displacement, uint64_t seed);
-
-  Event Next();
-
- private:
-  StreamSource* source_;
-  double probability_;
-  size_t max_displacement_;
-  Rng rng_;
-  EventVec held_;  // events postponed past their slot
-  size_t since_hold_ = 0;
-};
-
 }  // namespace deco

@@ -1,17 +1,12 @@
 #include "window/window.h"
 
-#include <sstream>
-
 #include "window/count_window.h"
-#include "window/session_window.h"
-#include "window/time_window.h"
 
 namespace deco {
 
 WindowSpec WindowSpec::CountTumbling(uint64_t length) {
   WindowSpec spec;
   spec.type = WindowType::kTumbling;
-  spec.measure = WindowMeasure::kCount;
   spec.length = length;
   spec.slide = length;
   return spec;
@@ -20,45 +15,12 @@ WindowSpec WindowSpec::CountTumbling(uint64_t length) {
 WindowSpec WindowSpec::CountSliding(uint64_t length, uint64_t slide) {
   WindowSpec spec;
   spec.type = WindowType::kSliding;
-  spec.measure = WindowMeasure::kCount;
   spec.length = length;
   spec.slide = slide;
   return spec;
 }
 
-WindowSpec WindowSpec::TimeTumbling(int64_t length_nanos) {
-  WindowSpec spec;
-  spec.type = WindowType::kTumbling;
-  spec.measure = WindowMeasure::kTime;
-  spec.length = static_cast<uint64_t>(length_nanos);
-  spec.slide = static_cast<uint64_t>(length_nanos);
-  return spec;
-}
-
-WindowSpec WindowSpec::TimeSliding(int64_t length_nanos, int64_t slide_nanos) {
-  WindowSpec spec;
-  spec.type = WindowType::kSliding;
-  spec.measure = WindowMeasure::kTime;
-  spec.length = static_cast<uint64_t>(length_nanos);
-  spec.slide = static_cast<uint64_t>(slide_nanos);
-  return spec;
-}
-
-WindowSpec WindowSpec::Session(int64_t gap_nanos) {
-  WindowSpec spec;
-  spec.type = WindowType::kSession;
-  spec.measure = WindowMeasure::kTime;
-  spec.session_gap = gap_nanos;
-  return spec;
-}
-
 Status WindowSpec::Validate() const {
-  if (type == WindowType::kSession) {
-    if (session_gap <= 0) {
-      return Status::InvalidArgument("session gap must be positive");
-    }
-    return Status::OK();
-  }
   if (length == 0) {
     return Status::InvalidArgument("window length must be positive");
   }
@@ -74,49 +36,16 @@ Status WindowSpec::Validate() const {
   return Status::OK();
 }
 
-std::string WindowSpec::ToString() const {
-  std::ostringstream os;
-  switch (type) {
-    case WindowType::kTumbling:
-      os << "tumbling";
-      break;
-    case WindowType::kSliding:
-      os << "sliding";
-      break;
-    case WindowType::kSession:
-      os << "session";
-      break;
-  }
-  os << "/" << (measure == WindowMeasure::kCount ? "count" : "time");
-  if (type == WindowType::kSession) {
-    os << "(gap=" << session_gap << "ns)";
-  } else if (type == WindowType::kSliding) {
-    os << "(length=" << length << ", slide=" << slide << ")";
-  } else {
-    os << "(length=" << length << ")";
-  }
-  return os.str();
-}
-
 Result<std::unique_ptr<Windower>> MakeWindower(const WindowSpec& spec,
                                                const AggregateFunction* func) {
   if (func == nullptr) {
     return Status::InvalidArgument("aggregate function must not be null");
   }
   DECO_RETURN_NOT_OK(spec.Validate());
-  if (spec.type == WindowType::kSession) {
-    return std::unique_ptr<Windower>(new SessionWindower(spec, func));
-  }
-  if (spec.measure == WindowMeasure::kCount) {
-    if (spec.type == WindowType::kTumbling) {
-      return std::unique_ptr<Windower>(new CountTumblingWindower(spec, func));
-    }
-    return std::unique_ptr<Windower>(new CountSlidingWindower(spec, func));
-  }
   if (spec.type == WindowType::kTumbling) {
-    return std::unique_ptr<Windower>(new TimeTumblingWindower(spec, func));
+    return std::unique_ptr<Windower>(new CountTumblingWindower(spec, func));
   }
-  return std::unique_ptr<Windower>(new TimeSlidingWindower(spec, func));
+  return std::unique_ptr<Windower>(new CountSlidingWindower(spec, func));
 }
 
 }  // namespace deco

@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "agg/aggregate.h"
@@ -11,55 +10,35 @@
 #include "event/event.h"
 
 /// \file window.h
-/// \brief Window definitions and the `Windower` operator interface
-/// (paper §2.1–§2.2).
+/// \brief Count-based window definitions and the `Windower` operator
+/// interface (paper §2.1–§2.2).
 ///
-/// A window spec combines a *type* (tumbling, sliding, session) with a
-/// *measure* (count or time). Tumbling and sliding windows have fixed sizes;
-/// session windows are terminated by an event-time gap. The library's
-/// decentralized schemes target count-based tumbling and sliding windows;
-/// the time- and session-window operators exist as substrates for the
-/// baselines and as a complete single-node windowing library.
+/// A window spec is a tumbling or sliding window whose length and slide
+/// count events, the only kind of window Deco aggregates.
 
 namespace deco {
 
 enum class WindowType : uint8_t {
   kTumbling = 0,
   kSliding = 1,
-  kSession = 2,
 };
 
-enum class WindowMeasure : uint8_t {
-  kCount = 0,
-  kTime = 1,
-};
-
-/// \brief Full description of a window operator.
+/// \brief Full description of a count window operator.
 struct WindowSpec {
   WindowType type = WindowType::kTumbling;
-  WindowMeasure measure = WindowMeasure::kCount;
 
-  /// Window length: number of events (count measure) or nanoseconds (time
-  /// measure).
+  /// Window length in events.
   uint64_t length = 0;
 
-  /// Slide step for sliding windows, in the same unit as `length`.
+  /// Slide step in events; equals `length` for tumbling windows.
   uint64_t slide = 0;
-
-  /// Session gap in nanoseconds (session windows only).
-  int64_t session_gap = 0;
 
   static WindowSpec CountTumbling(uint64_t length);
   static WindowSpec CountSliding(uint64_t length, uint64_t slide);
-  static WindowSpec TimeTumbling(int64_t length_nanos);
-  static WindowSpec TimeSliding(int64_t length_nanos, int64_t slide_nanos);
-  static WindowSpec Session(int64_t gap_nanos);
 
   /// \brief Checks internal consistency (positive length, slide <= length
   /// for sliding windows, ...).
   Status Validate() const;
-
-  std::string ToString() const;
 };
 
 /// \brief One closed window with its aggregate.
@@ -67,8 +46,7 @@ struct WindowResult {
   /// Sequence number of the window in emission order (0-based).
   uint64_t window_index = 0;
 
-  /// Event-time bounds: timestamps of the first and last contained event
-  /// for count windows, or the window interval for time windows.
+  /// Event-time bounds: timestamps of the first and last contained event.
   EventTime start_time = 0;
   EventTime end_time = 0;
 
@@ -82,8 +60,9 @@ struct WindowResult {
   double value = 0.0;
 };
 
-/// \brief Streaming window operator: push events (and watermarks for time
-/// windows) in order, collect closed windows.
+/// \brief Streaming window operator: push events in order, collect closed
+/// windows. A partially filled window is never emitted: a count window
+/// without its full complement of events has no defined result.
 ///
 /// Not thread-safe; one instance per stream/thread.
 class Windower {
@@ -92,25 +71,6 @@ class Windower {
 
   /// \brief Ingests one event; appends any windows it closes to `out`.
   virtual Status Add(const Event& event, std::vector<WindowResult>* out) = 0;
-
-  /// \brief Advances event time. Time and session windows whose end lies at
-  /// or before the watermark close and are appended to `out`. Count windows
-  /// ignore watermarks.
-  virtual Status OnWatermark(Watermark watermark,
-                             std::vector<WindowResult>* out) {
-    (void)watermark;
-    (void)out;
-    return Status::OK();
-  }
-
-  /// \brief End-of-stream: closes windows that can never be completed by
-  /// further input (e.g. an open session). Partially filled count windows
-  /// are *not* emitted — a count window without its full complement of
-  /// events has no defined result.
-  virtual Status Flush(std::vector<WindowResult>* out) {
-    (void)out;
-    return Status::OK();
-  }
 
   const WindowSpec& spec() const { return spec_; }
 

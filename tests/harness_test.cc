@@ -95,10 +95,6 @@ TEST(HarnessConfigTest, ValidationRejections) {
   config = ExperimentConfig();
   config.rate_change = -1.0;
   EXPECT_TRUE(RunExperiment(config).status().IsInvalidArgument());
-
-  config = ExperimentConfig();
-  config.query.window = WindowSpec::Session(100);
-  EXPECT_TRUE(RunExperiment(config).status().IsNotSupported());
 }
 
 TEST(HarnessConfigTest, ProtocolWindowLengthForSliding) {

@@ -175,9 +175,6 @@ TEST(IntegrationTest, ValidationRejectsBadConfigs) {
   config = SmallConfig(Scheme::kCentral);
   config.base_rate = -5;
   EXPECT_FALSE(RunExperiment(config).ok());
-  config = SmallConfig(Scheme::kCentral);
-  config.query.window = WindowSpec::TimeTumbling(1000);
-  EXPECT_TRUE(RunExperiment(config).status().IsNotSupported());
 }
 
 TEST(IntegrationTest, SchemeNamesRoundTrip) {

@@ -5,7 +5,6 @@
 
 #include "node/apportion.h"
 #include "node/protocol.h"
-#include "node/query.h"
 
 namespace deco {
 namespace {
@@ -262,29 +261,32 @@ TEST(ProtocolTest, EveryCorrectionResponsePrefixFailsToDecode) {
   ExpectEveryPrefixFails(writer.buffer(), DecodeCorrectionResponse);
 }
 
-TEST(ProtocolTest, QueryConfigRoundTrip) {
-  QueryConfig config;
-  config.window = WindowSpec::CountSliding(1000, 500);
-  config.aggregate = AggregateKind::kAvg;
-  config.quantile_q = 0.9;
-  BinaryWriter writer;
-  EncodeQueryConfig(config, &writer);
-  BinaryReader reader(writer.buffer());
-  const QueryConfig decoded = DecodeQueryConfig(&reader).value();
-  EXPECT_EQ(decoded.window.type, WindowType::kSliding);
-  EXPECT_EQ(decoded.window.length, 1000u);
-  EXPECT_EQ(decoded.window.slide, 500u);
-  EXPECT_EQ(decoded.aggregate, AggregateKind::kAvg);
-  EXPECT_DOUBLE_EQ(decoded.quantile_q, 0.9);
-}
+TEST(ProtocolTest, QueryUpdateRoundTrip) {
+  QueryUpdate remove;
+  remove.query_id = 7;
+  remove.slot = 513;
+  remove.effective_pane = 49;
+  remove.add = false;
+  remove.slot_retired = true;
+  QueryUpdate add;
+  add.query_id = 8;
+  add.slot = 2;
+  add.effective_pane = 1ULL << 40;
 
-TEST(ProtocolTest, QueryConfigDecodeValidates) {
-  QueryConfig config;
-  config.window = WindowSpec::CountTumbling(0);  // invalid length
-  BinaryWriter writer;
-  EncodeQueryConfig(config, &writer);
-  BinaryReader reader(writer.buffer());
-  EXPECT_FALSE(DecodeQueryConfig(&reader).ok());
+  for (const QueryUpdate& update : {remove, add}) {
+    BinaryWriter writer;
+    EncodeQueryUpdate(update, &writer);
+    // query id, slot, effective pane, add, slot_retired
+    EXPECT_EQ(writer.buffer().size(), 18u);
+    BinaryReader reader(writer.buffer());
+    const QueryUpdate decoded = DecodeQueryUpdate(&reader).value();
+    EXPECT_EQ(decoded.query_id, update.query_id);
+    EXPECT_EQ(decoded.slot, update.slot);
+    EXPECT_EQ(decoded.effective_pane, update.effective_pane);
+    EXPECT_EQ(decoded.add, update.add);
+    EXPECT_EQ(decoded.slot_retired, update.slot_retired);
+    ExpectEveryPrefixFails(writer.buffer(), DecodeQueryUpdate);
+  }
 }
 
 // ------------------------------------------------------------ Apportion

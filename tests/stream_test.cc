@@ -167,37 +167,6 @@ TEST(StreamSourceTest, MeanRateApproximatesConfig) {
   EXPECT_NEAR(measured, 1000.0, 30.0);
 }
 
-// -------------------------------------------------------- DisorderInjector
-
-TEST(DisorderInjectorTest, ZeroProbabilityPreservesOrder) {
-  StreamSource source(BasicStream(0, 1000, 0.1));
-  DisorderInjector injector(&source, 0.0, 4, 1);
-  EventTime last = -1;
-  for (int i = 0; i < 1000; ++i) {
-    const Event e = injector.Next();
-    EXPECT_GT(e.timestamp, last);
-    last = e.timestamp;
-  }
-}
-
-TEST(DisorderInjectorTest, IntroducesOutOfOrderEventsWithoutLoss) {
-  StreamSource source(BasicStream(0, 1000, 0.1, 3));
-  DisorderInjector injector(&source, 0.2, 4, 3);
-  std::vector<EventId> ids;
-  int inversions = 0;
-  EventTime last = -1;
-  for (int i = 0; i < 2000; ++i) {
-    const Event e = injector.Next();
-    if (e.timestamp < last) ++inversions;
-    last = e.timestamp;
-    ids.push_back(e.id);
-  }
-  EXPECT_GT(inversions, 10);
-  // No event lost or duplicated within the drained prefix.
-  std::sort(ids.begin(), ids.end());
-  EXPECT_EQ(std::adjacent_find(ids.begin(), ids.end()), ids.end());
-}
-
 // --------------------------------------------------------------- StreamSet
 
 TEST(StreamSetTest, MergesInGlobalOrder) {

@@ -41,15 +41,6 @@ TEST(WindowSpecTest, ValidationRules) {
   EXPECT_TRUE(WindowSpec::CountSliding(10, 5).Validate().ok());
   EXPECT_FALSE(WindowSpec::CountSliding(10, 0).Validate().ok());
   EXPECT_FALSE(WindowSpec::CountSliding(10, 11).Validate().ok());
-  EXPECT_TRUE(WindowSpec::Session(100).Validate().ok());
-  EXPECT_FALSE(WindowSpec::Session(0).Validate().ok());
-}
-
-TEST(WindowSpecTest, ToStringDescribes) {
-  EXPECT_NE(WindowSpec::CountTumbling(5).ToString().find("tumbling/count"),
-            std::string::npos);
-  EXPECT_NE(WindowSpec::TimeSliding(100, 50).ToString().find("sliding/time"),
-            std::string::npos);
 }
 
 TEST(WindowSpecTest, FactoryRejectsNullAggregate) {
@@ -83,15 +74,6 @@ TEST_F(CountTumblingTest, IncompleteWindowIsNotEmitted) {
   for (int i = 0; i < 4; ++i) {
     ASSERT_TRUE(w->Add(MakeEvent(i, 1.0, i), &out).ok());
   }
-  ASSERT_TRUE(w->Flush(&out).ok());
-  EXPECT_TRUE(out.empty());
-}
-
-TEST_F(CountTumblingTest, WatermarksAreIgnored) {
-  auto w = MakeOk(WindowSpec::CountTumbling(2));
-  std::vector<WindowResult> out;
-  ASSERT_TRUE(w->Add(MakeEvent(0, 1.0, 5), &out).ok());
-  ASSERT_TRUE(w->OnWatermark(Watermark{1'000'000}, &out).ok());
   EXPECT_TRUE(out.empty());
 }
 
@@ -170,117 +152,6 @@ INSTANTIATE_TEST_SUITE_P(
                       std::pair<uint64_t, uint64_t>{10, 3},
                       std::pair<uint64_t, uint64_t>{7, 7},
                       std::pair<uint64_t, uint64_t>{16, 8}));
-
-// --------------------------------------------------------- Time tumbling
-
-using TimeTumblingTest = WindowTestBase;
-
-TEST_F(TimeTumblingTest, ClosesOnWatermark) {
-  auto w = MakeOk(WindowSpec::TimeTumbling(100));
-  std::vector<WindowResult> out;
-  ASSERT_TRUE(w->Add(MakeEvent(0, 1.0, 10), &out).ok());
-  ASSERT_TRUE(w->Add(MakeEvent(1, 2.0, 50), &out).ok());
-  ASSERT_TRUE(w->Add(MakeEvent(2, 4.0, 120), &out).ok());
-  EXPECT_TRUE(out.empty());  // nothing closes without a watermark
-  ASSERT_TRUE(w->OnWatermark(Watermark{99}, &out).ok());
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_DOUBLE_EQ(out[0].value, 3.0);
-  EXPECT_EQ(out[0].start_time, 0);
-  EXPECT_EQ(out[0].end_time, 100);
-  ASSERT_TRUE(w->OnWatermark(Watermark{250}, &out).ok());
-  ASSERT_EQ(out.size(), 2u);
-  EXPECT_DOUBLE_EQ(out[1].value, 4.0);
-}
-
-TEST_F(TimeTumblingTest, LateEventsAreDropped) {
-  auto w = MakeOk(WindowSpec::TimeTumbling(100));
-  std::vector<WindowResult> out;
-  ASSERT_TRUE(w->Add(MakeEvent(0, 1.0, 150), &out).ok());
-  ASSERT_TRUE(w->OnWatermark(Watermark{199}, &out).ok());
-  ASSERT_EQ(out.size(), 1u);
-  // Event behind the watermark: its window already fired.
-  ASSERT_TRUE(w->Add(MakeEvent(1, 5.0, 120), &out).ok());
-  ASSERT_TRUE(w->OnWatermark(Watermark{1000}, &out).ok());
-  EXPECT_EQ(out.size(), 1u);  // nothing new, late event was discarded
-}
-
-TEST_F(TimeTumblingTest, EmptyBucketsDoNotEmit) {
-  auto w = MakeOk(WindowSpec::TimeTumbling(10));
-  std::vector<WindowResult> out;
-  ASSERT_TRUE(w->Add(MakeEvent(0, 1.0, 5), &out).ok());
-  ASSERT_TRUE(w->Add(MakeEvent(1, 1.0, 95), &out).ok());
-  ASSERT_TRUE(w->OnWatermark(Watermark{200}, &out).ok());
-  EXPECT_EQ(out.size(), 2u);  // only non-empty buckets
-}
-
-// ---------------------------------------------------------- Time sliding
-
-using TimeSlidingTest = WindowTestBase;
-
-TEST_F(TimeSlidingTest, OverlapAndPaneSharing) {
-  auto w = MakeOk(WindowSpec::TimeSliding(100, 50));
-  std::vector<WindowResult> out;
-  ASSERT_TRUE(w->Add(MakeEvent(0, 1.0, 10), &out).ok());
-  ASSERT_TRUE(w->Add(MakeEvent(1, 2.0, 60), &out).ok());
-  ASSERT_TRUE(w->Add(MakeEvent(2, 4.0, 110), &out).ok());
-  ASSERT_TRUE(w->OnWatermark(Watermark{300}, &out).ok());
-  // Windows: [0,100): 1+2; [50,150): 2+4; [100,200): 4.
-  ASSERT_EQ(out.size(), 3u);
-  EXPECT_DOUBLE_EQ(out[0].value, 3.0);
-  EXPECT_DOUBLE_EQ(out[1].value, 6.0);
-  EXPECT_DOUBLE_EQ(out[2].value, 4.0);
-}
-
-TEST_F(TimeSlidingTest, FirstWindowCoversFirstEvent) {
-  auto w = MakeOk(WindowSpec::TimeSliding(100, 50));
-  std::vector<WindowResult> out;
-  ASSERT_TRUE(w->Add(MakeEvent(0, 1.0, 500), &out).ok());
-  ASSERT_TRUE(w->OnWatermark(Watermark{700}, &out).ok());
-  ASSERT_FALSE(out.empty());
-  // Earliest window containing ts=500 starts at 450.
-  EXPECT_EQ(out[0].start_time, 450);
-}
-
-// --------------------------------------------------------------- Session
-
-using SessionTest = WindowTestBase;
-
-TEST_F(SessionTest, GapClosesSession) {
-  auto w = MakeOk(WindowSpec::Session(10));
-  std::vector<WindowResult> out;
-  ASSERT_TRUE(w->Add(MakeEvent(0, 1.0, 0), &out).ok());
-  ASSERT_TRUE(w->Add(MakeEvent(1, 2.0, 5), &out).ok());
-  ASSERT_TRUE(w->Add(MakeEvent(2, 4.0, 30), &out).ok());  // gap of 25 > 10
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_DOUBLE_EQ(out[0].value, 3.0);
-  EXPECT_EQ(out[0].start_time, 0);
-  EXPECT_EQ(out[0].end_time, 5);
-  ASSERT_TRUE(w->Flush(&out).ok());
-  ASSERT_EQ(out.size(), 2u);
-  EXPECT_DOUBLE_EQ(out[1].value, 4.0);
-}
-
-TEST_F(SessionTest, WatermarkClosesIdleSession) {
-  auto w = MakeOk(WindowSpec::Session(10));
-  std::vector<WindowResult> out;
-  ASSERT_TRUE(w->Add(MakeEvent(0, 1.0, 100), &out).ok());
-  ASSERT_TRUE(w->OnWatermark(Watermark{105}, &out).ok());
-  EXPECT_TRUE(out.empty());  // gap not yet exceeded
-  ASSERT_TRUE(w->OnWatermark(Watermark{111}, &out).ok());
-  ASSERT_EQ(out.size(), 1u);
-}
-
-TEST_F(SessionTest, ContinuousEventsStayInOneSession) {
-  auto w = MakeOk(WindowSpec::Session(10));
-  std::vector<WindowResult> out;
-  for (int i = 0; i < 50; ++i) {
-    ASSERT_TRUE(w->Add(MakeEvent(i, 1.0, i * 9), &out).ok());
-  }
-  EXPECT_TRUE(out.empty());
-  ASSERT_TRUE(w->Flush(&out).ok());
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out[0].event_count, 50u);
-}
 
 }  // namespace
 }  // namespace deco
