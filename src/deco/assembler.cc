@@ -32,7 +32,8 @@ WindowAssembler::WindowAssembler(size_t num_nodes,
       eos_(num_nodes, false),
       removed_(num_nodes, false),
       candidates_(num_nodes),
-      candidates_complete_(num_nodes, false) {}
+      candidates_complete_(num_nodes, false),
+      asked_(num_nodes) {}
 
 WindowAssembler::PendingWindow& WindowAssembler::GetWindow(uint64_t w) {
   PendingWindow& pw = pending_[w];
@@ -129,7 +130,11 @@ void WindowAssembler::ReadmitNode(size_t node) {
 }
 
 WindowAssembler::Outcome WindowAssembler::TryAssemble(WindowAssembly* out) {
+  repair_plan_.clear();
   if (correcting_) return Outcome::kNotReady;
+  // A repair response that cannot advance the repair leaves the held
+  // window to the full correction.
+  if (repair_failed_) return Outcome::kNeedCorrection;
   auto it = pending_.find(next_window_);
   PendingWindow* pw = it == pending_.end() ? nullptr : &it->second;
 
@@ -191,6 +196,20 @@ WindowAssembler::Outcome WindowAssembler::TryAssemble(WindowAssembly* out) {
     DECO_LOG(DEBUG) << "assembler w" << next_window_
                     << ": overestimate, forced=" << forced << " > "
                     << global_size_;
+    // Repair: open the slice of the node holding the greatest forced key.
+    size_t worst = num_nodes_;
+    EventKey worst_key;
+    for (size_t n = 0; pw != nullptr && n < num_nodes_; ++n) {
+      EventKey key;
+      if (removed_[n] || !ForcedMax(n, pw->nodes[n], &key)) continue;
+      if (worst == num_nodes_ || worst_key < key) {
+        worst = n;
+        worst_key = key;
+      }
+    }
+    if (worst < num_nodes_) {
+      repair_plan_.push_back(OpenSliceRequest(worst, pw->nodes[worst]));
+    }
     return Outcome::kNeedCorrection;
   }
 
@@ -202,8 +221,11 @@ WindowAssembler::Outcome WindowAssembler::TryAssemble(WindowAssembly* out) {
   auto next_it = pending_.find(next_window_ + 1);
   PendingWindow* pw_next =
       next_it == pending_.end() ? nullptr : &next_it->second;
+  // A sealed node (topped up by a repair) holds its whole selectable
+  // region in its end buffer: its next front was folded in.
+  auto sealed = [&](size_t n) { return pw != nullptr && pw->nodes[n].sealed; };
   auto next_front = [&](size_t n) -> std::vector<TimedEvent>* {
-    if (!expect_front_ || pw_next == nullptr) return nullptr;
+    if (!expect_front_ || pw_next == nullptr || sealed(n)) return nullptr;
     NodeWindowState& st = pw_next->nodes[n];
     return st.front_done ? &st.front : nullptr;
   };
@@ -222,7 +244,7 @@ WindowAssembler::Outcome WindowAssembler::TryAssemble(WindowAssembly* out) {
   // True when node n could still extend its selectable region (its next
   // front buffer has not arrived yet).
   auto can_extend = [&](size_t n) {
-    return expect_front_ && !eos_[n] && !removed_[n] &&
+    return expect_front_ && !eos_[n] && !removed_[n] && !sealed(n) &&
            next_front(n) == nullptr;
   };
 
@@ -288,9 +310,11 @@ WindowAssembler::Outcome WindowAssembler::TryAssemble(WindowAssembly* out) {
     for (size_t n = 0; n < num_nodes_; ++n) {
       if (can_extend(n)) return Outcome::kNotReady;
     }
+    // Every live node's region is fully selected: check (3) below tops up
+    // each one whose cut needs a bound (at a stream's end, each answers
+    // with nothing but its end-of-stream mark).
     DECO_LOG(DEBUG) << "assembler w" << next_window_
                     << ": no excluded event to bound the cut";
-    return Outcome::kNeedCorrection;
   }
 
   // A finished node may still hold events for *later* windows (async runs
@@ -315,18 +339,64 @@ WindowAssembler::Outcome WindowAssembler::TryAssemble(WindowAssembly* out) {
     return false;
   };
 
+  // Repair of a fully selected node k: a top-up of the next D_k events
+  // past everything the root holds for it, where D_k is one more than the
+  // selected events of other nodes after k's last held event. k's new
+  // events can displace only those, so one of the D_k stays excluded.
+  auto top_up = [&](size_t k) {
+    const NodeWindowState& st = pw->nodes[k];
+    const size_t avail = avail_count(k);
+    EventKey last;  // k holds nothing: every selected event follows
+    if (avail > 0) {
+      last = EventKey::Of(avail_event(k, avail - 1).event);
+    } else {
+      ForcedMax(k, st, &last);
+    }
+    RepairRequest request;
+    request.node = k;
+    request.kind = RepairRequest::Kind::kTopUp;
+    request.from_index = leftover_[k].size() + st.front.size() +
+                         (st.slice ? st.slice->event_count : 0) + avail;
+    request.count = 1;
+    for (size_t j = 0; j < num_nodes_; ++j) {
+      if (j == k) continue;
+      // j's selected events are the sorted prefix [0, sel[j]).
+      size_t lo = 0;
+      size_t hi = sel[j];
+      while (lo < hi) {
+        const size_t mid = lo + (hi - lo) / 2;
+        if (EventKey::Of(avail_event(j, mid).event) <= last) {
+          lo = mid + 1;
+        } else {
+          hi = mid;
+        }
+      }
+      request.count += sel[j] - lo;
+    }
+    return request;
+  };
+
   // Check (3): the cut must be bounded below every live node's unshipped
   // stream — at least one of its shipped selectable events stays excluded.
+  // The first unbounded node decides: it waits for its next front if one
+  // can still come, else every unbounded node that cannot extend is
+  // topped up.
+  bool unbounded = false;
   for (size_t n = 0; n < num_nodes_; ++n) {
     if (removed_[n] || (eos_[n] && !node_has_later_input(n))) continue;
-    if (sel[n] == avail_count(n)) {
-      if (can_extend(n)) return Outcome::kNotReady;
-      DECO_LOG(DEBUG) << "assembler w" << next_window_ << ": node " << n
-                      << " selectable region fully selected (" << sel[n]
-                      << ")";
-      return Outcome::kNeedCorrection;
+    if (pw != nullptr && pw->nodes[n].complete) continue;
+    if (sel[n] < avail_count(n)) continue;
+    if (can_extend(n)) {
+      if (!unbounded) return Outcome::kNotReady;
+      continue;
     }
+    DECO_LOG(DEBUG) << "assembler w" << next_window_ << ": node " << n
+                    << " selectable region fully selected (" << sel[n]
+                    << ")";
+    unbounded = true;
+    if (pw != nullptr) repair_plan_.push_back(top_up(n));
   }
+  if (unbounded) return Outcome::kNeedCorrection;
 
   // Check (4): no forced event may follow the first excluded event.
   if (has_excluded) {
@@ -350,6 +420,15 @@ WindowAssembler::Outcome WindowAssembler::TryAssemble(WindowAssembly* out) {
                         << " frontLastTs="
                         << (st.front.empty() ? -1
                                              : st.front.back().event.timestamp);
+      }
+      // Repair: open the slice of every node whose forced events reach
+      // the first excluded key.
+      for (size_t n = 0; pw != nullptr && n < num_nodes_; ++n) {
+        EventKey key;
+        if (removed_[n] || !ForcedMax(n, pw->nodes[n], &key)) continue;
+        if (!(key < first_excluded)) {
+          repair_plan_.push_back(OpenSliceRequest(n, pw->nodes[n]));
+        }
       }
       return Outcome::kNeedCorrection;
     }
@@ -486,20 +565,155 @@ WindowAssembler::Outcome WindowAssembler::TryAssemble(WindowAssembly* out) {
 
   pending_.erase(next_window_);
   ++next_window_;
+  if (repairing_) {
+    // The locals roll back after a repaired window exactly as after a
+    // correction: whatever arrived for later windows is discarded.
+    if (provenance_ != nullptr) {
+      provenance_->OnCorrectionBegin(next_window_ - 1);
+    }
+    DropHeldInputs();
+    EndRepair();
+  }
   return Outcome::kAssembled;
+}
+
+bool WindowAssembler::ForcedMax(size_t n, const NodeWindowState& st,
+                                EventKey* key) const {
+  // A node's leftover, front and slice follow each other in its stream, so
+  // the last non-empty one holds its greatest forced key.
+  if (st.slice.has_value() && st.slice->event_count > 0) {
+    *key = EventKey{st.slice->max_ts, st.slice->max_stream_id,
+                    st.slice->max_event_id};
+    return true;
+  }
+  if (!st.front.empty()) {
+    *key = EventKey::Of(st.front.back().event);
+    return true;
+  }
+  if (!leftover_[n].empty()) {
+    *key = EventKey::Of(leftover_[n].back().event);
+    return true;
+  }
+  return false;
+}
+
+RepairRequest WindowAssembler::OpenSliceRequest(
+    size_t n, const NodeWindowState& st) const {
+  RepairRequest request;
+  request.node = n;
+  request.kind = RepairRequest::Kind::kOpenSlice;
+  request.from_index = leftover_[n].size() + st.front.size();
+  request.count = st.slice ? st.slice->event_count : 0;
+  return request;
+}
+
+void WindowAssembler::OpenSlice(size_t n, NodeWindowState* st,
+                                const EventVec& events, double create_mean) {
+  std::vector<TimedEvent> region;
+  region.reserve(leftover_[n].size() + st->front.size() + events.size() +
+                 st->end.size());
+  region.insert(region.end(), leftover_[n].begin(), leftover_[n].end());
+  region.insert(region.end(), st->front.begin(), st->front.end());
+  for (const Event& e : events) region.push_back(TimedEvent{e, create_mean});
+  region.insert(region.end(), st->end.begin(), st->end.end());
+  leftover_[n].clear();
+  st->front.clear();
+  // The slice stays present (its inputs arrived) but forces nothing: its
+  // partial and serve extras are dropped, and its raw events feed every
+  // active slot like any selectable event.
+  if (st->slice.has_value()) {
+    st->slice->event_count = 0;
+    st->slice->extras.clear();
+  }
+  st->end = std::move(region);
+}
+
+bool WindowAssembler::BeginRepair(std::vector<RepairRequest>* requests) {
+  requests->clear();
+  auto it = pending_.find(next_window_);
+  if (correcting_ || repair_plan_.empty() || it == pending_.end()) {
+    return false;
+  }
+  auto next_it = pending_.find(next_window_ + 1);
+  for (const RepairRequest& request : repair_plan_) {
+    NodeWindowState& st = it->second.nodes[request.node];
+    if (request.kind == RepairRequest::Kind::kTopUp) {
+      if (!st.sealed && expect_front_ && next_it != pending_.end()) {
+        // The top-up follows the next front in the node's stream, so the
+        // front joins this window's region ahead of it.
+        std::vector<TimedEvent>& front =
+            next_it->second.nodes[request.node].front;
+        st.end.insert(st.end.end(), front.begin(), front.end());
+        front.clear();
+      }
+      st.sealed = true;
+    }
+    asked_[request.node] = request.kind;
+    requests->push_back(request);
+  }
+  if (!repairing_) {
+    if (provenance_ != nullptr) provenance_->OnCorrectionBegin(next_window_);
+    repairing_ = true;
+  }
+  return true;
+}
+
+Status WindowAssembler::AddRepair(size_t node, const EventVec& events,
+                                  double create_mean, bool end_of_stream) {
+  if (node >= num_nodes_) {
+    return Status::InvalidArgument("repair response from unknown node");
+  }
+  if (!repairing_) return Status::Internal("AddRepair outside repair mode");
+  auto it = pending_.find(next_window_);
+  if (removed_[node] || !asked_[node].has_value() || it == pending_.end()) {
+    return Status::OK();
+  }
+  NodeWindowState& st = it->second.nodes[node];
+  const RepairRequest::Kind kind = *asked_[node];
+  asked_[node].reset();
+  if (provenance_ != nullptr) {
+    provenance_->OnCorrectionResponse(next_window_, node, create_mean);
+  }
+  if (kind == RepairRequest::Kind::kOpenSlice) {
+    // A slice's raw events replace it only when they are all of them.
+    if (events.size() != (st.slice ? st.slice->event_count : 0)) {
+      repair_failed_ = true;
+      return Status::OK();
+    }
+    OpenSlice(node, &st, events, create_mean);
+  } else {
+    // A top-up that brings nothing before the end of the stream would be
+    // asked again unchanged.
+    if (events.empty() && !end_of_stream) repair_failed_ = true;
+    st.end.reserve(st.end.size() + events.size());
+    for (const Event& e : events) st.end.push_back(TimedEvent{e, create_mean});
+  }
+  if (end_of_stream) st.sealed = st.complete = true;
+  return Status::OK();
+}
+
+void WindowAssembler::DropHeldInputs() {
+  pending_.clear();
+  for (auto& q : leftover_) q.clear();
+  std::fill(carry_.begin(), carry_.end(), 0);
+  // The rollback makes every local re-produce its retained events and
+  // re-announce end-of-stream.
+  std::fill(eos_.begin(), eos_.end(), false);
+}
+
+void WindowAssembler::EndRepair() {
+  repairing_ = false;
+  repair_failed_ = false;
+  std::fill(asked_.begin(), asked_.end(), std::nullopt);
 }
 
 void WindowAssembler::BeginCorrection() {
   if (provenance_ != nullptr) provenance_->OnCorrectionBegin(next_window_);
+  EndRepair();
   correcting_ = true;
-  pending_.clear();
-  for (auto& q : leftover_) q.clear();
-  std::fill(carry_.begin(), carry_.end(), 0);
+  DropHeldInputs();
   for (auto& c : candidates_) c.clear();
   std::fill(candidates_complete_.begin(), candidates_complete_.end(), false);
-  // The correction rolls every local node back: nodes that had announced
-  // end-of-stream will re-produce their retained events and re-announce.
-  std::fill(eos_.begin(), eos_.end(), false);
 }
 
 void WindowAssembler::MarkCandidatesComplete(size_t node) {

@@ -36,7 +36,11 @@
 ///      excluded (the cut is bounded below the node's unshipped stream),
 ///  (4) the largest forced key precedes the first excluded key (the cut
 ///      did not fall inside any slice or forced region).
-/// Any violation is a prediction error and triggers the correction step.
+/// Any violation is a prediction error. When it names particular locals
+/// the root repairs the held window in place (`BeginRepair`): it asks
+/// those locals for the next events past what it holds (3) or for the raw
+/// events of their slice (1)/(4), and reruns the same verification. Any
+/// other failure falls back to the full correction step.
 
 namespace deco {
 
@@ -94,6 +98,29 @@ struct WindowAssembly {
   /// and the number of events with meta available.
   double create_mean = 0.0;
   uint64_t create_count = 0;
+};
+
+/// \brief One local's part of an in-place repair (DESIGN.md §4.1): the
+/// local ships retained events `[from_index, from_index + count)` through
+/// the ordinary `CorrectionRequest`. Index 0 is the first event the root
+/// holds for the local in the held window (its leftover, else its front,
+/// else its slice), which is the local's first retained event after the
+/// last verified watermark.
+struct RepairRequest {
+  enum class Kind : uint8_t {
+    /// Check (3): the local's selectable region was fully selected; ship
+    /// the next events past everything the root holds for it.
+    kTopUp,
+    /// Checks (1)/(4): the cut needs the local's slice split; ship the
+    /// slice's raw events, which then join one selectable region with the
+    /// local's leftover, front and end.
+    kOpenSlice,
+  };
+
+  size_t node = 0;
+  Kind kind = Kind::kTopUp;
+  uint64_t from_index = 0;
+  uint64_t count = 0;
 };
 
 /// \brief Streaming assembler for consecutive global windows.
@@ -163,15 +190,39 @@ class WindowAssembler {
 
   /// \brief Attempts to assemble and verify `next_window()`. On
   /// `kAssembled` the internal state advances (leftovers carried over,
-  /// window counter incremented).
+  /// window counter incremented); a repaired window instead ends the
+  /// repair and drops what `BeginCorrection` drops, since the locals roll
+  /// back after it exactly as after a correction.
   Outcome TryAssemble(WindowAssembly* out);
+
+  // --- In-place repair (DESIGN.md §4.1) --------------------------------
+
+  /// \brief After `TryAssemble` returned `kNeedCorrection`: enters (or
+  /// continues) the repair of the held window and lists what particular
+  /// locals must ship. Returns false, changing nothing, when the failure
+  /// names no local, or when a response could not advance the repair (an
+  /// opened slice of the wrong size, a top-up that brought nothing before
+  /// the end of the stream); the caller then falls back to
+  /// `BeginCorrection`. While repairing, inputs for later windows are
+  /// still accepted.
+  bool BeginRepair(std::vector<RepairRequest>* requests);
+
+  /// \brief Applies node `node`'s response to its repair request.
+  /// `end_of_stream` (the response reaches the node's retained end with
+  /// its source exhausted) waives the node's cut-bounding check, as
+  /// `MarkCandidatesComplete` does for a correction.
+  Status AddRepair(size_t node, const EventVec& events, double create_mean,
+                   bool end_of_stream);
+
+  /// \brief True while a held window is being repaired.
+  bool repairing() const { return repairing_; }
 
   // --- Correction step (paper §4.3.1/§4.3.2) ---------------------------
 
   /// \brief Enters correction mode for `next_window()`: all pending
   /// per-window inputs and leftovers are discarded (local nodes will
   /// resend a prefix of their retained raw stream and re-plan subsequent
-  /// windows).
+  /// windows). Ends a repair in progress.
   void BeginCorrection();
 
   /// \brief Installs a prefix of node `node`'s retained raw stream (its
@@ -258,6 +309,12 @@ class WindowAssembler {
     bool end_done = false;
     std::vector<TimedEvent> end;
     double end_create = 0.0;
+    // Repair state of the held window. A topped-up node's selectable
+    // region is `end` alone: its next front was folded into it, and the
+    // top-up events follow. A complete node's region reaches the end of
+    // its stream, so its cut needs no bound.
+    bool sealed = false;
+    bool complete = false;
   };
 
   struct PendingWindow {
@@ -265,6 +322,25 @@ class WindowAssembler {
   };
 
   PendingWindow& GetWindow(uint64_t w);
+
+  /// Node `n`'s greatest forced key in the held window; false when it
+  /// forces nothing.
+  bool ForcedMax(size_t n, const NodeWindowState& st, EventKey* key) const;
+
+  /// The repair request that opens node `n`'s slice in the held window.
+  RepairRequest OpenSliceRequest(size_t n, const NodeWindowState& st) const;
+
+  /// Replaces node `n`'s slice by its raw events: its leftover, front,
+  /// `events` and end become one selectable region, in stream order.
+  void OpenSlice(size_t n, NodeWindowState* st, const EventVec& events,
+                 double create_mean);
+
+  /// Drops every held input: later windows, leftovers, carries and EOS
+  /// flags (the rollback that follows a correction or a repair).
+  void DropHeldInputs();
+
+  /// Leaves repair mode.
+  void EndRepair();
 
   size_t num_nodes_;
   const AggregateFunction* func_;
@@ -284,6 +360,14 @@ class WindowAssembler {
   bool correcting_ = false;
   std::vector<std::vector<TimedEvent>> candidates_;
   std::vector<bool> candidates_complete_;
+
+  // Repair state. `repair_plan_` is the last failed `TryAssemble`'s
+  // diagnosis; `asked_` the kind of each node's outstanding request;
+  // `repair_failed_` marks a response that cannot advance the repair.
+  bool repairing_ = false;
+  bool repair_failed_ = false;
+  std::vector<RepairRequest> repair_plan_;
+  std::vector<std::optional<RepairRequest::Kind>> asked_;
 };
 
 }  // namespace deco

@@ -28,7 +28,9 @@ DecoLocalNode::DecoLocalNode(NetworkFabric* fabric, NodeId id, Clock* clock,
       options_(options) {}
 
 Status DecoLocalNode::SendOrCrash(Message msg) {
+  const bool to_root = msg.dst == topology_.root;
   Status status = Send(std::move(msg));
+  if (status.ok() && to_root) last_root_send_nanos_ = NowNanos();
   if (status.IsNodeFailed()) {
     // The chaos controller took this node down. A dead host doesn't see
     // its own failed sends; enter crash limbo instead of erroring out.
@@ -104,9 +106,21 @@ bool DecoLocalNode::PullIntoRetained(size_t limit) {
   return true;
 }
 
-size_t DecoLocalNode::TakeRegion(size_t want) {
+Status DecoLocalNode::HeartbeatIfQuiet() {
+  if (options_.heartbeat_nanos <= 0 || crashed_ || done_ ||
+      NowNanos() - last_root_send_nanos_ < options_.heartbeat_nanos) {
+    return Status::OK();
+  }
+  // A slow source can take longer to fill a region than the root's
+  // failure timeout; without this the root would remove a local that is
+  // only busy producing the input it awaits.
+  return SendRateReport(last_assignment_window_);
+}
+
+Result<size_t> DecoLocalNode::TakeRegion(size_t want) {
   while (retained_size() - cursor_ < want) {
     if (!PullIntoRetained(want - (retained_size() - cursor_))) break;
+    DECO_RETURN_NOT_OK(HeartbeatIfQuiet());
   }
   const size_t served = std::min(want, retained_size() - cursor_);
   cursor_ += served;
@@ -222,7 +236,7 @@ Status DecoLocalNode::ProduceWindow(uint64_t w, const SlicePlan& plan) {
   // Front buffer (async layout only; empty plans ship nothing).
   if (plan.front_buffer > 0) {
     const size_t begin = cursor_;
-    const size_t n = TakeRegion(plan.front_buffer);
+    DECO_ASSIGN_OR_RETURN(const size_t n, TakeRegion(plan.front_buffer));
     DECO_RETURN_NOT_OK(SendEdge(w, BatchRole::kFront, begin, n));
   }
 
@@ -233,7 +247,7 @@ Status DecoLocalNode::ProduceWindow(uint64_t w, const SlicePlan& plan) {
   // travel as tagged extras.
   {
     const size_t begin = cursor_;
-    const size_t n = TakeRegion(plan.slice);
+    DECO_ASSIGN_OR_RETURN(const size_t n, TakeRegion(plan.slice));
     const Event* events = retained_events() + begin;
     SliceSummary summary;
     Message msg;
@@ -279,7 +293,7 @@ Status DecoLocalNode::ProduceWindow(uint64_t w, const SlicePlan& plan) {
   // End buffer: raw edge region for exact cut resolution at the root.
   {
     const size_t begin = cursor_;
-    const size_t n = TakeRegion(plan.end_buffer);
+    DECO_ASSIGN_OR_RETURN(const size_t n, TakeRegion(plan.end_buffer));
     DECO_RETURN_NOT_OK(SendEdge(w, BatchRole::kEnd, begin, n));
   }
 
@@ -426,6 +440,7 @@ Status DecoLocalNode::HandleCorrectionRequest(const Message& msg) {
                      std::min(request.count, SIZE_MAX - request.from_index);
   while (retained_size() < end) {
     if (!PullIntoRetained(end - retained_size())) break;
+    DECO_RETURN_NOT_OK(HeartbeatIfQuiet());
   }
   const size_t begin = std::min<size_t>(request.from_index, retained_size());
   const size_t n = std::min<size_t>(end, retained_size()) - begin;

@@ -53,8 +53,10 @@ struct DecoLocalOptions {
   /// the rate report as a liveness heartbeat. A node removed by a false
   /// suspicion (partitioned or slow, never crashed) has no other way to
   /// resurface: it blocks on an assignment the root stopped sending, and
-  /// the root re-admits a removed node the moment it hears from it.
-  /// 0 disables.
+  /// the root re-admits a removed node the moment it hears from it. The
+  /// same report goes out while the node pulls a region or a correction's
+  /// shortfall once it has sent the root nothing for this long, so a slow
+  /// source is not mistaken for a dead node. 0 disables.
   TimeNanos heartbeat_nanos = 50 * kNanosPerMilli;
 };
 
@@ -80,7 +82,12 @@ class DecoLocalNode final : public Actor {
   /// the events the region lacks from the generator. The region is the
   /// index range `[cursor_ before the call, cursor_ after it)`; returns its
   /// length (less than `want` only at end of stream).
-  size_t TakeRegion(size_t want);
+  Result<size_t> TakeRegion(size_t want);
+
+  /// Sends the rate-report heartbeat when nothing has gone to the root for
+  /// `heartbeat_nanos`; called between the pulls of a region or of a
+  /// correction's shortfall.
+  Status HeartbeatIfQuiet();
 
   /// Pulls at most `min(limit, batch_size)` events onto the end of the
   /// retained buffer, so it holds only planned or solicited events; false
@@ -177,6 +184,8 @@ class DecoLocalNode final : public Actor {
   // Index (from `retained_front_`) of the first retained event not yet
   // assigned to a region.
   size_t cursor_ = 0;
+  // When this node last sent the root anything (the production heartbeat).
+  TimeNanos last_root_send_nanos_ = 0;
 
   // Latest assignment state.
   uint64_t assigned_size_ = 0;

@@ -112,6 +112,7 @@ Status DecoRootNode::Run() {
   correction_round_.assign(m, 0);
   correction_requested_at_.assign(m, 0);
   last_heard_.assign(m, NowNanos());
+  stall_since_ = NowNanos();
   report_->consumption = ConsumptionLog(m);
 
   while (!stop_requested() && !finished_) {
@@ -145,7 +146,8 @@ void DecoRootNode::UpdateOpsGauges() {
     nodes_live_gauge_ = metrics()->gauge("root.nodes_live");
   }
   next_window_gauge_->Set(static_cast<int64_t>(assembler_->next_window()));
-  correcting_gauge_->Set(assembler_->correcting() ? 1 : 0);
+  correcting_gauge_->Set(
+      assembler_->correcting() || assembler_->repairing() ? 1 : 0);
   int64_t live = 0;
   for (size_t n = 0; n < topology_.num_locals(); ++n) {
     if (!assembler_->IsRemoved(n)) ++live;
@@ -213,7 +215,8 @@ Status DecoRootNode::Dispatch(const Message& msg) {
                                 msg.lat_mean_create_nanos);
     }
     case MessageType::kCorrectionResult: {
-      if (!assembler_->correcting() ||
+      const bool repairing = assembler_->repairing();
+      if (!(assembler_->correcting() || repairing) ||
           msg.window_index != correction_window_ || msg.epoch != epoch_) {
         DECO_LOG(DEBUG) << "root: dropping stale correction response from "
                         << node << " (w" << msg.window_index << " epoch "
@@ -235,8 +238,13 @@ Status DecoRootNode::Dispatch(const Message& msg) {
       }
       DECO_LOG(DEBUG) << "root: correction response from " << node
                       << " bytes=" << msg.payload.size();
-      if (response.end_of_stream) assembler_->MarkCandidatesComplete(node);
       correction_responded_[node] = true;
+      if (repairing) {
+        return assembler_->AddRepair(node, response.events,
+                                     msg.lat_mean_create_nanos,
+                                     response.end_of_stream);
+      }
+      if (response.end_of_stream) assembler_->MarkCandidatesComplete(node);
       return assembler_->AddCandidates(node, response.events,
                                        msg.lat_mean_create_nanos);
     }
@@ -290,17 +298,21 @@ Status DecoRootNode::Progress() {
     // end-of-stream (or the next ready window) is detected immediately.
   }
 
-  // Normal path: assemble as many consecutive windows as possible.
-  while (true) {
+  // Normal path: assemble as many consecutive windows as possible. A
+  // repair re-verifies its held window once every response it asked for
+  // has arrived.
+  while (!RepairOutstanding()) {
+    const bool repairing = assembler_->repairing();
     WindowAssembly assembly;
     const auto outcome = assembler_->TryAssemble(&assembly);
     if (outcome == WindowAssembler::Outcome::kAssembled) {
-      DECO_RETURN_NOT_OK(FinishWindow(assembly, /*corrected=*/false));
+      DECO_RETURN_NOT_OK(repairing ? FinishRepair(assembly)
+                                   : FinishWindow(assembly,
+                                                  /*corrected=*/false));
       continue;
     }
     if (outcome == WindowAssembler::Outcome::kNeedCorrection) {
-      DECO_RETURN_NOT_OK(StartCorrection());
-      return Status::OK();
+      return StartRepair();
     }
     if (outcome == WindowAssembler::Outcome::kEndOfStream) {
       DECO_LOG(DEBUG) << "root: end of stream at window "
@@ -313,14 +325,66 @@ Status DecoRootNode::Progress() {
   return MaybeSendAssignments();
 }
 
+bool DecoRootNode::RepairOutstanding() const {
+  if (!assembler_->repairing()) return false;
+  for (size_t n = 0; n < topology_.num_locals(); ++n) {
+    if (!assembler_->IsRemoved(n) && !correction_responded_[n]) return true;
+  }
+  return false;
+}
+
+Status DecoRootNode::StartRepair() {
+  const bool first_round = !assembler_->repairing();
+  std::vector<RepairRequest> requests;
+  if (!assembler_->BeginRepair(&requests)) return StartCorrection();
+  if (first_round) {
+    DECO_LOG(DEBUG) << "root: repairing window "
+                    << assembler_->next_window();
+    DECO_TRACE_SPAN_MSG(*run_, id_, TracePhase::kCorrect,
+                        assembler_->next_window(),
+                        static_cast<int64_t>(epoch_ + 1), causal_msg_id_);
+    metrics()->counter("root.corrections")->Increment();
+    ++report_->correction_steps;
+    correction_window_ = assembler_->next_window();
+  }
+  // Repair requests go out at the current epoch: the held window and the
+  // later windows' inputs stay valid until the repaired window assembles.
+  std::fill(correction_responded_.begin(), correction_responded_.end(),
+            true);
+  for (const RepairRequest& request : requests) {
+    correction_responded_[request.node] = false;
+    DECO_RETURN_NOT_OK(SendCorrectionRequest(
+        request.node, request.from_index, request.count));
+  }
+  return Status::OK();
+}
+
+Status DecoRootNode::FinishRepair(const WindowAssembly& assembly) {
+  // The assembler dropped every later input with the repaired window. Bump
+  // the epoch so in-flight messages for them are stale; the next
+  // assignment is the rollback, as after a correction.
+  ++epoch_;
+  metrics()->counter("root.corrections_repaired")->Increment();
+  ++report_->corrections_repaired;
+  if (serve_sync_needed_) {
+    DECO_RETURN_NOT_OK(SendServeSnapshot(SIZE_MAX));
+  }
+  return FinishWindow(assembly, /*corrected=*/true);
+}
+
 Status DecoRootNode::StartCorrection() {
+  // A repair that escalates was counted when it began.
+  const bool escalating = assembler_->repairing();
   DECO_LOG(DEBUG) << "root: correction for window "
-                  << assembler_->next_window();
+                  << assembler_->next_window()
+                  << (escalating ? " (repair escalated)" : "");
   DECO_TRACE_SPAN_MSG(*run_, id_, TracePhase::kCorrect,
                       assembler_->next_window(),
                       static_cast<int64_t>(epoch_ + 1), causal_msg_id_);
-  metrics()->counter("root.corrections")->Increment();
-  ++report_->correction_steps;
+  if (!escalating) {
+    metrics()->counter("root.corrections")->Increment();
+    ++report_->correction_steps;
+  }
   correction_window_ = assembler_->next_window();
   assembler_->BeginCorrection();
   // Roll the epoch forward: every in-flight data message for this or any
@@ -630,7 +694,7 @@ Status DecoRootNode::FinishWindow(const WindowAssembly& assembly,
 
 Status DecoRootNode::MaybeSendAssignments() {
   while (assignment_window_ <= assembler_->next_window() &&
-         !assembler_->correcting()) {
+         !assembler_->correcting() && !assembler_->repairing()) {
     const uint64_t w = assignment_window_;
     const size_t m = topology_.num_locals();
     std::vector<uint64_t> sizes(m, 0);
@@ -779,10 +843,10 @@ Status DecoRootNode::CheckNodeTimeouts() {
   // hand, so the tracker's clock may be stale from the last dispatch.
   if (provenance_ != nullptr) provenance_->set_now_nanos(now);
   bool stalled = false;
-  if (assembler_->correcting() ||
+  if (assembler_->correcting() || RepairOutstanding() ||
       assembler_->next_window() != stall_window_) {
-    // Progress (or an in-flight correction, which has its own per-node
-    // retry): restart the stall timer.
+    // Progress (or an in-flight correction or repair request, which has
+    // its own per-node retry): restart the stall timer.
     stall_window_ = assembler_->next_window();
     stall_since_ = now;
   } else if (now - stall_since_ > 2 * options_.node_timeout_nanos) {
@@ -801,15 +865,16 @@ Status DecoRootNode::CheckNodeTimeouts() {
     stalled = true;
   }
   bool removed_any = false;
+  bool repair_overdue = false;
+  const bool soliciting = assembler_->correcting() || assembler_->repairing();
   for (size_t n = 0; n < topology_.num_locals(); ++n) {
     if (assembler_->IsRemoved(n) || assembler_->IsEos(n)) continue;
     // Only a node whose input the root is actually waiting for can be
     // declared dead: synchronous local nodes legitimately go silent once
     // they have shipped their window and are awaiting the next
     // assignment.
-    const bool awaited = assembler_->correcting()
-                             ? !correction_responded_[n]
-                             : !assembler_->HasWindowInputs(n);
+    const bool awaited = soliciting ? !correction_responded_[n]
+                                    : !assembler_->HasWindowInputs(n);
     if (!awaited) {
       last_heard_[n] = now;
       continue;
@@ -822,6 +887,14 @@ Status DecoRootNode::CheckNodeTimeouts() {
           MembershipEvent{now, n, /*rejoined=*/false});
       metrics()->counter("root.nodes_removed")->Increment();
       removed_any = true;
+    } else if (assembler_->repairing() &&
+               now - correction_requested_at_[n] >
+                   options_.node_timeout_nanos) {
+      // An overdue repair response escalates to the full correction,
+      // which re-solicits every live node under a fresh epoch.
+      DECO_LOG(WARNING) << "deco root: local node " << topology_.locals[n]
+                        << " repair response overdue; correcting";
+      repair_overdue = true;
     } else if (assembler_->correcting() && !correction_responded_[n] &&
                now - correction_requested_at_[n] >
                    options_.node_timeout_nanos) {
@@ -840,9 +913,11 @@ Status DecoRootNode::CheckNodeTimeouts() {
       DECO_RETURN_NOT_OK(SolicitCorrection(n));
     }
   }
-  if ((removed_any || stalled) && !assembler_->correcting()) {
+  if ((removed_any || stalled || repair_overdue) &&
+      !assembler_->correcting()) {
     // Rebuild the current window from the surviving nodes (paper §4.3.4:
-    // "the root node then starts the correction step").
+    // "the root node then starts the correction step"); a repair in
+    // progress escalates.
     DECO_RETURN_NOT_OK(StartCorrection());
   }
   return Status::OK();

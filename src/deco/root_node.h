@@ -107,6 +107,24 @@ class DecoRootNode final : public Actor {
   /// correction and rejoin so a lost add/remove cannot wedge a local on a
   /// stale slot set.
   Status SendServeSnapshot(size_t node);
+
+  /// Repairs the window `TryAssemble` just failed in place (DESIGN.md
+  /// §4.1): asks only the locals its diagnosis names, through ordinary
+  /// correction requests at the current epoch. Falls back to (or, in a
+  /// later round, escalates to) the full correction when the failure names
+  /// no local or a response could not advance the repair.
+  Status StartRepair();
+
+  /// True while a repair waits for a response it asked for.
+  bool RepairOutstanding() const;
+
+  /// Ends a repair whose window just assembled: bumps the epoch, re-sends
+  /// the serve snapshot and emits the window as corrected, so the next
+  /// assignment rolls the locals back exactly as after a correction.
+  Status FinishRepair(const WindowAssembly& assembly);
+
+  /// Starts the full correction of `next_window()`, or escalates a repair
+  /// to it (counted once, when the repair began).
   Status StartCorrection();
 
   /// Node `node`'s predicted share of the window being corrected, or the
@@ -212,12 +230,14 @@ class DecoRootNode final : public Actor {
   // on fresh rate reports (exhausted locals never send them — deadlock).
   bool last_window_corrected_ = false;
 
-  // Correction bookkeeping. `correction_round_` is the per-node round id
-  // carried by the latest solicitation (responses to older rounds are
-  // stale); `correction_requested_at_` drives the lost-message retry in
-  // `CheckNodeTimeouts` — liveness heartbeats keep an unresponsive-but-
-  // alive node from ever timing out, so without a retry a single dropped
-  // request/response would stall the correction forever.
+  // Correction and repair bookkeeping. `correction_round_` is the per-node
+  // round id carried by the latest solicitation (responses to older rounds
+  // are stale); `correction_requested_at_` drives the lost-message retry
+  // (a repair escalates instead) in `CheckNodeTimeouts` — liveness
+  // heartbeats keep an unresponsive-but-alive node from ever timing out,
+  // so without a retry a single dropped request/response would stall the
+  // correction forever. A repair marks every node it did not ask as
+  // responded.
   std::vector<bool> correction_responded_;
   std::vector<uint64_t> correction_round_;
   std::vector<TimeNanos> correction_requested_at_;

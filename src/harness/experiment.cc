@@ -897,6 +897,7 @@ Result<RunReport> RunServeFallback(const ExperimentConfig& input,
       report.network.total_bytes += sub.network.total_bytes;
       report.network.total_dropped += sub.network.total_dropped;
       report.correction_steps += sub.correction_steps;
+      report.corrections_repaired += sub.corrections_repaired;
       query_bytes = sub.network.total_bytes;
       qr.windows = std::move(sub.windows);
     }

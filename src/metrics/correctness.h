@@ -21,8 +21,10 @@ namespace deco {
 /// \brief Per-window record of how many events each local node contributed.
 class ConsumptionLog {
  public:
+  ConsumptionLog() = default;
+
   /// \param num_nodes number of local nodes (columns)
-  explicit ConsumptionLog(size_t num_nodes = 0) : num_nodes_(num_nodes) {}
+  explicit ConsumptionLog(size_t num_nodes) : num_nodes_(num_nodes) {}
 
   /// \brief Appends one global window's consumption vector; `counts` must
   /// have `num_nodes()` entries.

@@ -31,7 +31,13 @@ std::string RunReport::Summary() const {
         events_processed == 0 ? 0.0
                               : static_cast<double>(bytes) /
                                     static_cast<double>(events_processed);
-    std::snprintf(buf + n, sizeof(buf) - n, " (%.2f B/ev)", per_event);
+    if (corrections_repaired > 0) {
+      std::snprintf(buf + n, sizeof(buf) - n, " (%.2f B/ev, %llu repaired)",
+                    per_event,
+                    static_cast<unsigned long long>(corrections_repaired));
+    } else {
+      std::snprintf(buf + n, sizeof(buf) - n, " (%.2f B/ev)", per_event);
+    }
   }
   return buf;
 }

@@ -203,6 +203,10 @@ struct RunReport {
   /// Correction steps executed (Deco schemes; 0 for baselines).
   uint64_t correction_steps = 0;
 
+  /// Of `correction_steps`, those repaired in place: the root asked only
+  /// the locals whose check failed (DESIGN.md §4.1).
+  uint64_t corrections_repaired = 0;
+
   /// Final values, in window order (for exact-equality checks vs Central).
   std::vector<GlobalWindowRecord> windows;
 

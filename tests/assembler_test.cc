@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "deco/assembler.h"
+#include "serve/registry.h"
 
 namespace deco {
 namespace {
@@ -21,19 +24,25 @@ class AssemblerTest : public ::testing::Test {
     next_id_.assign(kNodes, 0);
   }
 
-  // Produces the next `n` events of node `node` (value 1.0 each).
-  EventVec Take(size_t node, size_t n) {
+  // Events `[first, first + n)` of node `node`'s stream (value 1.0 each,
+  // or `id + 1000 * node` with `id_values_`).
+  EventVec Events(size_t node, uint64_t first, size_t n) const {
     EventVec events;
-    for (size_t i = 0; i < n; ++i) {
+    for (uint64_t id = first; id < first + n; ++id) {
       Event e;
-      e.id = next_id_[node];
+      e.id = id;
       e.stream_id = static_cast<StreamId>(node);
-      e.value = 1.0;
-      e.timestamp = static_cast<EventTime>(
-          1000 + next_id_[node] * kNodes + node);
-      ++next_id_[node];
+      e.value = id_values_ ? static_cast<double>(id + 1000 * node) : 1.0;
+      e.timestamp = static_cast<EventTime>(1000 + id * kNodes + node);
       events.push_back(e);
     }
+    return events;
+  }
+
+  // Produces the next `n` events of node `node`.
+  EventVec Take(size_t node, size_t n) {
+    EventVec events = Events(node, next_id_[node], n);
+    next_id_[node] += n;
     return events;
   }
 
@@ -64,9 +73,60 @@ class AssemblerTest : public ::testing::Test {
                     .ok());
   }
 
+  // Answers repair requests from the nodes' streams; `base[n]` is the id
+  // of the first event the root holds for node n in the held window.
+  void Answer(const std::vector<RepairRequest>& requests,
+              const std::vector<uint64_t>& base) {
+    for (const RepairRequest& r : requests) {
+      ASSERT_TRUE(assembler_
+                      ->AddRepair(r.node,
+                                  Events(r.node, base[r.node] + r.from_index,
+                                         r.count),
+                                  0.0, /*end_of_stream=*/false)
+                      .ok());
+    }
+  }
+
+  // Repairs the held window until it assembles; returns the rounds taken.
+  size_t RepairUntilAssembled(const std::vector<uint64_t>& base,
+                              WindowAssembly* out) {
+    for (size_t rounds = 0; rounds < 10; ++rounds) {
+      const auto outcome = assembler_->TryAssemble(out);
+      if (outcome == WindowAssembler::Outcome::kAssembled) return rounds;
+      EXPECT_EQ(outcome, WindowAssembler::Outcome::kNeedCorrection);
+      std::vector<RepairRequest> requests;
+      if (!assembler_->BeginRepair(&requests)) {
+        ADD_FAILURE() << "repair fell back to the full correction";
+        return rounds;
+      }
+      Answer(requests, base);
+    }
+    ADD_FAILURE() << "repair did not converge";
+    return 10;
+  }
+
+  // Brute force: each node's share of global window `w`, the w-th block
+  // of kGlobal events in key order over the nodes' streams.
+  std::vector<uint64_t> Truth(uint64_t w) const {
+    std::vector<Event> all;
+    for (size_t n = 0; n < kNodes; ++n) {
+      const EventVec events = Events(n, 0, (w + 1) * kGlobal);
+      all.insert(all.end(), events.begin(), events.end());
+    }
+    std::sort(all.begin(), all.end(), [](const Event& a, const Event& b) {
+      return EventKey::Of(a) < EventKey::Of(b);
+    });
+    std::vector<uint64_t> counts(kNodes, 0);
+    for (uint64_t i = w * kGlobal; i < (w + 1) * kGlobal; ++i) {
+      ++counts[all[i].stream_id];
+    }
+    return counts;
+  }
+
   std::unique_ptr<AggregateFunction> func_;
   std::unique_ptr<WindowAssembler> assembler_;
   std::vector<uint64_t> next_id_;
+  bool id_values_ = false;
 };
 
 TEST_F(AssemblerTest, NotReadyUntilAllRegionsArrive) {
@@ -444,6 +504,212 @@ TEST_F(AssemblerTest, EndOfStreamWhenTrulyNothingLeft) {
   WindowAssembly out;
   EXPECT_EQ(assembler_->TryAssemble(&out),
             WindowAssembler::Outcome::kEndOfStream);
+}
+
+
+// ------------------------------------------------------ In-place repair
+
+TEST_F(AssemblerTest, FullySelectedEdgeTopsUpExactlyD) {
+  // Node 0 ships 44 events of its true share of 50: its end buffer (ids
+  // 40..43) is fully selected together with 8 of node 1's end events.
+  ShipSyncWindow(0, 0, 40, 4);
+  ShipSyncWindow(0, 1, 48, 10);
+  WindowAssembly out;
+  ASSERT_EQ(assembler_->TryAssemble(&out),
+            WindowAssembler::Outcome::kNeedCorrection);
+  std::vector<RepairRequest> requests;
+  ASSERT_TRUE(assembler_->BeginRepair(&requests));
+  EXPECT_TRUE(assembler_->repairing());
+  ASSERT_EQ(requests.size(), 1u);
+  EXPECT_EQ(requests[0].node, 0u);
+  EXPECT_EQ(requests[0].kind, RepairRequest::Kind::kTopUp);
+  // From the 44 events the root holds; D = 1 + node 1's 8 selected events
+  // after node 0's last held one.
+  EXPECT_EQ(requests[0].from_index, 44u);
+  EXPECT_EQ(requests[0].count, 9u);
+  Answer(requests, {0, 0});
+  // One round bounds the cut: the window assembles to the brute force.
+  ASSERT_EQ(assembler_->TryAssemble(&out),
+            WindowAssembler::Outcome::kAssembled);
+  EXPECT_EQ(out.consumed, Truth(0));
+  EXPECT_DOUBLE_EQ(func_->Finalize(out.partial), 100.0);
+  // The repaired window ends the repair and drops what a correction drops.
+  EXPECT_FALSE(assembler_->repairing());
+  EXPECT_EQ(assembler_->next_window(), 1u);
+  EXPECT_EQ(assembler_->leftover_size(0), 0u);
+  EXPECT_EQ(assembler_->leftover_size(1), 0u);
+  EXPECT_EQ(assembler_->buffered_events(), 0u);
+}
+
+TEST_F(AssemblerTest, CutInsideOneSliceOpensOnlyThatSlice) {
+  ShipSyncWindow(0, 0, 48, 4);
+  ShipSyncWindow(0, 1, 48, 4);
+  WindowAssembly out;
+  ASSERT_EQ(assembler_->TryAssemble(&out),
+            WindowAssembler::Outcome::kAssembled);
+  // Window 1 starts at id 50 on both nodes with 2 leftovers each. Node
+  // 1's slice (ids 52..103) reaches past the cut; node 0's does not.
+  ShipSyncWindow(1, 0, 40, 10);
+  ShipSyncWindow(1, 1, 52, 4);
+  ASSERT_EQ(assembler_->TryAssemble(&out),
+            WindowAssembler::Outcome::kNeedCorrection);
+  std::vector<RepairRequest> requests;
+  ASSERT_TRUE(assembler_->BeginRepair(&requests));
+  ASSERT_EQ(requests.size(), 1u);
+  EXPECT_EQ(requests[0].node, 1u);
+  EXPECT_EQ(requests[0].kind, RepairRequest::Kind::kOpenSlice);
+  EXPECT_EQ(requests[0].from_index, 2u);  // leftover + front
+  EXPECT_EQ(requests[0].count, 52u);
+  Answer(requests, {50, 50});
+  ASSERT_EQ(assembler_->TryAssemble(&out),
+            WindowAssembler::Outcome::kAssembled);
+  EXPECT_EQ(out.consumed, Truth(1));
+  EXPECT_DOUBLE_EQ(func_->Finalize(out.partial), 100.0);
+}
+
+TEST_F(AssemblerTest, OverestimateOpensTheLatestSlice) {
+  // Slices alone sum to 110; node 1's holds the greatest forced key.
+  ShipSyncWindow(0, 0, 55, 2);
+  ShipSyncWindow(0, 1, 55, 2);
+  WindowAssembly out;
+  ASSERT_EQ(assembler_->TryAssemble(&out),
+            WindowAssembler::Outcome::kNeedCorrection);
+  std::vector<RepairRequest> requests;
+  ASSERT_TRUE(assembler_->BeginRepair(&requests));
+  ASSERT_EQ(requests.size(), 1u);
+  EXPECT_EQ(requests[0].node, 1u);
+  EXPECT_EQ(requests[0].kind, RepairRequest::Kind::kOpenSlice);
+  EXPECT_EQ(requests[0].from_index, 0u);
+  EXPECT_EQ(requests[0].count, 55u);
+  Answer(requests, {0, 0});
+  // Node 0's slice still reaches past the cut: a second round opens it.
+  EXPECT_EQ(RepairUntilAssembled({0, 0}, &out), 1u);
+  EXPECT_EQ(out.consumed, Truth(0));
+}
+
+TEST_F(AssemblerTest, UnderestimateYieldsNoRepair) {
+  ShipSyncWindow(0, 0, 40, 4);
+  ShipSyncWindow(0, 1, 40, 4);
+  WindowAssembly out;
+  ASSERT_EQ(assembler_->TryAssemble(&out),
+            WindowAssembler::Outcome::kNeedCorrection);
+  std::vector<RepairRequest> requests;
+  EXPECT_FALSE(assembler_->BeginRepair(&requests));
+  EXPECT_TRUE(requests.empty());
+  EXPECT_FALSE(assembler_->repairing());
+}
+
+TEST_F(AssemblerTest, RepairThatCannotAdvanceFallsBack) {
+  // A top-up that brings nothing before the end of the stream would be
+  // asked again unchanged: the held window falls back to the correction.
+  ShipSyncWindow(0, 0, 40, 4);
+  ShipSyncWindow(0, 1, 48, 10);
+  WindowAssembly out;
+  ASSERT_EQ(assembler_->TryAssemble(&out),
+            WindowAssembler::Outcome::kNeedCorrection);
+  std::vector<RepairRequest> requests;
+  ASSERT_TRUE(assembler_->BeginRepair(&requests));
+  ASSERT_EQ(requests.size(), 1u);
+  ASSERT_TRUE(assembler_->AddRepair(0, {}, 0.0, /*end_of_stream=*/false).ok());
+  ASSERT_EQ(assembler_->TryAssemble(&out),
+            WindowAssembler::Outcome::kNeedCorrection);
+  EXPECT_FALSE(assembler_->BeginRepair(&requests));
+  assembler_->BeginCorrection();
+  EXPECT_FALSE(assembler_->repairing());
+  EXPECT_TRUE(assembler_->correcting());
+}
+
+TEST_F(AssemblerTest, ShortOpenedSliceFallsBack) {
+  // An opened slice replaces the slice only with all of its raw events.
+  ShipSyncWindow(0, 0, 55, 2);
+  ShipSyncWindow(0, 1, 55, 2);
+  WindowAssembly out;
+  ASSERT_EQ(assembler_->TryAssemble(&out),
+            WindowAssembler::Outcome::kNeedCorrection);
+  std::vector<RepairRequest> requests;
+  ASSERT_TRUE(assembler_->BeginRepair(&requests));
+  ASSERT_EQ(requests.size(), 1u);
+  ASSERT_TRUE(
+      assembler_->AddRepair(1, Events(1, 0, 54), 0.0, false).ok());
+  ASSERT_EQ(assembler_->TryAssemble(&out),
+            WindowAssembler::Outcome::kNeedCorrection);
+  EXPECT_FALSE(assembler_->BeginRepair(&requests));
+}
+
+TEST_F(AssemblerTest, OpenedSliceFeedsSecondServeSlot) {
+  // Two queries on one pane length: sum in slot 0, max in slot 1. Values
+  // are `id + 1000 * node`, so the window's max is node 1's last event in
+  // it, which lies inside node 1's opened slice.
+  QueryRegistry registry;
+  for (AggregateKind kind : {AggregateKind::kSum, AggregateKind::kMax}) {
+    ServedQuery q;
+    q.query.aggregate = kind;
+    q.query.window = WindowSpec::CountTumbling(kGlobal);
+    ASSERT_TRUE(registry.Add(q).ok());
+  }
+  SlotBank bank;
+  ASSERT_TRUE(bank.Init(&registry).ok());
+  ASSERT_EQ(bank.size(), 2u);
+  assembler_->set_slot_bank(&bank);
+  id_values_ = true;
+  auto ship = [&](size_t node, size_t slice, size_t end) {
+    const EventVec events = Take(node, slice);
+    SliceSummary summary = MakeSlice(events);
+    SlotPartial extra;
+    extra.slot = 1;
+    extra.partial = bank.func(1)->CreatePartial();
+    for (const Event& e : events) {
+      bank.func(1)->Accumulate(&extra.partial, e.value);
+    }
+    summary.extras.push_back(extra);
+    ASSERT_TRUE(assembler_->AddSlice(0, node, summary, 0.0).ok());
+    ASSERT_TRUE(
+        assembler_->AddRaw(0, node, BatchRole::kEnd, Take(node, end), 0.0)
+            .ok());
+  };
+  ship(0, 40, 11);
+  ship(1, 52, 4);  // node 1's slice (ids 0..51) reaches past the cut
+  WindowAssembly out;
+  ASSERT_EQ(assembler_->TryAssemble(&out),
+            WindowAssembler::Outcome::kNeedCorrection);
+  std::vector<RepairRequest> requests;
+  ASSERT_TRUE(assembler_->BeginRepair(&requests));
+  ASSERT_EQ(requests.size(), 1u);
+  EXPECT_EQ(requests[0].kind, RepairRequest::Kind::kOpenSlice);
+  Answer(requests, {0, 0});
+  ASSERT_EQ(assembler_->TryAssemble(&out),
+            WindowAssembler::Outcome::kAssembled);
+  EXPECT_EQ(out.consumed, Truth(0));
+  ASSERT_EQ(out.slots.size(), 2u);
+  // Ids 0..49 of both nodes: the slice's own max (1051) is dropped with
+  // its extras, and its selected raw events feed slot 1.
+  EXPECT_DOUBLE_EQ(bank.func(1)->Finalize(out.slots[1]), 1049.0);
+  EXPECT_DOUBLE_EQ(func_->Finalize(out.partial), 2 * 1225.0 + 50 * 1000.0);
+}
+
+TEST_F(AsyncAssemblerTest, TopUpStartsAfterTheNextFront) {
+  ShipAsyncWindow(0, 0, 2, 40, 2);
+  ShipAsyncWindow(0, 1, 2, 50, 4);
+  ASSERT_TRUE(
+      assembler_->AddRaw(1, 0, BatchRole::kFront, Take(0, 2), 0.0).ok());
+  ASSERT_TRUE(
+      assembler_->AddRaw(1, 1, BatchRole::kFront, Take(1, 2), 0.0).ok());
+  // Node 0's end and next front (ids 42..45) are all selected, with two
+  // of node 1's end events after them.
+  WindowAssembly out;
+  ASSERT_EQ(assembler_->TryAssemble(&out),
+            WindowAssembler::Outcome::kNeedCorrection);
+  std::vector<RepairRequest> requests;
+  ASSERT_TRUE(assembler_->BeginRepair(&requests));
+  ASSERT_EQ(requests.size(), 1u);
+  EXPECT_EQ(requests[0].node, 0u);
+  EXPECT_EQ(requests[0].kind, RepairRequest::Kind::kTopUp);
+  // front 2 + slice 40 + end 2 + next front 2.
+  EXPECT_EQ(requests[0].from_index, 46u);
+  EXPECT_EQ(requests[0].count, 3u);
+  Answer(requests, {0, 0});
+  RepairUntilAssembled({0, 0}, &out);
+  EXPECT_EQ(out.consumed, Truth(0));
 }
 
 }  // namespace

@@ -227,6 +227,12 @@ TEST(RunReportTest, SummaryAndBytesPerEvent) {
   const std::string corrected = report.Summary();
   EXPECT_TRUE(corrected.ends_with(" corrections=3 (0.41 B/ev)"))
       << corrected;
+
+  // Corrections repaired in place are counted after the bytes.
+  report.corrections_repaired = 2;
+  const std::string repaired = report.Summary();
+  EXPECT_TRUE(repaired.ends_with(" corrections=3 (0.41 B/ev, 2 repaired)"))
+      << repaired;
 }
 
 TEST(RunReportTest, BytesPerEventZeroWhenNoEvents) {

@@ -16,7 +16,7 @@ class RootNodeProtocolTest : public ::testing::Test {
  protected:
   static constexpr uint64_t kWindow = 1000;
 
-  void Start(DecoScheme scheme) {
+  void Start(DecoScheme scheme, DecoRootOptions options = {}) {
     fabric_ = std::make_unique<NetworkFabric>(SystemClock::Default(), 3);
     topology_.root = fabric_->RegisterNode("root");
     topology_.locals = {fabric_->RegisterNode("a"),
@@ -25,7 +25,7 @@ class RootNodeProtocolTest : public ::testing::Test {
     query.window = WindowSpec::CountTumbling(kWindow);
     root_ = std::make_unique<DecoRootNode>(
         fabric_.get(), topology_.root, SystemClock::Default(), &run_,
-        topology_, query, scheme, &report_);
+        topology_, query, scheme, &report_, options);
     root_->Start();
     next_id_.assign(2, 0);
   }
@@ -125,9 +125,9 @@ class RootNodeProtocolTest : public ::testing::Test {
 
   // Answers a correction request as local `node` would.
   void SendCorrectionResponse(size_t node, uint64_t round,
-                              const EventVec& events) {
+                              const EventVec& events, uint64_t w = 0) {
     CorrectionResponse response;
-    response.window_index = 0;
+    response.window_index = w;
     response.events = events;
     response.round = round;  // echo the solicitation round
     BinaryWriter writer;
@@ -136,7 +136,7 @@ class RootNodeProtocolTest : public ::testing::Test {
     msg.type = MessageType::kCorrectionResult;
     msg.src = topology_.locals[node];
     msg.dst = topology_.root;
-    msg.window_index = 0;
+    msg.window_index = w;
     msg.epoch = epoch_;
     msg.payload = writer.Release();
     ASSERT_TRUE(fabric_->Send(std::move(msg)).ok());
@@ -147,17 +147,18 @@ class RootNodeProtocolTest : public ::testing::Test {
     return std::move(DecodeCorrectionRequest(&reader)).value();
   }
 
-  // Sends rate reports, takes window 0's assignments, and ships slices
-  // that alone exceed the window (550 + 550 > 1000), so the root starts a
-  // correction of window 0; returns its request to each local.
-  std::vector<CorrectionRequest> OverestimateFirstWindow() {
+  // Sends rate reports, takes window 0's assignments, and ships too few
+  // events for the window (2 * (400 + 40) < 1000), an underestimate no
+  // repair can name a local for, so the root starts a full correction of
+  // window 0; returns its request to each local.
+  std::vector<CorrectionRequest> UnderestimateFirstWindow() {
     SendRate(0, 0, 500.0);
     SendRate(1, 0, 500.0);
     EXPECT_TRUE(ReceiveAt(0, MessageType::kWindowAssignment).has_value());
     EXPECT_TRUE(ReceiveAt(1, MessageType::kWindowAssignment).has_value());
     for (size_t n = 0; n < 2; ++n) {
-      SendSlice(n, 0, Take(n, 550));
-      SendEndRaw(n, 0, Take(n, 20));
+      SendSlice(n, 0, Take(n, 400));
+      SendEndRaw(n, 0, Take(n, 40));
     }
     std::vector<CorrectionRequest> requests;
     for (size_t n = 0; n < 2; ++n) {
@@ -229,9 +230,9 @@ TEST_F(RootNodeProtocolTest, VerifiedWindowEmitsResultAndNextAssignment) {
   EXPECT_EQ(report_.correction_steps, 0u);
 }
 
-TEST_F(RootNodeProtocolTest, OverestimateTriggersCorrectionFlow) {
+TEST_F(RootNodeProtocolTest, UnderestimateTriggersCorrectionFlow) {
   Start(DecoScheme::kSync);
-  const std::vector<CorrectionRequest> requests = OverestimateFirstWindow();
+  const std::vector<CorrectionRequest> requests = UnderestimateFirstWindow();
   ASSERT_EQ(requests.size(), 2u);
   for (const CorrectionRequest& request : requests) {
     EXPECT_EQ(request.window_index, 0u);
@@ -260,9 +261,9 @@ TEST_F(RootNodeProtocolTest, OverestimateTriggersCorrectionFlow) {
   EXPECT_EQ(report_.consumption.window(0)[1], 500u);
 }
 
-TEST_F(RootNodeProtocolTest, CorrectionTopUpAsksFromCandidatesHeld) {
+TEST_F(RootNodeProtocolTest, UnderestimateTopUpAsksFromCandidatesHeld) {
   Start(DecoScheme::kSync);
-  const std::vector<CorrectionRequest> requests = OverestimateFirstWindow();
+  const std::vector<CorrectionRequest> requests = UnderestimateFirstWindow();
   ASSERT_EQ(requests.size(), 2u);
   // Local b's 460 events all fall inside the cut (540 of a's are needed
   // besides), so none of its candidates bounds the cut.
@@ -291,7 +292,8 @@ TEST_F(RootNodeProtocolTest, CorrectionTopUpAsksFromCandidatesHeld) {
   EXPECT_EQ(report_.consumption.window(0)[1], 500u);
 }
 
-TEST_F(RootNodeProtocolTest, CorrectionAfterVerifiedWindowsAsksShareAndSlack) {
+TEST_F(RootNodeProtocolTest,
+       UnderestimateAfterVerifiedWindowsAsksShareAndSlack) {
   Start(DecoScheme::kSync);
   SendRate(0, 0, 500.0);
   SendRate(1, 0, 500.0);
@@ -312,10 +314,11 @@ TEST_F(RootNodeProtocolTest, CorrectionAfterVerifiedWindowsAsksShareAndSlack) {
   ASSERT_EQ(report_.windows_emitted, 2u);
   ASSERT_EQ(report_.correction_steps, 0u);
 
-  // Window 2 overestimates; each local is asked for its predicted share
-  // plus two deltas, with the slack sized for a fleet of two.
+  // Window 2 underestimates (40 leftovers + 400 + 20 per local); each
+  // local is asked for its predicted share plus two deltas, with the slack
+  // sized for a fleet of two.
   for (size_t n = 0; n < 2; ++n) {
-    SendSlice(n, 2, Take(n, 550), rates[n]);
+    SendSlice(n, 2, Take(n, 400), rates[n]);
     SendEndRaw(n, 2, Take(n, 20));
   }
   const uint64_t sizes[2][2] = {{500, 600}, {500, 400}};
@@ -330,6 +333,110 @@ TEST_F(RootNodeProtocolTest, CorrectionAfterVerifiedWindowsAsksShareAndSlack) {
     EXPECT_EQ(request.count,
               predictor.PredictedSize() + 2 * predictor.Delta());
   }
+}
+
+TEST_F(RootNodeProtocolTest, OverestimateRepairsOnlyTheOffendingLocal) {
+  Start(DecoScheme::kSync);
+  SendRate(0, 0, 500.0);
+  SendRate(1, 0, 500.0);
+  ASSERT_TRUE(ReceiveAt(0, MessageType::kWindowAssignment).has_value());
+  ASSERT_TRUE(ReceiveAt(1, MessageType::kWindowAssignment).has_value());
+  PlayBalancedWindow(0, 480, 40);  // 20 leftovers each (ids 500..519)
+  ASSERT_TRUE(ReceiveAt(0, MessageType::kWindowAssignment).has_value());
+  ASSERT_TRUE(ReceiveAt(1, MessageType::kWindowAssignment).has_value());
+
+  // Window 1 forces 500 + 580 events; b's slice holds the greatest key.
+  SendSlice(0, 1, Take(0, 480));
+  SendEndRaw(0, 1, Take(0, 40));
+  const EventVec b_slice = Take(1, 560);
+  SendSlice(1, 1, b_slice);
+  SendEndRaw(1, 1, Take(1, 20));
+
+  // Only b is asked, at the current epoch, for its slice's raw events,
+  // which follow its 20 leftovers.
+  auto request_msg = ReceiveAt(1, MessageType::kCorrectionRequest);
+  ASSERT_TRUE(request_msg.has_value());
+  EXPECT_EQ(request_msg->epoch, 0u);
+  const CorrectionRequest request = DecodeRequestOrDie(*request_msg);
+  EXPECT_EQ(request.window_index, 1u);
+  EXPECT_EQ(request.from_index, 20u);
+  EXPECT_EQ(request.count, 560u);
+  SendCorrectionResponse(1, request.round, b_slice, /*w=*/1);
+
+  // The repaired window emits exactly, and the next assignment carries
+  // the bumped epoch (the rollback). Local a never heard of the repair.
+  std::optional<Message> next;
+  for (int i = 0; i < 64 && !next.has_value(); ++i) {
+    auto msg = fabric_->mailbox(topology_.locals[0])
+                   ->PopWithTimeout(std::chrono::seconds(5));
+    ASSERT_TRUE(msg.has_value());
+    ASSERT_NE(msg->type, MessageType::kCorrectionRequest);
+    if (msg->type == MessageType::kWindowAssignment) next = msg;
+  }
+  ASSERT_TRUE(next.has_value());
+  EXPECT_EQ(next->epoch, 1u);
+  EXPECT_EQ(DecodeAssignmentOrDie(*next).window_index, 2u);
+  ASSERT_EQ(report_.windows_emitted, 2u);
+  EXPECT_TRUE(report_.windows[1].corrected);
+  EXPECT_DOUBLE_EQ(report_.windows[1].value, 1000.0);
+  EXPECT_EQ(report_.correction_steps, 1u);
+  EXPECT_EQ(report_.corrections_repaired, 1u);
+  EXPECT_EQ(report_.consumption.window(1)[0], 500u);
+  EXPECT_EQ(report_.consumption.window(1)[1], 500u);
+}
+
+TEST_F(RootNodeProtocolTest, LostRepairResponseEscalatesToFullCorrection) {
+  DecoRootOptions options;
+  options.node_timeout_nanos = 100 * kNanosPerMilli;
+  Start(DecoScheme::kSync, options);
+  SendRate(0, 0, 500.0);
+  SendRate(1, 0, 500.0);
+  ASSERT_TRUE(ReceiveAt(0, MessageType::kWindowAssignment).has_value());
+  ASSERT_TRUE(ReceiveAt(1, MessageType::kWindowAssignment).has_value());
+  // Window 0 overestimates; the root asks b alone to open its slice.
+  for (size_t n = 0; n < 2; ++n) {
+    SendSlice(n, 0, Take(n, 550));
+    SendEndRaw(n, 0, Take(n, 20));
+  }
+  auto repair = ReceiveAt(1, MessageType::kCorrectionRequest);
+  ASSERT_TRUE(repair.has_value());
+  EXPECT_EQ(repair->epoch, 0u);
+
+  // b's response is lost; b stays alive (heartbeats), so after the
+  // timeout the root escalates to the full correction under a new epoch.
+  std::optional<Message> escalated;
+  for (int i = 0; i < 200 && !escalated.has_value(); ++i) {
+    SendRate(0, 0, 500.0);
+    SendRate(1, 0, 500.0);
+    auto msg = fabric_->mailbox(topology_.locals[0])
+                   ->PopWithTimeout(std::chrono::milliseconds(10));
+    if (msg.has_value() && msg->type == MessageType::kCorrectionRequest) {
+      escalated = msg;
+    }
+  }
+  ASSERT_TRUE(escalated.has_value());
+  EXPECT_EQ(escalated->epoch, 1u);
+  epoch_ = escalated->epoch;
+  const CorrectionRequest a_request = DecodeRequestOrDie(*escalated);
+  EXPECT_EQ(a_request.from_index, 0u);
+  EXPECT_EQ(a_request.count, kWindow + 1);
+  auto b_msg = ReceiveAt(1, MessageType::kCorrectionRequest);
+  ASSERT_TRUE(b_msg.has_value());
+  EXPECT_EQ(b_msg->epoch, 1u);
+  const CorrectionRequest b_request = DecodeRequestOrDie(*b_msg);
+  EXPECT_EQ(b_request.from_index, 0u);
+
+  next_id_.assign(2, 0);
+  SendCorrectionResponse(0, a_request.round, Take(0, 570));
+  SendCorrectionResponse(1, b_request.round, Take(1, 570));
+  auto next = ReceiveAt(0, MessageType::kWindowAssignment);
+  ASSERT_TRUE(next.has_value());
+  EXPECT_EQ(next->epoch, 1u);
+  EXPECT_TRUE(report_.windows[0].corrected);
+  EXPECT_DOUBLE_EQ(report_.windows[0].value, 1000.0);
+  // The escalated repair counts once, and not as repaired.
+  EXPECT_EQ(report_.correction_steps, 1u);
+  EXPECT_EQ(report_.corrections_repaired, 0u);
 }
 
 TEST_F(RootNodeProtocolTest, HolisticAggregateIsRejected) {

@@ -365,6 +365,64 @@ TEST(SimPropertyTest, DecoTrafficDoesNotDependOnIngestBatch) {
   }
 }
 
+TEST(SimPropertyTest, CorrectionsShipOnlyWhatTheCutNeeds) {
+  // A correction repairs the failed window in place: it asks only the
+  // locals whose check failed, for the next events past what the root
+  // holds or for one slice's raw events, instead of every local's share
+  // plus slack. Same shape as DecoTrafficDoesNotDependOnIngestBatch.
+  for (Scheme scheme :
+       {Scheme::kDecoSync, Scheme::kDecoMon, Scheme::kDecoAsync}) {
+    ExperimentConfig config;
+    config.sim = true;
+    config.scheme = scheme;
+    config.query.window = WindowSpec::CountTumbling(4000);
+    config.num_locals = 8;
+    config.events_per_local = 100'000;
+    auto report = RunExperiment(config);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    const std::string name = SchemeToString(scheme);
+    ASSERT_GT(report->correction_steps, 0u) << name;
+    EXPECT_GT(2 * report->corrections_repaired, report->correction_steps)
+        << name;
+    uint64_t bytes = 0;
+    for (const NodeTrafficStats& node : report->network.per_node) {
+      bytes += node.bytes_sent_by_type[static_cast<size_t>(
+          MessageType::kCorrectionResult)];
+    }
+    // Below one local share (4000 / 8 events of 28 B) per correction.
+    const uint64_t share_bytes = 4000 / 8 * 28;
+    EXPECT_LT(bytes, report->correction_steps * share_bytes)
+        << name << ": " << report->correction_steps << " corrections, "
+        << bytes << " B";
+  }
+}
+
+TEST(SimPropertyTest, SlowSourcesKeepEveryLocalAlive) {
+  // Each local needs 200 ms of virtual time to fill its 2,000-event share,
+  // longer than the 120 ms failure timeout. Locals heartbeat while they
+  // pull, so the root removes none of them and all 10 windows arrive.
+  for (Scheme scheme :
+       {Scheme::kDecoSync, Scheme::kDecoMon, Scheme::kDecoAsync}) {
+    ExperimentConfig config;
+    config.sim = true;
+    config.scheme = scheme;
+    config.seed = 123;
+    config.query.window = WindowSpec::CountTumbling(6000);
+    config.num_locals = 3;
+    config.streams_per_local = 2;
+    config.events_per_local = 20'000;
+    config.cpu_events_per_sec = 10'000;
+    config.base_rate = 10'000;
+    config.batch_size = 128;
+    config.root_options.node_timeout_nanos = 120 * kNanosPerMilli;
+    auto report = RunExperiment(config);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    const std::string name = SchemeToString(scheme);
+    EXPECT_EQ(report->windows_emitted, 10u) << name;
+    EXPECT_TRUE(report->membership.empty()) << name;
+  }
+}
+
 TEST(SimDeterminismTest, SimClockOnlyMovesForward) {
   SimClock clock(100);
   EXPECT_EQ(clock.NowNanos(), 100);
