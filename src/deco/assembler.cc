@@ -31,8 +31,6 @@ WindowAssembler::WindowAssembler(size_t num_nodes,
       carry_(num_nodes, 0),
       eos_(num_nodes, false),
       removed_(num_nodes, false),
-      candidates_(num_nodes),
-      candidates_complete_(num_nodes, false),
       asked_(num_nodes) {}
 
 WindowAssembler::PendingWindow& WindowAssembler::GetWindow(uint64_t w) {
@@ -46,7 +44,8 @@ Status WindowAssembler::AddSlice(uint64_t w, size_t node, SliceSummary slice,
   if (node >= num_nodes_) {
     return Status::InvalidArgument("slice from unknown node");
   }
-  if (correcting_ || w < next_window_ || removed_[node]) {
+  if (w < next_window_ || (repairing_ && w == next_window_) ||
+      removed_[node]) {
     return Status::OK();  // stale input, dropped
   }
   NodeWindowState& st = GetWindow(w).nodes[node];
@@ -74,7 +73,8 @@ Status WindowAssembler::AddRaw(uint64_t w, size_t node, BatchRole role,
     return Status::InvalidArgument(
         "assembler only accepts front/end raw regions");
   }
-  if (correcting_ || w < next_window_ || removed_[node]) {
+  if (w < next_window_ || (repairing_ && w == next_window_) ||
+      removed_[node]) {
     return Status::OK();  // stale input, dropped
   }
   NodeWindowState& st = GetWindow(w).nodes[node];
@@ -109,7 +109,6 @@ void WindowAssembler::RemoveNode(size_t node) {
   if (provenance_ != nullptr) provenance_->OnNodeRemoved(node);
   removed_[node] = true;
   leftover_[node].clear();
-  candidates_[node].clear();
   for (auto& [w, pw] : pending_) {
     if (!pw.nodes.empty()) pw.nodes[node] = NodeWindowState{};
   }
@@ -122,18 +121,16 @@ void WindowAssembler::ReadmitNode(size_t node) {
   eos_[node] = false;
   leftover_[node].clear();
   carry_[node] = 0;
-  candidates_[node].clear();
-  candidates_complete_[node] = false;
   for (auto& [w, pw] : pending_) {
     if (!pw.nodes.empty()) pw.nodes[node] = NodeWindowState{};
   }
+  if (emptied_) EmptyNode(node);
 }
 
 WindowAssembler::Outcome WindowAssembler::TryAssemble(WindowAssembly* out) {
   repair_plan_.clear();
-  if (correcting_) return Outcome::kNotReady;
   // A repair response that cannot advance the repair leaves the held
-  // window to the full correction.
+  // window to be emptied.
   if (repair_failed_) return Outcome::kNeedCorrection;
   auto it = pending_.find(next_window_);
   PendingWindow* pw = it == pending_.end() ? nullptr : &it->second;
@@ -248,33 +245,69 @@ WindowAssembler::Outcome WindowAssembler::TryAssemble(WindowAssembly* out) {
            next_front(n) == nullptr;
   };
 
+  // A finished node may still hold events for *later* windows (async runs
+  // ahead: its next slices are already pending). The end-of-stream waiver
+  // of the cut-bounding check is only sound when nothing of the node's
+  // stream lies beyond this window's selectable region.
+  auto node_has_later_input = [&](size_t n) {
+    for (const auto& [w, win] : pending_) {
+      if (w <= next_window_) continue;
+      if (win.nodes.empty()) continue;
+      const NodeWindowState& st = win.nodes[n];
+      if (w == next_window_ + 1) {
+        // The front buffer of w+1 is part of this window's selectable
+        // region; anything else is beyond it.
+        if (st.slice.has_value() || st.end_done || !st.end.empty()) {
+          return true;
+        }
+      } else if (st.slice.has_value() || st.front_done || st.end_done) {
+        return true;
+      }
+    }
+    return false;
+  };
+  // A finished node's selectable region reaches the end of its stream, so
+  // nothing it has not shipped can join this window.
+  auto finished = [&](size_t n) {
+    return removed_[n] || (pw != nullptr && pw->nodes[n].complete) ||
+           (eos_[n] && !node_has_later_input(n));
+  };
+  // A top-up of node k: its next `count` events past everything the root
+  // holds for it.
+  auto top_up = [&](size_t k, uint64_t count) {
+    const NodeWindowState& st = pw->nodes[k];
+    RepairRequest request;
+    request.node = k;
+    request.kind = RepairRequest::Kind::kTopUp;
+    request.from_index = leftover_[k].size() + st.front.size() +
+                         (st.slice ? st.slice->event_count : 0) +
+                         avail_count(k);
+    request.count = count;
+    return request;
+  };
+
   uint64_t selectable = 0;
   for (size_t n = 0; n < num_nodes_; ++n) selectable += avail_count(n);
   if (forced + selectable < global_size_) {
-    if (all_eos) {
-      // End of stream only if the missing events do not exist anywhere —
-      // later-tagged pending windows may still hold them (local plans can
-      // split the tail differently from the root's window numbering), in
-      // which case a correction reassembles the tail exactly.
-      uint64_t known = 0;
-      for (const auto& [w, win] : pending_) {
-        for (const auto& st : win.nodes) {
-          known += st.front.size() + st.end.size();
-          if (st.slice.has_value()) known += st.slice->event_count;
-        }
-      }
-      for (const auto& q : leftover_) known += q.size();
-      if (known < global_size_) {
-        DECO_LOG(DEBUG) << "assembler w" << next_window_
-                        << ": end of stream, forced=" << forced
-                        << " selectable=" << selectable
-                        << " known=" << known;
-        return Outcome::kEndOfStream;
-      }
-      return Outcome::kNeedCorrection;
-    }
     for (size_t n = 0; n < num_nodes_; ++n) {
       if (can_extend(n)) return Outcome::kNotReady;  // await next Fbuffer
+    }
+    // Check (2): every held selectable event is selected and the window is
+    // still `shortfall` events short. Each unfinished node is topped up by
+    // one more than the whole shortfall, so unless its new events displace
+    // held ones, one of them stays excluded and bounds its cut.
+    const uint64_t shortfall = global_size_ - forced - selectable;
+    bool unfinished = false;
+    for (size_t n = 0; n < num_nodes_; ++n) {
+      if (finished(n)) continue;
+      unfinished = true;
+      if (pw != nullptr) repair_plan_.push_back(top_up(n, shortfall + 1));
+    }
+    if (!unfinished) {
+      DECO_LOG(DEBUG) << "assembler w" << next_window_
+                      << ": end of stream, forced=" << forced
+                      << " selectable=" << selectable;
+      return Outcome::kEndOfStream;
     }
     DECO_LOG(DEBUG) << "assembler w" << next_window_
                     << ": underestimate, forced=" << forced
@@ -317,47 +350,18 @@ WindowAssembler::Outcome WindowAssembler::TryAssemble(WindowAssembly* out) {
                     << ": no excluded event to bound the cut";
   }
 
-  // A finished node may still hold events for *later* windows (async runs
-  // ahead: its next slices are already pending). The end-of-stream waiver
-  // of the cut-bounding check is only sound when nothing of the node's
-  // stream lies beyond this window's selectable region.
-  auto node_has_later_input = [&](size_t n) {
-    for (const auto& [w, win] : pending_) {
-      if (w <= next_window_) continue;
-      if (win.nodes.empty()) continue;
-      const NodeWindowState& st = win.nodes[n];
-      if (w == next_window_ + 1) {
-        // The front buffer of w+1 is part of this window's selectable
-        // region; anything else is beyond it.
-        if (st.slice.has_value() || st.end_done || !st.end.empty()) {
-          return true;
-        }
-      } else if (st.slice.has_value() || st.front_done || st.end_done) {
-        return true;
-      }
-    }
-    return false;
-  };
-
-  // Repair of a fully selected node k: a top-up of the next D_k events
-  // past everything the root holds for it, where D_k is one more than the
-  // selected events of other nodes after k's last held event. k's new
-  // events can displace only those, so one of the D_k stays excluded.
-  auto top_up = [&](size_t k) {
-    const NodeWindowState& st = pw->nodes[k];
+  // D_k for a fully selected node k: one more than the selected events of
+  // other nodes after k's last held event. k's new events can displace
+  // only those, so one of the D_k stays excluded.
+  auto bound = [&](size_t k) {
     const size_t avail = avail_count(k);
     EventKey last;  // k holds nothing: every selected event follows
     if (avail > 0) {
       last = EventKey::Of(avail_event(k, avail - 1).event);
     } else {
-      ForcedMax(k, st, &last);
+      ForcedMax(k, pw->nodes[k], &last);
     }
-    RepairRequest request;
-    request.node = k;
-    request.kind = RepairRequest::Kind::kTopUp;
-    request.from_index = leftover_[k].size() + st.front.size() +
-                         (st.slice ? st.slice->event_count : 0) + avail;
-    request.count = 1;
+    uint64_t count = 1;
     for (size_t j = 0; j < num_nodes_; ++j) {
       if (j == k) continue;
       // j's selected events are the sorted prefix [0, sel[j]).
@@ -371,21 +375,19 @@ WindowAssembler::Outcome WindowAssembler::TryAssemble(WindowAssembly* out) {
           hi = mid;
         }
       }
-      request.count += sel[j] - lo;
+      count += sel[j] - lo;
     }
-    return request;
+    return count;
   };
 
   // Check (3): the cut must be bounded below every live node's unshipped
   // stream — at least one of its shipped selectable events stays excluded.
   // The first unbounded node decides: it waits for its next front if one
   // can still come, else every unbounded node that cannot extend is
-  // topped up.
+  // topped up by D.
   bool unbounded = false;
   for (size_t n = 0; n < num_nodes_; ++n) {
-    if (removed_[n] || (eos_[n] && !node_has_later_input(n))) continue;
-    if (pw != nullptr && pw->nodes[n].complete) continue;
-    if (sel[n] < avail_count(n)) continue;
+    if (sel[n] < avail_count(n) || finished(n)) continue;
     if (can_extend(n)) {
       if (!unbounded) return Outcome::kNotReady;
       continue;
@@ -394,7 +396,7 @@ WindowAssembler::Outcome WindowAssembler::TryAssemble(WindowAssembly* out) {
                     << " selectable region fully selected (" << sel[n]
                     << ")";
     unbounded = true;
-    if (pw != nullptr) repair_plan_.push_back(top_up(n));
+    if (pw != nullptr) repair_plan_.push_back(top_up(n, bound(n)));
   }
   if (unbounded) return Outcome::kNeedCorrection;
 
@@ -435,9 +437,9 @@ WindowAssembler::Outcome WindowAssembler::TryAssemble(WindowAssembly* out) {
   }
 
   // Multi-query serving: a slice that should carry an active extra slot
-  // but does not (a local missed the kQueryAdd broadcast) cannot be
-  // assembled — the correction fallback recomputes every slot exactly
-  // from raws, and the root re-broadcasts the slot schedule.
+  // but does not (a local missed the kQueryAdd broadcast) is opened, so its
+  // raw events feed every active slot; the root re-broadcasts the slot
+  // schedule with the repaired window.
   const size_t nslots = slot_bank_ == nullptr ? 0 : slot_bank_->size();
   std::vector<bool> slot_active(nslots, false);
   for (size_t s = 1; s < nslots; ++s) {
@@ -450,22 +452,19 @@ WindowAssembler::Outcome WindowAssembler::TryAssemble(WindowAssembly* out) {
       const NodeWindowState& st = pw->nodes[n];
       if (!st.slice.has_value() || st.slice->event_count == 0) continue;
       for (size_t s = 1; s < nslots; ++s) {
-        if (!slot_active[s]) continue;
-        bool found = false;
-        for (const SlotPartial& extra : st.slice->extras) {
-          if (extra.slot == s) {
-            found = true;
-            break;
-          }
-        }
-        if (!found) {
+        const auto& extras = st.slice->extras;
+        if (slot_active[s] &&
+            std::none_of(extras.begin(), extras.end(),
+                         [s](const SlotPartial& e) { return e.slot == s; })) {
           DECO_LOG(DEBUG) << "assembler w" << next_window_ << ": node " << n
                           << " slice missing active slot " << s
-                          << " partial; correcting";
-          return Outcome::kNeedCorrection;
+                          << " partial; opening it";
+          repair_plan_.push_back(OpenSliceRequest(n, st));
+          break;
         }
       }
     }
+    if (!repair_plan_.empty()) return Outcome::kNeedCorrection;
   }
 
   // Verified: build the window.
@@ -631,9 +630,7 @@ void WindowAssembler::OpenSlice(size_t n, NodeWindowState* st,
 bool WindowAssembler::BeginRepair(std::vector<RepairRequest>* requests) {
   requests->clear();
   auto it = pending_.find(next_window_);
-  if (correcting_ || repair_plan_.empty() || it == pending_.end()) {
-    return false;
-  }
+  if (repair_plan_.empty() || it == pending_.end()) return false;
   auto next_it = pending_.find(next_window_ + 1);
   for (const RepairRequest& request : repair_plan_) {
     NodeWindowState& st = it->second.nodes[request.node];
@@ -703,144 +700,48 @@ void WindowAssembler::DropHeldInputs() {
 
 void WindowAssembler::EndRepair() {
   repairing_ = false;
+  emptied_ = false;
   repair_failed_ = false;
   std::fill(asked_.begin(), asked_.end(), std::nullopt);
+}
+
+void WindowAssembler::EmptyNode(size_t n) {
+  NodeWindowState& st = GetWindow(next_window_).nodes[n];
+  st = NodeWindowState{};
+  st.slice.emplace();
+  st.end_done = true;
+  st.sealed = true;
+  asked_[n] = RepairRequest::Kind::kTopUp;
 }
 
 void WindowAssembler::BeginCorrection() {
   if (provenance_ != nullptr) provenance_->OnCorrectionBegin(next_window_);
   EndRepair();
-  correcting_ = true;
   DropHeldInputs();
-  for (auto& c : candidates_) c.clear();
-  std::fill(candidates_complete_.begin(), candidates_complete_.end(), false);
-}
-
-void WindowAssembler::MarkCandidatesComplete(size_t node) {
-  if (node < num_nodes_) candidates_complete_[node] = true;
-}
-
-void WindowAssembler::ClearCandidates(size_t node) {
-  if (node >= num_nodes_) return;
-  candidates_[node].clear();
-  candidates_complete_[node] = false;
+  for (size_t n = 0; n < num_nodes_; ++n) {
+    if (!removed_[n]) EmptyNode(n);
+  }
+  repairing_ = true;
+  emptied_ = true;
 }
 
 Status WindowAssembler::AddCandidates(size_t node, const EventVec& events,
                                       double create_mean) {
-  if (node >= num_nodes_) {
-    return Status::InvalidArgument("candidates from unknown node");
-  }
-  if (!correcting_) {
-    return Status::Internal("AddCandidates outside correction mode");
-  }
-  if (removed_[node]) return Status::OK();
-  auto& list = candidates_[node];
-  list.reserve(list.size() + events.size());
-  for (const Event& e : events) {
-    list.push_back(TimedEvent{e, create_mean});
-  }
-  if (provenance_ != nullptr) {
-    provenance_->OnCorrectionResponse(next_window_, node, create_mean);
-  }
-  return Status::OK();
+  return AddRepair(node, events, create_mean, /*end_of_stream=*/false);
 }
 
 WindowAssembler::CorrectionOutcome WindowAssembler::TryAssembleCorrected(
     WindowAssembly* out, std::vector<size_t>* need_more) {
   need_more->clear();
-  uint64_t total = 0;
-  bool all_complete = true;
-  for (size_t n = 0; n < num_nodes_; ++n) {
-    if (removed_[n]) continue;
-    total += candidates_[n].size();
-    if (!candidates_complete_[n]) all_complete = false;
+  if (TryAssemble(out) == Outcome::kAssembled) {
+    return CorrectionOutcome::kAssembled;
   }
-  if (total < global_size_) {
-    if (all_complete) {
-      DECO_LOG(DEBUG) << "assembler correction w" << next_window_
-                      << ": end of stream, candidates=" << total;
-      return CorrectionOutcome::kEndOfStream;
-    }
-    for (size_t n = 0; n < num_nodes_; ++n) {
-      if (!removed_[n] && !candidates_complete_[n]) need_more->push_back(n);
-    }
-    return CorrectionOutcome::kNeedMore;
+  std::vector<RepairRequest> requests;
+  BeginRepair(&requests);
+  for (const RepairRequest& request : requests) {
+    need_more->push_back(request.node);
   }
-
-  // Exact distributed selection: take the `global_size_` smallest.
-  std::vector<uint64_t> sel(num_nodes_, 0);
-  std::priority_queue<HeadEntry, std::vector<HeadEntry>, HeadGreater> heap;
-  for (size_t n = 0; n < num_nodes_; ++n) {
-    if (!removed_[n] && !candidates_[n].empty()) {
-      heap.push(HeadEntry{EventKey::Of(candidates_[n][0].event), n});
-    }
-  }
-  EventKey last_selected;
-  for (uint64_t i = 0; i < global_size_; ++i) {
-    const HeadEntry top = heap.top();
-    heap.pop();
-    last_selected = top.key;
-    const size_t n = top.node;
-    ++sel[n];
-    if (sel[n] < candidates_[n].size()) {
-      heap.push(HeadEntry{EventKey::Of(candidates_[n][sel[n]].event), n});
-    }
-  }
-
-  // Every live node needs one excluded candidate to bound the cut.
-  for (size_t n = 0; n < num_nodes_; ++n) {
-    if (removed_[n] || candidates_complete_[n]) continue;
-    if (sel[n] == candidates_[n].size()) need_more->push_back(n);
-  }
-  if (!need_more->empty()) return CorrectionOutcome::kNeedMore;
-
-  out->partial = func_->CreatePartial();
-  // Corrections recompute every serve slot exactly from raws — slice
-  // extras are unnecessary here (and were discarded with the slices).
-  const size_t nslots = slot_bank_ == nullptr ? 0 : slot_bank_->size();
-  out->slots.clear();
-  out->slots.resize(nslots);
-  std::vector<bool> slot_active(nslots, false);
-  for (size_t s = 1; s < nslots; ++s) {
-    slot_active[s] =
-        slot_bank_->ActiveAt(static_cast<uint16_t>(s), next_window_);
-    if (slot_active[s]) {
-      out->slots[s] =
-          slot_bank_->func(static_cast<uint16_t>(s))->CreatePartial();
-    }
-  }
-  out->consumed.assign(num_nodes_, 0);
-  out->create_mean = 0.0;
-  out->create_count = 0;
-  for (size_t n = 0; n < num_nodes_; ++n) {
-    if (removed_[n]) continue;
-    for (uint64_t i = 0; i < sel[n]; ++i) {
-      const TimedEvent& te = candidates_[n][i];
-      func_->Accumulate(&out->partial, te.event.value);
-      for (size_t s = 1; s < nslots; ++s) {
-        if (slot_active[s]) {
-          slot_bank_->func(static_cast<uint16_t>(s))
-              ->Accumulate(&out->slots[s], te.event.value);
-        }
-      }
-      const uint64_t total_meta = out->create_count + 1;
-      out->create_mean =
-          (out->create_mean * static_cast<double>(out->create_count) +
-           te.create_nanos) /
-          static_cast<double>(total_meta);
-      out->create_count = total_meta;
-    }
-    out->consumed[n] = sel[n];
-    candidates_[n].clear();
-  }
-  if (nslots > 0) out->slots[0] = out->partial;
-  out->event_count = global_size_;
-  out->watermark = last_selected;
-
-  correcting_ = false;
-  ++next_window_;
-  return CorrectionOutcome::kAssembled;
+  return CorrectionOutcome::kNeedMore;
 }
 
 size_t WindowAssembler::buffered_events() const {
@@ -851,7 +752,6 @@ size_t WindowAssembler::buffered_events() const {
       total += st.front.size() + st.end.size();
     }
   }
-  for (const auto& c : candidates_) total += c.size();
   return total;
 }
 

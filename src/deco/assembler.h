@@ -36,11 +36,13 @@
 ///      excluded (the cut is bounded below the node's unshipped stream),
 ///  (4) the largest forced key precedes the first excluded key (the cut
 ///      did not fall inside any slice or forced region).
-/// Any violation is a prediction error. When it names particular locals
-/// the root repairs the held window in place (`BeginRepair`): it asks
-/// those locals for the next events past what it holds (3) or for the raw
-/// events of their slice (1)/(4), and reruns the same verification. Any
-/// other failure falls back to the full correction step.
+/// Any violation is a prediction error, and the root repairs the held
+/// window in place (`BeginRepair`): it asks the locals the failed check
+/// names for the next events past what it holds (2)/(3) or for the raw
+/// events of their slice (1)/(4), and reruns the same verification. A
+/// fault that leaves nothing worth holding (a removal, a rejoin, a stall, a
+/// repair that cannot advance) first empties the window
+/// (`BeginCorrection`), which the same loop then refills from index 0.
 
 namespace deco {
 
@@ -155,8 +157,9 @@ class WindowAssembler {
 
   /// \brief Re-admits a previously removed node (rejoin protocol,
   /// DESIGN.md §6): clears its removed/EOS flags and discards any stale
-  /// per-window state so the correction step rebuilds its contribution
-  /// from the node's retained stream.
+  /// per-window state so a correction rebuilds its contribution from the
+  /// node's retained stream. In an emptied window, the node's part is
+  /// emptied again and asked from index 0.
   void ReadmitNode(size_t node);
 
   bool IsEos(size_t node) const { return eos_[node]; }
@@ -185,86 +188,61 @@ class WindowAssembler {
     kNotReady,         ///< waiting for more input
     kAssembled,        ///< verified window produced
     kNeedCorrection,   ///< prediction error (paper Eq. 5/6/14/15 violated)
-    kEndOfStream,      ///< all nodes EOS; remaining events < one window
+    kEndOfStream,      ///< every live node finished; < one window left
   };
 
   /// \brief Attempts to assemble and verify `next_window()`. On
   /// `kAssembled` the internal state advances (leftovers carried over,
   /// window counter incremented); a repaired window instead ends the
   /// repair and drops what `BeginCorrection` drops, since the locals roll
-  /// back after it exactly as after a correction.
+  /// back after it.
   Outcome TryAssemble(WindowAssembly* out);
 
-  // --- In-place repair (DESIGN.md §4.1) --------------------------------
+  // --- Correction (paper §4.3.2; DESIGN.md §4.1) -----------------------
 
   /// \brief After `TryAssemble` returned `kNeedCorrection`: enters (or
   /// continues) the repair of the held window and lists what particular
   /// locals must ship. Returns false, changing nothing, when the failure
   /// names no local, or when a response could not advance the repair (an
   /// opened slice of the wrong size, a top-up that brought nothing before
-  /// the end of the stream); the caller then falls back to
-  /// `BeginCorrection`. While repairing, inputs for later windows are
-  /// still accepted.
+  /// the end of the stream); the caller then empties the window with
+  /// `BeginCorrection`. While repairing, inputs for the held window are
+  /// stale and dropped; inputs for later windows are still accepted.
   bool BeginRepair(std::vector<RepairRequest>* requests);
 
   /// \brief Applies node `node`'s response to its repair request.
   /// `end_of_stream` (the response reaches the node's retained end with
-  /// its source exhausted) waives the node's cut-bounding check, as
-  /// `MarkCandidatesComplete` does for a correction.
+  /// its source exhausted) waives the node's cut-bounding check.
   Status AddRepair(size_t node, const EventVec& events, double create_mean,
                    bool end_of_stream);
 
-  /// \brief True while a held window is being repaired.
-  bool repairing() const { return repairing_; }
-
-  // --- Correction step (paper §4.3.1/§4.3.2) ---------------------------
-
-  /// \brief Enters correction mode for `next_window()`: all pending
-  /// per-window inputs and leftovers are discarded (local nodes will
-  /// resend a prefix of their retained raw stream and re-plan subsequent
-  /// windows). Ends a repair in progress.
+  /// \brief Empties the held window `next_window()`: drops every held
+  /// input (later windows, leftovers, carries, EOS flags) and gives each
+  /// live node an empty, sealed region that a top-up from index 0 of its
+  /// retained stream refills through `AddRepair`. Enters repair mode.
   void BeginCorrection();
 
-  /// \brief Installs a prefix of node `node`'s retained raw stream (its
-  /// `CorrectionResponse`). Appends on repeated calls (top-ups).
+  /// \brief True while `next_window()` is under correction, held or
+  /// emptied.
+  bool repairing() const { return repairing_; }
+
+  /// \brief True while the repaired window is one `BeginCorrection`
+  /// emptied.
+  bool emptied() const { return emptied_; }
+
+  // Kept only for perfbench's correction layer; the next benchmark change
+  // calls `AddRepair` and `TryAssemble` directly.
+  enum class CorrectionOutcome { kAssembled, kNeedMore };
+  /// \brief `AddRepair` of a response that does not end the stream.
   Status AddCandidates(size_t node, const EventVec& events,
                        double create_mean);
-
-  /// \brief Candidates held for node `node` in the current correction:
-  /// where its next top-up starts in its retained stream.
-  uint64_t candidate_count(size_t node) const {
-    return candidates_[node].size();
-  }
-
-  /// \brief Declares that node `node`'s candidate list is its complete
-  /// remaining stream (its budget is exhausted): no top-up can extend it,
-  /// and the cut-bounding requirement is waived for it. Scoped to the
-  /// current correction.
-  void MarkCandidatesComplete(size_t node);
-
-  /// \brief Discards node `node`'s candidate state so the root can
-  /// re-solicit its retained stream from the start after a lost
-  /// request/response (drop or partition chaos); the fresh response
-  /// replaces, not appends to, whatever this round had accumulated.
-  void ClearCandidates(size_t node);
-
-  enum class CorrectionOutcome {
-    kAssembled,  ///< exact window produced
-    kNeedMore,   ///< request top-ups from the nodes in `need_more`
-    kEndOfStream,///< all nodes EOS; cannot fill a window
-  };
-
-  /// \brief Attempts the centralized fallback assembly from candidates.
-  /// On `kNeedMore`, `need_more` lists nodes whose candidate list must be
-  /// extended (they have no excluded event bounding the cut).
+  /// \brief `TryAssemble`; on failure `BeginRepair`, with the asked nodes
+  /// in `need_more`.
   CorrectionOutcome TryAssembleCorrected(WindowAssembly* out,
                                          std::vector<size_t>* need_more);
 
-  /// \brief True when in correction mode.
-  bool correcting() const { return correcting_; }
-
-  /// \brief Events currently buffered at the root (leftovers + pending raw
-  /// + candidates); memory accounting for tests.
+  /// \brief Events currently buffered at the root (leftovers + pending
+  /// raw); memory accounting for tests.
   size_t buffered_events() const;
 
   /// \brief Raw events of `node` carried over into the next window (the
@@ -280,8 +258,8 @@ class WindowAssembler {
   /// left empty). Not owned. When set, every verified or corrected window
   /// also carries per-slot partials: raw events are accumulated into every
   /// slot active at the window's pane, slice extras are merged into their
-  /// slots, and a slice missing an expected active slot triggers the
-  /// correction fallback (which recomputes every slot exactly from raws).
+  /// slots, and a slice missing an expected active slot is opened, so its
+  /// raw events feed every active slot.
   void set_slot_bank(const SlotBank* bank) { slot_bank_ = bank; }
 
   /// \brief Provenance collection point (src/obs/provenance.h); may be
@@ -335,6 +313,11 @@ class WindowAssembler {
   void OpenSlice(size_t n, NodeWindowState* st, const EventVec& events,
                  double create_mean);
 
+  /// Gives node `n` an empty, sealed region in the held window, with a
+  /// slice present that forces nothing, and marks it as asked for a top-up
+  /// from index 0.
+  void EmptyNode(size_t n);
+
   /// Drops every held input: later windows, leftovers, carries and EOS
   /// flags (the rollback that follows a correction or a repair).
   void DropHeldInputs();
@@ -356,15 +339,11 @@ class WindowAssembler {
   std::vector<bool> eos_;
   std::vector<bool> removed_;
 
-  // Correction state.
-  bool correcting_ = false;
-  std::vector<std::vector<TimedEvent>> candidates_;
-  std::vector<bool> candidates_complete_;
-
   // Repair state. `repair_plan_` is the last failed `TryAssemble`'s
   // diagnosis; `asked_` the kind of each node's outstanding request;
   // `repair_failed_` marks a response that cannot advance the repair.
   bool repairing_ = false;
+  bool emptied_ = false;
   bool repair_failed_ = false;
   std::vector<RepairRequest> repair_plan_;
   std::vector<std::optional<RepairRequest::Kind>> asked_;

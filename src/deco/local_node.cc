@@ -329,7 +329,7 @@ Status DecoLocalNode::HandleControl(const Message& msg) {
       }
       if (msg.epoch > epoch_) {
         awaiting_rejoin_ = false;
-        // Correction rollback (paper Â§4.3.2): the corrected window was
+        // Correction rollback (paper §4.3.2): the corrected window was
         // assembled from the *complete* candidate streams, so every
         // retained event at or below its watermark was consumed exactly
         // once and must be dropped; everything after it is re-planned

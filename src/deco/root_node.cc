@@ -108,9 +108,7 @@ Status DecoRootNode::Run() {
                               options_.delta_floor, delta_multiplier_));
   last_consumed_.assign(m, 0);
   latest_rates_.assign(m, 0.0);
-  correction_responded_.assign(m, false);
-  correction_round_.assign(m, 0);
-  correction_requested_at_.assign(m, 0);
+  asks_.assign(m, Ask{});
   last_heard_.assign(m, NowNanos());
   stall_since_ = NowNanos();
   report_->consumption = ConsumptionLog(m);
@@ -146,8 +144,7 @@ void DecoRootNode::UpdateOpsGauges() {
     nodes_live_gauge_ = metrics()->gauge("root.nodes_live");
   }
   next_window_gauge_->Set(static_cast<int64_t>(assembler_->next_window()));
-  correcting_gauge_->Set(
-      assembler_->correcting() || assembler_->repairing() ? 1 : 0);
+  correcting_gauge_->Set(assembler_->repairing() ? 1 : 0);
   int64_t live = 0;
   for (size_t n = 0; n < topology_.num_locals(); ++n) {
     if (!assembler_->IsRemoved(n)) ++live;
@@ -165,11 +162,11 @@ Status DecoRootNode::Dispatch(const Message& msg) {
     // partitioned or slow, not dead — and it has no way to learn of its
     // removal (only a crash victim announces kRejoin, on revival). Any
     // message proves liveness: re-admit it. The message itself is dropped
-    // (its epoch predates the removal rollback); the readmission
-    // correction re-solicits the node's retained stream from the
-    // watermark, so nothing it buffered is lost. Found by
-    // tests/chaos_fuzz_test.cc: a healed partition used to leave the
-    // victim producing into the void for the rest of the run.
+    // (its epoch predates the removal rollback); the readmission asks the
+    // node for its retained stream from the watermark, so nothing it
+    // buffered is lost. Found by tests/chaos_fuzz_test.cc: a healed
+    // partition used to leave the victim producing into the void for the
+    // rest of the run.
     RateReport report;
     report.event_rate = latest_rates_[node];
     // Synthetic report (the node never announced kRejoin): take its
@@ -215,8 +212,7 @@ Status DecoRootNode::Dispatch(const Message& msg) {
                                 msg.lat_mean_create_nanos);
     }
     case MessageType::kCorrectionResult: {
-      const bool repairing = assembler_->repairing();
-      if (!(assembler_->correcting() || repairing) ||
+      if (!assembler_->repairing() ||
           msg.window_index != correction_window_ || msg.epoch != epoch_) {
         DECO_LOG(DEBUG) << "root: dropping stale correction response from "
                         << node << " (w" << msg.window_index << " epoch "
@@ -226,27 +222,22 @@ Status DecoRootNode::Dispatch(const Message& msg) {
       BinaryReader reader(msg.payload);
       DECO_ASSIGN_OR_RETURN(CorrectionResponse response,
                             DecodeCorrectionResponse(&reader));
-      if (response.round != correction_round_[node] ||
-          correction_responded_[node]) {
+      Ask& ask = asks_[node];
+      if (response.round != ask.round || ask.responded) {
         // A delayed response overtaken by a lost-message retry (or a
         // duplicate): the latest round's response supersedes it, and
         // accepting both would double-count the overlap.
         DECO_LOG(DEBUG) << "root: dropping superseded correction response "
                         << "from " << node << " (round " << response.round
-                        << " vs " << correction_round_[node] << ")";
+                        << " vs " << ask.round << ")";
         return Status::OK();
       }
       DECO_LOG(DEBUG) << "root: correction response from " << node
                       << " bytes=" << msg.payload.size();
-      correction_responded_[node] = true;
-      if (repairing) {
-        return assembler_->AddRepair(node, response.events,
-                                     msg.lat_mean_create_nanos,
-                                     response.end_of_stream);
-      }
-      if (response.end_of_stream) assembler_->MarkCandidatesComplete(node);
-      return assembler_->AddCandidates(node, response.events,
-                                       msg.lat_mean_create_nanos);
+      ask.responded = true;
+      return assembler_->AddRepair(node, response.events,
+                                   msg.lat_mean_create_nanos,
+                                   response.end_of_stream);
     }
     case MessageType::kShutdown:
       if (msg.epoch != epoch_) return Status::OK();  // pre-rollback marker
@@ -266,47 +257,15 @@ Status DecoRootNode::Dispatch(const Message& msg) {
 }
 
 Status DecoRootNode::Progress() {
-  if (assembler_->correcting()) {
-    // Wait for every live node's candidates before attempting the fallback.
-    for (size_t n = 0; n < topology_.num_locals(); ++n) {
-      if (assembler_->IsRemoved(n)) continue;
-      if (!correction_responded_[n]) return MaybeSendAssignments();
-    }
-    WindowAssembly assembly;
-    std::vector<size_t> need_more;
-    const auto outcome =
-        assembler_->TryAssembleCorrected(&assembly, &need_more);
-    switch (outcome) {
-      case WindowAssembler::CorrectionOutcome::kAssembled:
-        DECO_RETURN_NOT_OK(FinishWindow(assembly, /*corrected=*/true));
-        break;
-      case WindowAssembler::CorrectionOutcome::kNeedMore:
-        // Extend each short prefix by a quarter of the node's share.
-        for (size_t n : need_more) {
-          correction_responded_[n] = false;
-          DECO_RETURN_NOT_OK(SendCorrectionRequest(
-              n, assembler_->candidate_count(n),
-              std::max<uint64_t>(1, CorrectionShare(n) / 4)));
-        }
-        break;
-      case WindowAssembler::CorrectionOutcome::kEndOfStream:
-        finished_ = true;
-        return Status::OK();
-    }
-    if (assembler_->correcting()) return MaybeSendAssignments();
-    // A corrected window completed: continue with the normal path so that
-    // end-of-stream (or the next ready window) is detected immediately.
-  }
-
-  // Normal path: assemble as many consecutive windows as possible. A
-  // repair re-verifies its held window once every response it asked for
-  // has arrived.
+  // Assemble as many consecutive windows as possible. A window under
+  // correction is re-verified once every response it asked for arrived.
   while (!RepairOutstanding()) {
     const bool repairing = assembler_->repairing();
+    const bool emptied = assembler_->emptied();
     WindowAssembly assembly;
     const auto outcome = assembler_->TryAssemble(&assembly);
     if (outcome == WindowAssembler::Outcome::kAssembled) {
-      DECO_RETURN_NOT_OK(repairing ? FinishRepair(assembly)
+      DECO_RETURN_NOT_OK(repairing ? FinishRepair(assembly, emptied)
                                    : FinishWindow(assembly,
                                                   /*corrected=*/false));
       continue;
@@ -328,7 +287,7 @@ Status DecoRootNode::Progress() {
 bool DecoRootNode::RepairOutstanding() const {
   if (!assembler_->repairing()) return false;
   for (size_t n = 0; n < topology_.num_locals(); ++n) {
-    if (!assembler_->IsRemoved(n) && !correction_responded_[n]) return true;
+    if (!assembler_->IsRemoved(n) && !asks_[n].responded) return true;
   }
   return false;
 }
@@ -349,25 +308,27 @@ Status DecoRootNode::StartRepair() {
   }
   // Repair requests go out at the current epoch: the held window and the
   // later windows' inputs stay valid until the repaired window assembles.
-  std::fill(correction_responded_.begin(), correction_responded_.end(),
-            true);
+  for (Ask& ask : asks_) ask.responded = true;
   for (const RepairRequest& request : requests) {
-    correction_responded_[request.node] = false;
     DECO_RETURN_NOT_OK(SendCorrectionRequest(
         request.node, request.from_index, request.count));
   }
   return Status::OK();
 }
 
-Status DecoRootNode::FinishRepair(const WindowAssembly& assembly) {
-  // The assembler dropped every later input with the repaired window. Bump
-  // the epoch so in-flight messages for them are stale; the next
-  // assignment is the rollback, as after a correction.
-  ++epoch_;
-  metrics()->counter("root.corrections_repaired")->Increment();
-  ++report_->corrections_repaired;
-  if (serve_sync_needed_) {
-    DECO_RETURN_NOT_OK(SendServeSnapshot(SIZE_MAX));
+Status DecoRootNode::FinishRepair(const WindowAssembly& assembly,
+                                  bool emptied) {
+  if (!emptied) {
+    // The assembler dropped every later input with the repaired window.
+    // Bump the epoch so in-flight messages for them are stale; the next
+    // assignment is the rollback. An emptied window did all this when it
+    // was emptied.
+    ++epoch_;
+    metrics()->counter("root.corrections_repaired")->Increment();
+    ++report_->corrections_repaired;
+    if (serve_sync_needed_) {
+      DECO_RETURN_NOT_OK(SendServeSnapshot(SIZE_MAX));
+    }
   }
   return FinishWindow(assembly, /*corrected=*/true);
 }
@@ -391,8 +352,6 @@ Status DecoRootNode::StartCorrection() {
   // later window is now stale (paper §4.3.2: local nodes recalculate all
   // windows after the wrong one).
   ++epoch_;
-  std::fill(correction_responded_.begin(), correction_responded_.end(),
-            false);
   if (serve_sync_needed_) {
     // Re-broadcast the authoritative slot schedule with the rollback: if
     // the correction was triggered by a local that missed a query
@@ -406,16 +365,11 @@ Status DecoRootNode::StartCorrection() {
   return Status::OK();
 }
 
-uint64_t DecoRootNode::CorrectionShare(size_t node) const {
-  return predictors_[node].Ready() ? predictors_[node].PredictedSize()
-                                   : pane_length_;
-}
-
 Status DecoRootNode::SolicitCorrection(size_t node) {
   const LocalWindowPredictor& p = predictors_[node];
-  const uint64_t slack = p.Ready() ? 2 * p.Delta() : 1;
-  return SendCorrectionRequest(node, /*from_index=*/0,
-                               CorrectionShare(node) + slack);
+  const uint64_t count =
+      p.Ready() ? p.PredictedSize() + 2 * p.Delta() : pane_length_ + 1;
+  return SendCorrectionRequest(node, /*from_index=*/0, count);
 }
 
 Status DecoRootNode::SendCorrectionRequest(size_t node, uint64_t from_index,
@@ -427,8 +381,12 @@ Status DecoRootNode::SendCorrectionRequest(size_t node, uint64_t from_index,
   request.wm_ts = last_watermark_.ts;
   request.wm_stream = last_watermark_.stream;
   request.wm_id = last_watermark_.id;
-  request.round = ++correction_round_[node];
-  correction_requested_at_[node] = NowNanos();
+  Ask& ask = asks_[node];
+  ask.from_index = from_index;
+  ask.count = count;
+  ask.sent_at = NowNanos();
+  ask.responded = false;
+  request.round = ++ask.round;
   if (provenance_ != nullptr) {
     provenance_->OnCorrectionSolicit(correction_window_, node);
   }
@@ -465,21 +423,20 @@ Status DecoRootNode::HandleRejoin(size_t node, const RateReport& report) {
     // its slot schedule before re-soliciting its retained stream.
     DECO_RETURN_NOT_OK(SendServeSnapshot(node));
   }
-  if (assembler_->correcting()) {
-    // Fold the rejoined node into the in-flight correction: solicit its
-    // retained stream from the start alongside the outstanding responses.
-    correction_responded_[node] = false;
+  if (assembler_->emptied()) {
+    // Fold the rejoined node into the emptied window: `ReadmitNode`
+    // emptied its part, and it is asked from index 0 beside the others.
     return SolicitCorrection(node);
   }
-  // Rebuild the current window with the rejoined node contributing; the
+  // Empty the current window with the rejoined node contributing; the
   // epoch bump doubles as the rollback signal ending its rejoin wait.
   return StartCorrection();
 }
 
 Status DecoRootNode::EmitProtocolWindow(const WindowAssembly& assembly,
                                         bool corrected) {
-  // `TryAssemble`/`TryAssembleCorrected` already advanced the window
-  // counter, so the pane just assembled is `next_window() - 1`.
+  // `TryAssemble` already advanced the window counter, so the pane just
+  // assembled is `next_window() - 1`.
   const uint64_t pane_index = assembler_->next_window() - 1;
   const uint64_t pane_ordinal = panes_seen_++;
   report_->events_processed += assembly.event_count;
@@ -541,8 +498,8 @@ Status DecoRootNode::ProcessServeTriggers(uint64_t pane) {
   // may already be producing (async runs ahead of the assignments), so the
   // transition lands a safety margin past both the assembly frontier and
   // the assignment frontier. A local that still misses the broadcast
-  // produces a slice without the expected slot partial, which the
-  // assembler repairs with a correction (exact recompute from raws).
+  // produces a slice without the expected slot partial; the root repairs
+  // that window by opening the slice, whose raw events feed every slot.
   constexpr uint64_t kActivationMargin = 8;
   while (!serve_triggers_.empty() && serve_triggers_.front().pane <= pane) {
     const ServeTrigger trigger = serve_triggers_.front();
@@ -639,8 +596,7 @@ Status DecoRootNode::SendServeSnapshot(size_t node) {
 
 Status DecoRootNode::FinishWindow(const WindowAssembly& assembly,
                                   bool corrected) {
-  // `TryAssemble`/`TryAssembleCorrected` just verified and advanced past
-  // this window.
+  // `TryAssemble` just verified and advanced past this window.
   DECO_TRACE_SPAN_MSG(*run_, id_, TracePhase::kAssemble,
                       assembler_->next_window() - 1,
                       static_cast<int64_t>(assembly.event_count),
@@ -664,7 +620,7 @@ Status DecoRootNode::FinishWindow(const WindowAssembly& assembly,
   DECO_RETURN_NOT_OK(EmitProtocolWindow(assembly, corrected));
 
   // Feed the predictors with the paper's rate-derived actual sizes
-  // (Â§4.2.2): a verified window's consumed counts are capped to the plan
+  // (§4.2.2): a verified window's consumed counts are capped to the plan
   // by construction, so they cannot reflect true drift.
   bool have_rates = true;
   for (size_t n = 0; n < topology_.num_locals(); ++n) {
@@ -693,8 +649,18 @@ Status DecoRootNode::FinishWindow(const WindowAssembly& assembly,
 }
 
 Status DecoRootNode::MaybeSendAssignments() {
+  if (last_window_corrected_) {
+    // The first assignment after a corrected window is the rollback, and
+    // the locals resume planning at its window. It must name the window
+    // the root assembles next: regions planned for one it already
+    // assembled are dropped as stale, and the next window's held events
+    // would then no longer start at retained index 0, where every
+    // correction request counts from.
+    assignment_window_ =
+        std::max(assignment_window_, assembler_->next_window());
+  }
   while (assignment_window_ <= assembler_->next_window() &&
-         !assembler_->correcting() && !assembler_->repairing()) {
+         !assembler_->repairing()) {
     const uint64_t w = assignment_window_;
     const size_t m = topology_.num_locals();
     std::vector<uint64_t> sizes(m, 0);
@@ -843,21 +809,20 @@ Status DecoRootNode::CheckNodeTimeouts() {
   // hand, so the tracker's clock may be stale from the last dispatch.
   if (provenance_ != nullptr) provenance_->set_now_nanos(now);
   bool stalled = false;
-  if (assembler_->correcting() || RepairOutstanding() ||
-      assembler_->next_window() != stall_window_) {
-    // Progress (or an in-flight correction or repair request, which has
-    // its own per-node retry): restart the stall timer.
+  if (RepairOutstanding() || assembler_->next_window() != stall_window_) {
+    // Progress (or an outstanding correction request, which has its own
+    // per-node retry): restart the stall timer.
     stall_window_ = assembler_->next_window();
     stall_since_ = now;
   } else if (now - stall_since_ > 2 * options_.node_timeout_nanos) {
     // The current window has been unassemblable for two full timeouts
     // with every contributor alive: some data-plane message (a partial,
     // an event batch, an assignment) was lost to drop/partition chaos.
-    // A correction re-solicits every live node's retained stream from
-    // the watermark, which re-covers whatever was dropped. The 2x margin
-    // keeps a slow-but-progressing window (low rate, large window) from
-    // paying a spurious correction. Found by tests/chaos_fuzz_test.cc: a
-    // dropped deco-async partial stalled the run until the virtual-time
+    // Emptying the window asks every live node for its retained stream
+    // from the watermark, which re-covers whatever was dropped. The 2x
+    // margin keeps a slow-but-progressing window (low rate, large window)
+    // from paying a spurious correction. Found by tests/chaos_fuzz_test.cc:
+    // a dropped deco-async partial stalled the run until the virtual-time
     // limit while heartbeats kept all nodes admitted.
     DECO_LOG(WARNING) << "deco root: window " << stall_window_
                       << " stalled with all nodes live; correcting";
@@ -866,15 +831,15 @@ Status DecoRootNode::CheckNodeTimeouts() {
   }
   bool removed_any = false;
   bool repair_overdue = false;
-  const bool soliciting = assembler_->correcting() || assembler_->repairing();
+  const bool repairing = assembler_->repairing();
   for (size_t n = 0; n < topology_.num_locals(); ++n) {
     if (assembler_->IsRemoved(n) || assembler_->IsEos(n)) continue;
     // Only a node whose input the root is actually waiting for can be
     // declared dead: synchronous local nodes legitimately go silent once
     // they have shipped their window and are awaiting the next
     // assignment.
-    const bool awaited = soliciting ? !correction_responded_[n]
-                                    : !assembler_->HasWindowInputs(n);
+    const bool awaited = repairing ? !asks_[n].responded
+                                   : !assembler_->HasWindowInputs(n);
     if (!awaited) {
       last_heard_[n] = now;
       continue;
@@ -887,37 +852,35 @@ Status DecoRootNode::CheckNodeTimeouts() {
           MembershipEvent{now, n, /*rejoined=*/false});
       metrics()->counter("root.nodes_removed")->Increment();
       removed_any = true;
-    } else if (assembler_->repairing() &&
-               now - correction_requested_at_[n] >
-                   options_.node_timeout_nanos) {
-      // An overdue repair response escalates to the full correction,
-      // which re-solicits every live node under a fresh epoch.
-      DECO_LOG(WARNING) << "deco root: local node " << topology_.locals[n]
-                        << " repair response overdue; correcting";
-      repair_overdue = true;
-    } else if (assembler_->correcting() && !correction_responded_[n] &&
-               now - correction_requested_at_[n] >
-                   options_.node_timeout_nanos) {
-      // The node is alive (its heartbeats refresh `last_heard_`, so the
-      // removal branch above can never fire) yet its correction response
-      // is overdue: the request or the response was lost to drop/partition
-      // chaos, and neither side will ever resend on its own. Re-solicit
-      // its retained stream from the start under a fresh round; the round
-      // check on arrival discards the original if it was merely delayed.
-      // Found by tests/chaos_fuzz_test.cc (seed 29): a response dropped
-      // during a rejoin correction stalled deco-sync until the virtual-time
-      // limit.
-      DECO_LOG(WARNING) << "deco root: local node " << topology_.locals[n]
-                        << " correction response overdue; re-soliciting";
-      assembler_->ClearCandidates(n);
-      DECO_RETURN_NOT_OK(SolicitCorrection(n));
+    } else if (repairing &&
+               now - asks_[n].sent_at > options_.node_timeout_nanos) {
+      if (!assembler_->emptied()) {
+        // An overdue response to a held window's repair empties the
+        // window, which asks every live node under a fresh epoch.
+        DECO_LOG(WARNING) << "deco root: local node " << topology_.locals[n]
+                          << " repair response overdue; correcting";
+        repair_overdue = true;
+      } else {
+        // The node is alive (its heartbeats refresh `last_heard_`, so the
+        // removal branch above can never fire) yet its response is
+        // overdue: the request or the response was lost to drop/partition
+        // chaos, and neither side will ever resend on its own. Ask again
+        // for the same events under a fresh round; the round check on
+        // arrival discards the original if it was merely delayed, and the
+        // events that already arrived are kept. Found by
+        // tests/chaos_fuzz_test.cc (seed 29): a response dropped during a
+        // rejoin correction stalled deco-sync until the virtual-time limit.
+        DECO_LOG(WARNING) << "deco root: local node " << topology_.locals[n]
+                          << " correction response overdue; re-soliciting";
+        DECO_RETURN_NOT_OK(
+            SendCorrectionRequest(n, asks_[n].from_index, asks_[n].count));
+      }
     }
   }
-  if ((removed_any || stalled || repair_overdue) &&
-      !assembler_->correcting()) {
+  if (stalled || repair_overdue || (removed_any && !assembler_->emptied())) {
     // Rebuild the current window from the surviving nodes (paper §4.3.4:
     // "the root node then starts the correction step"); a repair in
-    // progress escalates.
+    // progress escalates. An emptied window just goes on without them.
     DECO_RETURN_NOT_OK(StartCorrection());
   }
   return Status::OK();

@@ -110,31 +110,28 @@ class DecoRootNode final : public Actor {
 
   /// Repairs the window `TryAssemble` just failed in place (DESIGN.md
   /// §4.1): asks only the locals its diagnosis names, through ordinary
-  /// correction requests at the current epoch. Falls back to (or, in a
-  /// later round, escalates to) the full correction when the failure names
-  /// no local or a response could not advance the repair.
+  /// correction requests at the current epoch. Empties the window instead
+  /// when the failure names no local or a response could not advance the
+  /// repair.
   Status StartRepair();
 
-  /// True while a repair waits for a response it asked for.
+  /// True while a correction waits for a response it asked for.
   bool RepairOutstanding() const;
 
-  /// Ends a repair whose window just assembled: bumps the epoch, re-sends
-  /// the serve snapshot and emits the window as corrected, so the next
-  /// assignment rolls the locals back exactly as after a correction.
-  Status FinishRepair(const WindowAssembly& assembly);
+  /// Ends a correction whose window just assembled and emits the window as
+  /// corrected. A held window's repair also bumps the epoch and re-sends
+  /// the serve snapshot, as emptying the window did, so the next
+  /// assignment rolls the locals back either way.
+  Status FinishRepair(const WindowAssembly& assembly, bool emptied);
 
-  /// Starts the full correction of `next_window()`, or escalates a repair
-  /// to it (counted once, when the repair began).
+  /// Empties `next_window()` under a new epoch and asks every live node
+  /// for it from index 0. Counts one correction, unless it escalates a
+  /// repair, which was counted when it began.
   Status StartCorrection();
 
-  /// Node `node`'s predicted share of the window being corrected, or the
-  /// whole window while its predictor is not ready (start, rejoin).
-  uint64_t CorrectionShare(size_t node) const;
-
-  /// Starts (or restarts) node `node`'s part of the current correction:
-  /// asks for the first `share + 2 delta` events of its retained stream,
-  /// or one window + 1, which bounds the cut on its own, while its
-  /// predictor is not ready.
+  /// Asks node `node` for its part of an emptied window: the first
+  /// `share + 2 delta` events of its retained stream, or one window + 1,
+  /// which bounds the cut on its own, while its predictor is not ready.
   Status SolicitCorrection(size_t node);
 
   /// Sends one correction request for retained events
@@ -145,8 +142,9 @@ class DecoRootNode final : public Actor {
                                uint64_t count);
 
   /// Re-admits a restarted local (kRejoin): scrubs its assembler state,
-  /// resets its predictor, and folds it into a (possibly new) correction
-  /// so it contributes again from its durable retained queue.
+  /// resets its predictor, and folds it into an emptied window (emptying
+  /// the current one unless it already is) so it contributes again from
+  /// its durable retained queue.
   Status HandleRejoin(size_t node, const RateReport& report);
   Status FinishWindow(const WindowAssembly& assembly, bool corrected);
   Status MaybeSendAssignments();
@@ -172,7 +170,7 @@ class DecoRootNode final : public Actor {
 
   // Latest instantaneous event rate reported by each node (via rate
   // reports and slice summaries). The paper derives "actual local window
-  // sizes" from these rates (Â§4.2.2); feeding the predictor with
+  // sizes" from these rates (§4.2.2); feeding the predictor with
   // rate-apportioned estimates (instead of the verification-capped
   // consumed counts) keeps the delta tracking true drift.
   std::vector<double> latest_rates_;
@@ -230,17 +228,22 @@ class DecoRootNode final : public Actor {
   // on fresh rate reports (exhausted locals never send them — deadlock).
   bool last_window_corrected_ = false;
 
-  // Correction and repair bookkeeping. `correction_round_` is the per-node
-  // round id carried by the latest solicitation (responses to older rounds
-  // are stale); `correction_requested_at_` drives the lost-message retry
-  // (a repair escalates instead) in `CheckNodeTimeouts` — liveness
-  // heartbeats keep an unresponsive-but-alive node from ever timing out,
-  // so without a retry a single dropped request/response would stall the
-  // correction forever. A repair marks every node it did not ask as
-  // responded.
-  std::vector<bool> correction_responded_;
-  std::vector<uint64_t> correction_round_;
-  std::vector<TimeNanos> correction_requested_at_;
+  // Correction bookkeeping, per node: the latest request's events
+  // `[from_index, from_index + count)` and round id (responses to older
+  // rounds are stale), when it went out, and whether its response arrived.
+  // `sent_at` drives the lost-message retry in `CheckNodeTimeouts` (a held
+  // window's repair is emptied instead): liveness heartbeats keep an
+  // unresponsive-but-alive node from ever timing out, so without a retry a
+  // single dropped request/response would stall the correction forever. A
+  // repair marks every node it did not ask as responded.
+  struct Ask {
+    uint64_t from_index = 0;
+    uint64_t count = 0;
+    uint64_t round = 0;
+    TimeNanos sent_at = 0;
+    bool responded = true;
+  };
+  std::vector<Ask> asks_;
   uint64_t correction_window_ = 0;
 
   // Failure detection.
@@ -250,7 +253,7 @@ class DecoRootNode final : public Actor {
   // A dropped data-plane message (partial, event batch, assignment) leaves
   // the current window unassemblable while later traffic keeps every node
   // alive, so neither the removal path nor the correction retry ever
-  // fires; a stalled window is repaired with a correction instead.
+  // fires; a stalled window is emptied instead.
   uint64_t stall_window_ = 0;
   TimeNanos stall_since_ = 0;
 

@@ -153,9 +153,9 @@ struct CorrectionRequest {
   /// The local ships retained events `[from_index, from_index + count)`,
   /// pulling only the shortfall from its stream. Indices count from the
   /// first retained event after the watermark drop below, so the prefixes
-  /// one correction solicits neither overlap nor skip: the first request
+  /// one correction solicits neither overlap nor skip: an emptied window
   /// asks from 0 for about the node's share of the window, and each top-up
-  /// asks from the number of candidates the root already holds.
+  /// asks from the number of events the root already holds for the node.
   uint64_t from_index = 0;
   uint64_t count = 0;
 
@@ -174,7 +174,7 @@ struct CorrectionRequest {
   /// it on every request it sends to a node — including the lost-message
   /// retries — and discards responses carrying an older round, so a
   /// delayed original and its retry can never both be folded into the
-  /// candidate list (which would double-count events).
+  /// window (which would double-count events).
   uint64_t round = 0;
 };
 

@@ -118,7 +118,7 @@ void ProvenanceTracker::OnCorrectionBegin(uint64_t w) {
   // Mirror WindowAssembler::BeginCorrection: every accepted data region of
   // this and later windows is discarded, and EOS flags reset (the rollback
   // makes locals re-produce retained events and re-announce end-of-stream).
-  // The correction window itself is rebuilt from candidates only; later
+  // The correction window itself owes no further data region; later
   // windows are re-planned and their regions resent under the new epoch,
   // so they owe the full set again.
   std::fill(eos_.begin(), eos_.end(), false);

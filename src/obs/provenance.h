@@ -24,7 +24,7 @@
 /// root actor thread only (hooks are not thread-safe) by three layers:
 ///   - the `WindowAssembler` reports accepted data-plane regions exactly
 ///     where it accepts them (slice / front / end raw / correction
-///     candidates), so a record can never claim a partial the assembler
+///     responses), so a record can never claim a partial the assembler
 ///     did not use;
 ///   - the root node reports control-plane transitions (correction begin
 ///     and solicits, EOS, node removal / rejoin, window emission);
@@ -49,7 +49,7 @@ namespace deco {
 enum class ProvState : uint8_t {
   kProvisional,  ///< inputs arriving, verification not yet attempted/passed
   kCorrecting,   ///< prediction error; correction round(s) in flight
-  kCorrected,    ///< assembled via the correction fallback
+  kCorrected,    ///< assembled after a correction
   kFinal,        ///< emitted (terminal)
 };
 
@@ -103,7 +103,7 @@ struct ProvTransition {
 struct WindowProvenance {
   /// Index in the run report's window order (`RunReport::windows`).
   uint64_t window_index = 0;
-  bool corrected = false;          ///< needed the correction fallback
+  bool corrected = false;          ///< needed a correction
   uint64_t correction_rounds = 0;  ///< solicit rounds actually applied
   TimeNanos emit_nanos = 0;        ///< root wall-clock at emission
   uint64_t expected_total = 0;
@@ -229,7 +229,7 @@ class ProvenanceTracker {
 
   /// \brief Correction entered for window `w`: accepted data regions of
   /// windows >= `w` are discarded (mirrors `WindowAssembler::
-  /// BeginCorrection`); `w` itself will be assembled from candidates only.
+  /// BeginCorrection`); `w` itself owes no further data region.
   void OnCorrectionBegin(uint64_t w);
 
   /// \brief A correction request (one round) was sent to `node` for `w`.

@@ -96,7 +96,7 @@ class AssemblerTest : public ::testing::Test {
       EXPECT_EQ(outcome, WindowAssembler::Outcome::kNeedCorrection);
       std::vector<RepairRequest> requests;
       if (!assembler_->BeginRepair(&requests)) {
-        ADD_FAILURE() << "repair fell back to the full correction";
+        ADD_FAILURE() << "the repair could not go on without emptying";
         return rounds;
       }
       Answer(requests, base);
@@ -270,10 +270,11 @@ TEST_F(AssemblerTest, CorrectionAssemblesExactWindow) {
   ASSERT_EQ(assembler_->TryAssemble(&out),
             WindowAssembler::Outcome::kNeedCorrection);
 
+  // perfbench's correction layer drives these three calls.
   assembler_->BeginCorrection();
-  EXPECT_TRUE(assembler_->correcting());
-  // Locals resend their full retained regions (57 events each) plus a
-  // top-up so the cut can be bounded.
+  EXPECT_TRUE(assembler_->emptied());
+  // Locals resend their full retained regions (57 events each), which
+  // bound the cut.
   next_id_.assign(kNodes, 0);  // locals replay from the window start
   ASSERT_TRUE(assembler_->AddCandidates(0, Take(0, 57), 0.0).ok());
   ASSERT_TRUE(assembler_->AddCandidates(1, Take(1, 57), 0.0).ok());
@@ -283,7 +284,8 @@ TEST_F(AssemblerTest, CorrectionAssemblesExactWindow) {
   EXPECT_EQ(out.event_count, kGlobal);
   EXPECT_EQ(out.consumed[0], 50u);
   EXPECT_EQ(out.consumed[1], 50u);
-  EXPECT_FALSE(assembler_->correcting());
+  EXPECT_FALSE(assembler_->repairing());
+  EXPECT_FALSE(assembler_->emptied());
   EXPECT_EQ(assembler_->next_window(), 1u);
   // Correction clears leftovers: locals re-plan from the cut.
   EXPECT_EQ(assembler_->leftover_size(0), 0u);
@@ -297,20 +299,27 @@ TEST_F(AssemblerTest, CorrectionRequestsTopUpWhenShort) {
   ASSERT_EQ(assembler_->TryAssemble(&out),
             WindowAssembler::Outcome::kNeedCorrection);
   assembler_->BeginCorrection();
-  next_id_.assign(kNodes, 0);
-  ASSERT_TRUE(assembler_->AddCandidates(0, Take(0, 44), 0.0).ok());
-  ASSERT_TRUE(assembler_->AddCandidates(1, Take(1, 44), 0.0).ok());
-  std::vector<size_t> need_more;
-  ASSERT_EQ(assembler_->TryAssembleCorrected(&out, &need_more),
-            WindowAssembler::CorrectionOutcome::kNeedMore);
-  EXPECT_FALSE(need_more.empty());
-  // Top-ups arrive; now the window can be selected exactly.
-  for (size_t n : need_more) {
-    ASSERT_TRUE(assembler_->AddCandidates(n, Take(n, 20), 0.0).ok());
+  // The emptied window's first responses hold 44 events per local, 12
+  // short of the window: each local is topped up by 13 from its 44.
+  for (size_t n = 0; n < kNodes; ++n) {
+    ASSERT_TRUE(assembler_->AddRepair(n, Events(n, 0, 44), 0.0, false).ok());
   }
-  ASSERT_EQ(assembler_->TryAssembleCorrected(&out, &need_more),
-            WindowAssembler::CorrectionOutcome::kAssembled);
-  EXPECT_EQ(out.consumed[0] + out.consumed[1], kGlobal);
+  ASSERT_EQ(assembler_->TryAssemble(&out),
+            WindowAssembler::Outcome::kNeedCorrection);
+  std::vector<RepairRequest> requests;
+  ASSERT_TRUE(assembler_->BeginRepair(&requests));
+  ASSERT_EQ(requests.size(), 2u);
+  for (size_t n = 0; n < kNodes; ++n) {
+    EXPECT_EQ(requests[n].node, n);
+    EXPECT_EQ(requests[n].kind, RepairRequest::Kind::kTopUp);
+    EXPECT_EQ(requests[n].from_index, 44u);
+    EXPECT_EQ(requests[n].count, 13u);
+  }
+  Answer(requests, {0, 0});
+  ASSERT_EQ(assembler_->TryAssemble(&out),
+            WindowAssembler::Outcome::kAssembled);
+  EXPECT_EQ(out.consumed, Truth(0));
+  EXPECT_FALSE(assembler_->emptied());
 }
 
 TEST_F(AssemblerTest, EosWaivesCutBounding) {
@@ -483,17 +492,30 @@ TEST_F(AsyncAssemblerTest, EosWaiverRequiresNoLaterInput) {
 // current window sit in later-tagged pending windows (local plans can
 // split the tail differently from the root's numbering).
 TEST_F(AssemblerTest, EndOfStreamCountsLaterPendingWindows) {
-  // All nodes EOS; window 0 only has 30+30 events directly, but window 1
-  // regions hold 60 more: a correction can still assemble window 0.
+  // All nodes EOS; window 0 only has 30+30 events directly, but node 0's
+  // window 1 regions hold 30 more: the window is 40 short, and node 0,
+  // which still retains those events, is topped up by 41.
   ShipSyncWindow(0, 0, 28, 2);
   ShipSyncWindow(0, 1, 28, 2);
   ShipSyncWindow(1, 0, 28, 2);
-  ShipSyncWindow(1, 1, 28, 2);
   assembler_->MarkEos(0);
   assembler_->MarkEos(1);
   WindowAssembly out;
-  EXPECT_EQ(assembler_->TryAssemble(&out),
+  ASSERT_EQ(assembler_->TryAssemble(&out),
             WindowAssembler::Outcome::kNeedCorrection);
+  std::vector<RepairRequest> requests;
+  ASSERT_TRUE(assembler_->BeginRepair(&requests));
+  ASSERT_EQ(requests.size(), 1u);
+  EXPECT_EQ(requests[0].node, 0u);
+  EXPECT_EQ(requests[0].kind, RepairRequest::Kind::kTopUp);
+  EXPECT_EQ(requests[0].from_index, 30u);
+  EXPECT_EQ(requests[0].count, 41u);
+  // Its 30 retained events end its stream; 90 events cannot fill a window.
+  ASSERT_TRUE(assembler_->AddRepair(0, Events(0, 30, 30), 0.0,
+                                    /*end_of_stream=*/true)
+                  .ok());
+  EXPECT_EQ(assembler_->TryAssemble(&out),
+            WindowAssembler::Outcome::kEndOfStream);
 }
 
 TEST_F(AssemblerTest, EndOfStreamWhenTrulyNothingLeft) {
@@ -587,21 +609,52 @@ TEST_F(AssemblerTest, OverestimateOpensTheLatestSlice) {
   EXPECT_EQ(out.consumed, Truth(0));
 }
 
-TEST_F(AssemblerTest, UnderestimateYieldsNoRepair) {
+TEST_F(AssemblerTest, UnderestimateTopsUpEveryUnfinishedLocal) {
+  // 44 + 42 events of 100: 14 short. Each local is topped up by 15 from
+  // the events the root holds for it.
   ShipSyncWindow(0, 0, 40, 4);
-  ShipSyncWindow(0, 1, 40, 4);
+  ShipSyncWindow(0, 1, 38, 4);
   WindowAssembly out;
   ASSERT_EQ(assembler_->TryAssemble(&out),
             WindowAssembler::Outcome::kNeedCorrection);
   std::vector<RepairRequest> requests;
-  EXPECT_FALSE(assembler_->BeginRepair(&requests));
-  EXPECT_TRUE(requests.empty());
-  EXPECT_FALSE(assembler_->repairing());
+  ASSERT_TRUE(assembler_->BeginRepair(&requests));
+  ASSERT_EQ(requests.size(), 2u);
+  const uint64_t held[kNodes] = {44, 42};
+  for (size_t n = 0; n < kNodes; ++n) {
+    EXPECT_EQ(requests[n].node, n);
+    EXPECT_EQ(requests[n].kind, RepairRequest::Kind::kTopUp);
+    EXPECT_EQ(requests[n].from_index, held[n]);
+    EXPECT_EQ(requests[n].count, 15u);
+  }
+  Answer(requests, {0, 0});
+  // One round bounds both cuts.
+  ASSERT_EQ(assembler_->TryAssemble(&out),
+            WindowAssembler::Outcome::kAssembled);
+  EXPECT_EQ(out.consumed, Truth(0));
+
+  // Window 1 (ids 50..) is 10 short, and local 1 has ended its stream
+  // with nothing past it: only local 0 is asked, for 11.
+  next_id_.assign(kNodes, 50);  // the locals roll back to the watermark
+  ShipSyncWindow(1, 0, 36, 4);
+  ShipSyncWindow(1, 1, 46, 4);
+  assembler_->MarkEos(1);
+  ASSERT_EQ(assembler_->TryAssemble(&out),
+            WindowAssembler::Outcome::kNeedCorrection);
+  ASSERT_TRUE(assembler_->BeginRepair(&requests));
+  ASSERT_EQ(requests.size(), 1u);
+  EXPECT_EQ(requests[0].node, 0u);
+  EXPECT_EQ(requests[0].from_index, 40u);
+  EXPECT_EQ(requests[0].count, 11u);
+  Answer(requests, {50, 50});
+  ASSERT_EQ(assembler_->TryAssemble(&out),
+            WindowAssembler::Outcome::kAssembled);
+  EXPECT_EQ(out.consumed, Truth(1));
 }
 
 TEST_F(AssemblerTest, RepairThatCannotAdvanceFallsBack) {
   // A top-up that brings nothing before the end of the stream would be
-  // asked again unchanged: the held window falls back to the correction.
+  // asked again unchanged: the held window is emptied instead.
   ShipSyncWindow(0, 0, 40, 4);
   ShipSyncWindow(0, 1, 48, 10);
   WindowAssembly out;
@@ -615,8 +668,21 @@ TEST_F(AssemblerTest, RepairThatCannotAdvanceFallsBack) {
             WindowAssembler::Outcome::kNeedCorrection);
   EXPECT_FALSE(assembler_->BeginRepair(&requests));
   assembler_->BeginCorrection();
-  EXPECT_FALSE(assembler_->repairing());
-  EXPECT_TRUE(assembler_->correcting());
+  EXPECT_TRUE(assembler_->repairing());
+  EXPECT_TRUE(assembler_->emptied());
+  // No held input remains.
+  EXPECT_EQ(assembler_->buffered_events(), 0u);
+  EXPECT_EQ(assembler_->leftover_size(0), 0u);
+  EXPECT_EQ(assembler_->leftover_size(1), 0u);
+  // Every live local is asked from index 0: their responses alone make
+  // the window.
+  for (size_t n = 0; n < kNodes; ++n) {
+    ASSERT_TRUE(assembler_->AddRepair(n, Events(n, 0, 57), 0.0, false).ok());
+  }
+  ASSERT_EQ(assembler_->TryAssemble(&out),
+            WindowAssembler::Outcome::kAssembled);
+  EXPECT_EQ(out.consumed, Truth(0));
+  EXPECT_DOUBLE_EQ(func_->Finalize(out.partial), 100.0);
 }
 
 TEST_F(AssemblerTest, ShortOpenedSliceFallsBack) {
@@ -683,6 +749,52 @@ TEST_F(AssemblerTest, OpenedSliceFeedsSecondServeSlot) {
   ASSERT_EQ(out.slots.size(), 2u);
   // Ids 0..49 of both nodes: the slice's own max (1051) is dropped with
   // its extras, and its selected raw events feed slot 1.
+  EXPECT_DOUBLE_EQ(bank.func(1)->Finalize(out.slots[1]), 1049.0);
+  EXPECT_DOUBLE_EQ(func_->Finalize(out.partial), 2 * 1225.0 + 50 * 1000.0);
+}
+
+TEST_F(AssemblerTest, SliceMissingAServeSlotOpensIt) {
+  // Two queries on one pane length: sum in slot 0, max in slot 1. Values
+  // are `id + 1000 * node`, so the window's max is node 1's event 49.
+  QueryRegistry registry;
+  for (AggregateKind kind : {AggregateKind::kSum, AggregateKind::kMax}) {
+    ServedQuery q;
+    q.query.aggregate = kind;
+    q.query.window = WindowSpec::CountTumbling(kGlobal);
+    ASSERT_TRUE(registry.Add(q).ok());
+  }
+  SlotBank bank;
+  ASSERT_TRUE(bank.Init(&registry).ok());
+  assembler_->set_slot_bank(&bank);
+  id_values_ = true;
+  // Node 0's slice carries slot 1's partial. Node 1 missed the slot: its
+  // slice (ids 0..49, holding the max) has no partial for it.
+  const EventVec events = Take(0, 44);
+  SliceSummary summary = MakeSlice(events);
+  SlotPartial extra;
+  extra.slot = 1;
+  extra.partial = bank.func(1)->CreatePartial();
+  for (const Event& e : events) bank.func(1)->Accumulate(&extra.partial, e.value);
+  summary.extras.push_back(extra);
+  ASSERT_TRUE(assembler_->AddSlice(0, 0, summary, 0.0).ok());
+  ASSERT_TRUE(
+      assembler_->AddRaw(0, 0, BatchRole::kEnd, Take(0, 8), 0.0).ok());
+  ShipSyncWindow(0, 1, 50, 4);
+  WindowAssembly out;
+  ASSERT_EQ(assembler_->TryAssemble(&out),
+            WindowAssembler::Outcome::kNeedCorrection);
+  std::vector<RepairRequest> requests;
+  ASSERT_TRUE(assembler_->BeginRepair(&requests));
+  ASSERT_EQ(requests.size(), 1u);
+  EXPECT_EQ(requests[0].node, 1u);
+  EXPECT_EQ(requests[0].kind, RepairRequest::Kind::kOpenSlice);
+  EXPECT_EQ(requests[0].from_index, 0u);
+  EXPECT_EQ(requests[0].count, 50u);
+  Answer(requests, {0, 0});
+  ASSERT_EQ(assembler_->TryAssemble(&out),
+            WindowAssembler::Outcome::kAssembled);
+  EXPECT_EQ(out.consumed, Truth(0));
+  ASSERT_EQ(out.slots.size(), 2u);
   EXPECT_DOUBLE_EQ(bank.func(1)->Finalize(out.slots[1]), 1049.0);
   EXPECT_DOUBLE_EQ(func_->Finalize(out.partial), 2 * 1225.0 + 50 * 1000.0);
 }

@@ -53,14 +53,16 @@ class RootNodeProtocolTest : public ::testing::Test {
     return events;
   }
 
-  void SendRate(size_t node, uint64_t w, double rate) {
+  // A rate report, or with `type = kRejoin` a restarted local's rejoin.
+  void SendRate(size_t node, uint64_t w, double rate,
+                MessageType type = MessageType::kEventRate) {
     RateReport report;
     report.window_index = w;
     report.event_rate = rate;
     BinaryWriter writer;
     EncodeRateReport(report, &writer);
     Message msg;
-    msg.type = MessageType::kEventRate;
+    msg.type = type;
     msg.src = topology_.locals[node];
     msg.dst = topology_.root;
     msg.window_index = w;
@@ -97,9 +99,10 @@ class RootNodeProtocolTest : public ::testing::Test {
     ASSERT_TRUE(fabric_->Send(std::move(msg)).ok());
   }
 
-  void SendEndRaw(size_t node, uint64_t w, const EventVec& events) {
+  void SendRaw(size_t node, uint64_t w, const EventVec& events,
+               BatchRole role = BatchRole::kEnd) {
     EventBatchPayload payload;
-    payload.role = BatchRole::kEnd;
+    payload.role = role;
     payload.events = events;
     BinaryWriter writer;
     EncodeEventBatch(payload, &writer);
@@ -147,29 +150,41 @@ class RootNodeProtocolTest : public ::testing::Test {
     return std::move(DecodeCorrectionRequest(&reader)).value();
   }
 
+  // Receives the correction request of each local.
+  std::vector<CorrectionRequest> ReceiveRequests() {
+    std::vector<CorrectionRequest> requests;
+    for (size_t n = 0; n < 2; ++n) {
+      auto msg = ReceiveAt(n, MessageType::kCorrectionRequest);
+      EXPECT_TRUE(msg.has_value());
+      if (!msg.has_value()) return {};
+      EXPECT_EQ(msg->epoch, epoch_);
+      requests.push_back(DecodeRequestOrDie(*msg));
+    }
+    return requests;
+  }
+
   // Sends rate reports, takes window 0's assignments, and ships too few
-  // events for the window (2 * (400 + 40) < 1000), an underestimate no
-  // repair can name a local for, so the root starts a full correction of
-  // window 0; returns its request to each local.
-  std::vector<CorrectionRequest> UnderestimateFirstWindow() {
+  // events for the window (2 * (400 + 40) < 1000). The root repairs the
+  // held window at epoch 0, asking each local for one more than the 120
+  // missing events; then local a rejoins, which empties the window under
+  // epoch 1. Returns the emptied window's request to each local.
+  std::vector<CorrectionRequest> EmptyFirstWindow() {
     SendRate(0, 0, 500.0);
     SendRate(1, 0, 500.0);
     EXPECT_TRUE(ReceiveAt(0, MessageType::kWindowAssignment).has_value());
     EXPECT_TRUE(ReceiveAt(1, MessageType::kWindowAssignment).has_value());
     for (size_t n = 0; n < 2; ++n) {
       SendSlice(n, 0, Take(n, 400));
-      SendEndRaw(n, 0, Take(n, 40));
+      SendRaw(n, 0, Take(n, 40));
     }
-    std::vector<CorrectionRequest> requests;
-    for (size_t n = 0; n < 2; ++n) {
-      auto msg = ReceiveAt(n, MessageType::kCorrectionRequest);
-      EXPECT_TRUE(msg.has_value());
-      if (!msg.has_value()) return {};
-      EXPECT_GT(msg->epoch, 0u);  // epoch bumped
-      epoch_ = msg->epoch;
-      requests.push_back(DecodeRequestOrDie(*msg));
+    for (const CorrectionRequest& topup : ReceiveRequests()) {
+      EXPECT_EQ(topup.window_index, 0u);
+      EXPECT_EQ(topup.from_index, 440u);
+      EXPECT_EQ(topup.count, 121u);
     }
-    return requests;
+    SendRate(0, 0, 500.0, MessageType::kRejoin);
+    epoch_ = 1;
+    return ReceiveRequests();
   }
 
   WindowAssignment DecodeAssignmentOrDie(const Message& msg) {
@@ -181,7 +196,7 @@ class RootNodeProtocolTest : public ::testing::Test {
   void PlayBalancedWindow(uint64_t w, size_t slice, size_t buffer) {
     for (size_t n = 0; n < 2; ++n) {
       SendSlice(n, w, Take(n, slice));
-      SendEndRaw(n, w, Take(n, buffer));
+      SendRaw(n, w, Take(n, buffer));
     }
   }
 
@@ -230,9 +245,9 @@ TEST_F(RootNodeProtocolTest, VerifiedWindowEmitsResultAndNextAssignment) {
   EXPECT_EQ(report_.correction_steps, 0u);
 }
 
-TEST_F(RootNodeProtocolTest, UnderestimateTriggersCorrectionFlow) {
+TEST_F(RootNodeProtocolTest, RejoinEmptiesTheRepairedWindow) {
   Start(DecoScheme::kSync);
-  const std::vector<CorrectionRequest> requests = UnderestimateFirstWindow();
+  const std::vector<CorrectionRequest> requests = EmptyFirstWindow();
   ASSERT_EQ(requests.size(), 2u);
   for (const CorrectionRequest& request : requests) {
     EXPECT_EQ(request.window_index, 0u);
@@ -256,29 +271,33 @@ TEST_F(RootNodeProtocolTest, UnderestimateTriggersCorrectionFlow) {
   EXPECT_EQ(report_.windows_emitted, 1u);
   EXPECT_TRUE(report_.windows[0].corrected);
   EXPECT_DOUBLE_EQ(report_.windows[0].value, 1000.0);
+  // The repair and the emptying that replaced it count once, and not as
+  // repaired.
   EXPECT_EQ(report_.correction_steps, 1u);
+  EXPECT_EQ(report_.corrections_repaired, 0u);
   EXPECT_EQ(report_.consumption.window(0)[0], 500u);
   EXPECT_EQ(report_.consumption.window(0)[1], 500u);
 }
 
-TEST_F(RootNodeProtocolTest, UnderestimateTopUpAsksFromCandidatesHeld) {
+TEST_F(RootNodeProtocolTest, EmptiedWindowTopsUpFromEventsHeld) {
   Start(DecoScheme::kSync);
-  const std::vector<CorrectionRequest> requests = UnderestimateFirstWindow();
+  const std::vector<CorrectionRequest> requests = EmptyFirstWindow();
   ASSERT_EQ(requests.size(), 2u);
   // Local b's 460 events all fall inside the cut (540 of a's are needed
-  // besides), so none of its candidates bounds the cut.
+  // besides), so none of them bounds the cut.
   next_id_.assign(2, 0);
   SendCorrectionResponse(0, requests[0].round, Take(0, 570));
   SendCorrectionResponse(1, requests[1].round, Take(1, 460));
 
-  // Only b is asked for more, from the 460 candidates the root holds, a
-  // quarter of its share at a time.
+  // Only b is asked for more, from the 460 events the root holds, at the
+  // same epoch: D = 1 + the 80 of a's selected events (ids 460..539) that
+  // follow b's last.
   auto topup_msg = ReceiveAt(1, MessageType::kCorrectionRequest);
   ASSERT_TRUE(topup_msg.has_value());
   const CorrectionRequest topup = DecodeRequestOrDie(*topup_msg);
   EXPECT_EQ(topup.window_index, 0u);
   EXPECT_EQ(topup.from_index, 460u);
-  EXPECT_EQ(topup.count, kWindow / 4);
+  EXPECT_EQ(topup.count, 81u);
   EXPECT_GT(topup.round, requests[1].round);
   EXPECT_EQ(topup_msg->epoch, epoch_);
   SendCorrectionResponse(1, topup.round, Take(1, topup.count));
@@ -292,9 +311,10 @@ TEST_F(RootNodeProtocolTest, UnderestimateTopUpAsksFromCandidatesHeld) {
   EXPECT_EQ(report_.consumption.window(0)[1], 500u);
 }
 
-TEST_F(RootNodeProtocolTest,
-       UnderestimateAfterVerifiedWindowsAsksShareAndSlack) {
-  Start(DecoScheme::kSync);
+TEST_F(RootNodeProtocolTest, StalledWindowAfterVerifiedWindowsAsksShareAndSlack) {
+  DecoRootOptions options;
+  options.node_timeout_nanos = 100 * kNanosPerMilli;
+  Start(DecoScheme::kSync, options);
   SendRate(0, 0, 500.0);
   SendRate(1, 0, 500.0);
   ASSERT_TRUE(ReceiveAt(0, MessageType::kWindowAssignment).has_value());
@@ -307,25 +327,39 @@ TEST_F(RootNodeProtocolTest,
   const double rates[2] = {600.0, 400.0};
   for (size_t n = 0; n < 2; ++n) {
     SendSlice(n, 1, Take(n, 480), rates[n]);
-    SendEndRaw(n, 1, Take(n, 40));
+    SendRaw(n, 1, Take(n, 40));
   }
   ASSERT_TRUE(ReceiveAt(0, MessageType::kWindowAssignment).has_value());
   ASSERT_TRUE(ReceiveAt(1, MessageType::kWindowAssignment).has_value());
   ASSERT_EQ(report_.windows_emitted, 2u);
   ASSERT_EQ(report_.correction_steps, 0u);
 
-  // Window 2 underestimates (40 leftovers + 400 + 20 per local); each
-  // local is asked for its predicted share plus two deltas, with the slack
+  // Window 2 stalls: b's end region is lost, and both locals stay alive.
+  // After two timeouts the root empties the window under epoch 1 and asks
+  // each local for its predicted share plus two deltas, with the slack
   // sized for a fleet of two.
-  for (size_t n = 0; n < 2; ++n) {
-    SendSlice(n, 2, Take(n, 400), rates[n]);
-    SendEndRaw(n, 2, Take(n, 20));
+  SendSlice(0, 2, Take(0, 480), rates[0]);
+  SendRaw(0, 2, Take(0, 40));
+  SendSlice(1, 2, Take(1, 480), rates[1]);
+  std::optional<Message> a_msg;
+  for (int i = 0; i < 200 && !a_msg.has_value(); ++i) {
+    SendRate(0, 2, 600.0);
+    SendRate(1, 2, 400.0);
+    auto msg = fabric_->mailbox(topology_.locals[0])
+                   ->PopWithTimeout(std::chrono::milliseconds(10));
+    if (msg.has_value() && msg->type == MessageType::kCorrectionRequest) {
+      a_msg = msg;
+    }
   }
+  ASSERT_TRUE(a_msg.has_value());
+  EXPECT_EQ(a_msg->epoch, 1u);
+  auto b_msg = ReceiveAt(1, MessageType::kCorrectionRequest);
+  ASSERT_TRUE(b_msg.has_value());
+  EXPECT_EQ(b_msg->epoch, 1u);
   const uint64_t sizes[2][2] = {{500, 600}, {500, 400}};
+  const Message* msgs[2] = {&*a_msg, &*b_msg};
   for (size_t n = 0; n < 2; ++n) {
-    auto msg = ReceiveAt(n, MessageType::kCorrectionRequest);
-    ASSERT_TRUE(msg.has_value());
-    const CorrectionRequest request = DecodeRequestOrDie(*msg);
+    const CorrectionRequest request = DecodeRequestOrDie(*msgs[n]);
     LocalWindowPredictor predictor(4, 1, FleetDeltaMultiplier(2));
     for (uint64_t size : sizes[n]) predictor.ObserveActual(size);
     EXPECT_EQ(request.window_index, 2u);
@@ -333,6 +367,8 @@ TEST_F(RootNodeProtocolTest,
     EXPECT_EQ(request.count,
               predictor.PredictedSize() + 2 * predictor.Delta());
   }
+  EXPECT_EQ(report_.correction_steps, 1u);
+  EXPECT_TRUE(report_.membership.empty());
 }
 
 TEST_F(RootNodeProtocolTest, OverestimateRepairsOnlyTheOffendingLocal) {
@@ -347,10 +383,10 @@ TEST_F(RootNodeProtocolTest, OverestimateRepairsOnlyTheOffendingLocal) {
 
   // Window 1 forces 500 + 580 events; b's slice holds the greatest key.
   SendSlice(0, 1, Take(0, 480));
-  SendEndRaw(0, 1, Take(0, 40));
+  SendRaw(0, 1, Take(0, 40));
   const EventVec b_slice = Take(1, 560);
   SendSlice(1, 1, b_slice);
-  SendEndRaw(1, 1, Take(1, 20));
+  SendRaw(1, 1, Take(1, 20));
 
   // Only b is asked, at the current epoch, for its slice's raw events,
   // which follow its 20 leftovers.
@@ -396,7 +432,7 @@ TEST_F(RootNodeProtocolTest, LostRepairResponseEscalatesToFullCorrection) {
   // Window 0 overestimates; the root asks b alone to open its slice.
   for (size_t n = 0; n < 2; ++n) {
     SendSlice(n, 0, Take(n, 550));
-    SendEndRaw(n, 0, Take(n, 20));
+    SendRaw(n, 0, Take(n, 20));
   }
   auto repair = ReceiveAt(1, MessageType::kCorrectionRequest);
   ASSERT_TRUE(repair.has_value());
@@ -437,6 +473,92 @@ TEST_F(RootNodeProtocolTest, LostRepairResponseEscalatesToFullCorrection) {
   // The escalated repair counts once, and not as repaired.
   EXPECT_EQ(report_.correction_steps, 1u);
   EXPECT_EQ(report_.corrections_repaired, 0u);
+}
+
+TEST_F(RootNodeProtocolTest, LostResponseInEmptiedWindowIsAskedAgain) {
+  DecoRootOptions options;
+  options.node_timeout_nanos = 100 * kNanosPerMilli;
+  Start(DecoScheme::kSync, options);
+  const std::vector<CorrectionRequest> requests = EmptyFirstWindow();
+  ASSERT_EQ(requests.size(), 2u);
+  next_id_.assign(2, 0);
+  SendCorrectionResponse(0, requests[0].round, Take(0, 570));
+
+  // b's response is lost; b stays alive (heartbeats), so after the
+  // timeout the root asks b again for the same events under a new round,
+  // at the same epoch, and keeps a's response.
+  std::optional<Message> again;
+  for (int i = 0; i < 200 && !again.has_value(); ++i) {
+    SendRate(0, 0, 500.0);
+    SendRate(1, 0, 500.0);
+    auto msg = fabric_->mailbox(topology_.locals[1])
+                   ->PopWithTimeout(std::chrono::milliseconds(10));
+    if (msg.has_value() && msg->type == MessageType::kCorrectionRequest) {
+      again = msg;
+    }
+  }
+  ASSERT_TRUE(again.has_value());
+  EXPECT_EQ(again->epoch, epoch_);
+  const CorrectionRequest retry = DecodeRequestOrDie(*again);
+  EXPECT_EQ(retry.window_index, 0u);
+  EXPECT_EQ(retry.from_index, requests[1].from_index);
+  EXPECT_EQ(retry.count, requests[1].count);
+  EXPECT_GT(retry.round, requests[1].round);
+
+  SendCorrectionResponse(1, retry.round, Take(1, 570));
+  auto next = ReceiveAt(0, MessageType::kWindowAssignment);
+  ASSERT_TRUE(next.has_value());
+  EXPECT_EQ(next->epoch, epoch_);
+  EXPECT_TRUE(report_.windows[0].corrected);
+  EXPECT_DOUBLE_EQ(report_.windows[0].value, 1000.0);
+  EXPECT_EQ(report_.consumption.window(0)[0], 500u);
+  EXPECT_EQ(report_.consumption.window(0)[1], 500u);
+  EXPECT_EQ(report_.correction_steps, 1u);
+}
+
+TEST_F(RootNodeProtocolTest, RollbackAssignmentNamesTheNextWindow) {
+  Start(DecoScheme::kAsync);
+  SendRate(0, 0, 500.0);
+  SendRate(1, 0, 500.0);
+  ASSERT_TRUE(ReceiveAt(0, MessageType::kWindowAssignment).has_value());
+  ASSERT_TRUE(ReceiveAt(1, MessageType::kWindowAssignment).has_value());
+  // Window 0 selects both end regions whole, so it waits for a's next
+  // front. Window 1's inputs all arrive first, a's front last: the root
+  // assembles window 0 and fails window 1 (b's slice of 520 overshoots)
+  // before it sends window 1's assignment.
+  for (size_t n = 0; n < 2; ++n) {
+    SendSlice(n, 0, Take(n, 480));
+    SendRaw(n, 0, Take(n, 20));
+  }
+  const EventVec a_front = Take(0, 20);
+  const EventVec a_slice = Take(0, 460);
+  SendSlice(0, 1, a_slice);
+  SendRaw(0, 1, Take(0, 40));
+  SendRaw(1, 1, Take(1, 20), BatchRole::kFront);
+  const EventVec b_slice = Take(1, 520);
+  SendSlice(1, 1, b_slice);
+  SendRaw(1, 1, Take(1, 20));
+  SendRaw(0, 1, a_front, BatchRole::kFront);
+
+  auto request_msg = ReceiveAt(1, MessageType::kCorrectionRequest);
+  ASSERT_TRUE(request_msg.has_value());
+  const CorrectionRequest request = DecodeRequestOrDie(*request_msg);
+  EXPECT_EQ(request.window_index, 1u);
+  EXPECT_EQ(request.from_index, 20u);
+  EXPECT_EQ(request.count, 520u);
+  SendCorrectionResponse(1, request.round, b_slice, /*w=*/1);
+
+  // The rollback assignment names window 2, the next one to assemble: a
+  // local resuming at window 1 would plan regions the root drops as stale.
+  auto next = ReceiveAt(0, MessageType::kWindowAssignment);
+  ASSERT_TRUE(next.has_value());
+  EXPECT_EQ(next->epoch, 1u);
+  EXPECT_EQ(DecodeAssignmentOrDie(*next).window_index, 2u);
+  ASSERT_EQ(report_.windows_emitted, 2u);
+  EXPECT_TRUE(report_.windows[1].corrected);
+  EXPECT_DOUBLE_EQ(report_.windows[1].value, 1000.0);
+  EXPECT_EQ(report_.consumption.window(1)[0], 500u);
+  EXPECT_EQ(report_.consumption.window(1)[1], 500u);
 }
 
 TEST_F(RootNodeProtocolTest, HolisticAggregateIsRejected) {
