@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <cstring>
 #include <span>
 #include <string>
 #include <vector>
@@ -20,8 +19,10 @@
 
 namespace deco {
 
-/// \brief Size in bytes of one event in the binary format: id, stream id,
-/// value and timestamp, packed in that order.
+/// \brief Size in bytes of one event as a fixed record: id, stream id,
+/// value and timestamp. No wire format uses this record any more (batches
+/// are delta-coded, see `BinaryWriter::PutEvents`); it stays because
+/// perfbench's traced cross-check divides raw-event bytes by it.
 inline constexpr size_t kBinaryEventSize =
     sizeof(uint64_t) + sizeof(uint32_t) + sizeof(double) + sizeof(int64_t);
 
@@ -40,22 +41,20 @@ class BinaryWriter {
     buf_.append(s);
   }
 
-  void PutEvent(const Event& e) {
-    char bytes[kBinaryEventSize];
-    std::memcpy(bytes, &e.id, sizeof(e.id));
-    std::memcpy(bytes + 8, &e.stream_id, sizeof(e.stream_id));
-    std::memcpy(bytes + 12, &e.value, sizeof(e.value));
-    std::memcpy(bytes + 20, &e.timestamp, sizeof(e.timestamp));
-    buf_.append(bytes, kBinaryEventSize);
-  }
-
-  /// \brief Count-prefixed events: reserves once, then one append per
-  /// event.
-  void PutEvents(std::span<const Event> events) {
-    PutU64(events.size());
-    buf_.reserve(buf_.size() + events.size() * kBinaryEventSize);
-    for (const Event& e : events) PutEvent(e);
-  }
+  /// \brief A batch of events, delta-coded: the count as a `PutU64`, then
+  /// per event
+  ///  - a tag byte: bits 0-3 name the event's slot in a per-batch table of
+  ///    up to 15 stream ids; bit 4 says its id is not the slot's previous
+  ///    id + 1; bits 5-7 are 0. Slot 15 (the tag is exactly 15) is a stream
+  ///    not in the table: its stream id and event id follow as varints and
+  ///    the stream takes the next free slot. Otherwise, with bit 4, the
+  ///    zigzag varint of `id - (previous id + 1)` follows;
+  ///  - the zigzag varint of `timestamp - previous timestamp`, in wrapping
+  ///    64-bit arithmetic, the first event's previous timestamp being 0;
+  ///  - the value's 8 bytes, verbatim.
+  /// Varints are LEB128. An event of a generator stream (ids step by 1,
+  /// merged timestamps about 1 us apart) costs 1 + 2 + 8 = 11 bytes.
+  void PutEvents(std::span<const Event> events);
 
   const std::string& buffer() const { return buf_; }
   std::string Release() { return std::move(buf_); }
@@ -79,7 +78,11 @@ class BinaryReader {
   Result<int64_t> GetI64();
   Result<double> GetDouble();
   Result<std::string> GetString();
-  Result<Event> GetEvent();
+
+  /// \brief Decodes a `BinaryWriter::PutEvents` batch bit for bit. Rejects
+  /// a count the remaining bytes cannot hold before allocating, and rejects
+  /// truncation, a varint over 10 bytes or 64 bits, a stream id over
+  /// 32 bits, an unassigned slot and a set reserved bit.
   Result<EventVec> GetEvents();
 
   /// \brief Bytes not yet consumed.

@@ -67,6 +67,31 @@ const char* AggFlag(AggregateKind kind) {
   }
 }
 
+// `config` with the deco_run flags that reproduce it.
+SampledConfig WithRepro(const ExperimentConfig& config) {
+  const WindowSpec& window = config.query.window;
+  const bool sliding = window.type == WindowType::kSliding;
+  SampledConfig sampled;
+  sampled.config = config;
+  char buf[512];
+  std::snprintf(
+      buf, sizeof(buf),
+      "deco_run --sim --seed=%llu --window=%llu%s%s --agg=%s --locals=%zu "
+      "--streams=%zu --events=%llu --rate=%.0f --change=%.2f --skew=%.1f "
+      "--batch=%zu",
+      static_cast<unsigned long long>(config.seed),
+      static_cast<unsigned long long>(window.length),
+      sliding ? " --slide=" : "",
+      sliding ? std::to_string(window.slide).c_str() : "",
+      AggFlag(config.query.aggregate), config.num_locals,
+      config.streams_per_local,
+      static_cast<unsigned long long>(config.events_per_local),
+      config.base_rate, config.rate_change, config.rate_skew,
+      config.batch_size);
+  sampled.repro_base = buf;
+  return sampled;
+}
+
 SampledConfig SampleConfig(Rng* rng) {
   ExperimentConfig config;
   config.sim = true;
@@ -108,24 +133,25 @@ SampledConfig SampleConfig(Rng* rng) {
   // going after a virtual minute is livelocked, not slow.
   config.sim_time_limit_nanos = 60 * kNanosPerSecond;
 
-  SampledConfig sampled;
-  sampled.config = config;
-  char buf[512];
-  std::snprintf(
-      buf, sizeof(buf),
-      "deco_run --sim --seed=%llu --window=%llu%s%s --agg=%s --locals=%zu "
-      "--streams=%zu --events=%llu --rate=%.0f --change=%.2f --skew=%.1f "
-      "--batch=%zu",
-      static_cast<unsigned long long>(config.seed),
-      static_cast<unsigned long long>(window), slide > 0 ? " --slide=" : "",
-      slide > 0 ? std::to_string(slide).c_str() : "",
-      AggFlag(config.query.aggregate), config.num_locals,
-      config.streams_per_local,
-      static_cast<unsigned long long>(config.events_per_local),
-      config.base_rate, config.rate_change, config.rate_skew,
-      config.batch_size);
-  sampled.repro_base = buf;
-  return sampled;
+  return WithRepro(config);
+}
+
+// More streams per local than a binary event batch's 15-slot table, so
+// shipped batches take the codec's escape path; one fixed input next to
+// the sampled ones.
+SampledConfig ManyStreamsConfig() {
+  ExperimentConfig config;
+  config.sim = true;
+  config.num_locals = 2;
+  config.streams_per_local = 20;
+  config.query.window = WindowSpec::CountTumbling(1500);
+  config.events_per_local = 5'000;
+  config.base_rate = 100'000.0;
+  config.rate_change = 0.1;
+  config.batch_size = 256;
+  config.seed = 20;
+  config.sim_time_limit_nanos = 60 * kNanosPerSecond;
+  return WithRepro(config);
 }
 
 double RelTolerance(double truth) {
@@ -221,6 +247,22 @@ void CheckScheme(const SampledConfig& sampled, Scheme scheme,
   }
 }
 
+// Every scheme on one configuration against the oracle.
+void CheckAllSchemes(const SampledConfig& sampled) {
+  static const Scheme kSchemes[] = {
+      Scheme::kCentral,  Scheme::kScotty,    Scheme::kDisco,
+      Scheme::kApprox,   Scheme::kDecoMon,   Scheme::kDecoSync,
+      Scheme::kDecoAsync, Scheme::kDecoMonLocal};
+  auto oracle = ComputeOracleReference(sampled.config);
+  ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
+  ASSERT_GE(oracle->windows.size(), 2u)
+      << "sampler produced a degenerate config";
+  for (Scheme scheme : kSchemes) {
+    CheckScheme(sampled, scheme, *oracle);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
 TEST(DifferentialTest, AllSchemesMatchOracleOverSampledConfigs) {
   const uint64_t master_seed = EnvU64("DECO_DIFF_SEED", 42);
   const uint64_t num_configs = EnvU64("DECO_DIFF_CONFIGS", 100);
@@ -229,23 +271,18 @@ TEST(DifferentialTest, AllSchemesMatchOracleOverSampledConfigs) {
               static_cast<unsigned long long>(master_seed),
               static_cast<unsigned long long>(num_configs));
 
-  static const Scheme kSchemes[] = {
-      Scheme::kCentral,  Scheme::kScotty,    Scheme::kDisco,
-      Scheme::kApprox,   Scheme::kDecoMon,   Scheme::kDecoSync,
-      Scheme::kDecoAsync, Scheme::kDecoMonLocal};
-
+  {
+    const SampledConfig many = ManyStreamsConfig();
+    SCOPED_TRACE("20 streams per local: " + many.repro_base);
+    CheckAllSchemes(many);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
   Rng rng(master_seed);
   for (uint64_t c = 0; c < num_configs; ++c) {
     const SampledConfig sampled = SampleConfig(&rng);
     SCOPED_TRACE("config " + std::to_string(c) + ": " + sampled.repro_base);
-    auto oracle = ComputeOracleReference(sampled.config);
-    ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
-    ASSERT_GE(oracle->windows.size(), 2u)
-        << "sampler produced a degenerate config";
-    for (Scheme scheme : kSchemes) {
-      CheckScheme(sampled, scheme, *oracle);
-      if (::testing::Test::HasFatalFailure()) return;
-    }
+    CheckAllSchemes(sampled);
+    if (::testing::Test::HasFatalFailure()) return;
     if ((c + 1) % 20 == 0) {
       std::printf("differential: %llu/%llu configs checked\n",
                   static_cast<unsigned long long>(c + 1),

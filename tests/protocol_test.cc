@@ -261,6 +261,45 @@ TEST(ProtocolTest, EveryCorrectionResponsePrefixFailsToDecode) {
   ExpectEveryPrefixFails(writer.buffer(), DecodeCorrectionResponse);
 }
 
+// 20 streams, more than a batch's 15-slot table, in round-robin order:
+// streams 15-19 are escaped on every event. Every fourth event skips ids
+// and timestamps fall back once in a while.
+EventVec ManyStreamEvents(size_t n) {
+  EventVec events;
+  for (size_t i = 0; i < n; ++i) {
+    Event e;
+    e.stream_id = static_cast<StreamId>(100 + i % 20);
+    e.id = i / 20 + (i % 4 == 0 ? 1000 * i : 0);
+    e.value = 0.5 * static_cast<double>(i);
+    e.timestamp = 1'000'000 + 700 * static_cast<EventTime>(i) -
+                  (i % 7 == 0 ? 5'000 : 0);
+    events.push_back(e);
+  }
+  return events;
+}
+
+TEST(ProtocolTest, ManyStreamPayloadsRoundTripAndEveryPrefixFails) {
+  EventBatchPayload batch;
+  batch.from_offset = 9;
+  batch.role = BatchRole::kFront;
+  batch.events = ManyStreamEvents(60);
+  BinaryWriter batch_writer;
+  EncodeEventBatch(batch, &batch_writer);
+  BinaryReader batch_reader(batch_writer.buffer());
+  EXPECT_EQ(DecodeEventBatch(&batch_reader).value().events, batch.events);
+  ExpectEveryPrefixFails(batch_writer.buffer(), DecodeEventBatch);
+
+  CorrectionResponse response;
+  response.window_index = 4;
+  response.events = ManyStreamEvents(45);
+  BinaryWriter response_writer;
+  EncodeCorrectionResponse(response, &response_writer);
+  BinaryReader response_reader(response_writer.buffer());
+  EXPECT_EQ(DecodeCorrectionResponse(&response_reader).value().events,
+            response.events);
+  ExpectEveryPrefixFails(response_writer.buffer(), DecodeCorrectionResponse);
+}
+
 TEST(ProtocolTest, QueryUpdateRoundTrip) {
   QueryUpdate remove;
   remove.query_id = 7;

@@ -9,8 +9,10 @@
 #include <vector>
 
 #include "common/queue.h"
+#include "event/serde.h"
 #include "harness/experiment.h"
 #include "metrics/report.h"
+#include "node/stream_set.h"
 #include "sim/scheduler.h"
 
 namespace deco {
@@ -390,8 +392,14 @@ TEST(SimPropertyTest, CorrectionsShipOnlyWhatTheCutNeeds) {
       bytes += node.bytes_sent_by_type[static_cast<size_t>(
           MessageType::kCorrectionResult)];
     }
-    // Below one local share (4000 / 8 events of 28 B) per correction.
-    const uint64_t share_bytes = 4000 / 8 * 28;
+    // Below one local share per correction: 4000 / 8 consecutive events of
+    // a local's streams, as the batch codec ships them.
+    StreamSet streams(MakeIngestConfig(config, 0).streams);
+    EventVec share;
+    streams.NextBatch(4000 / 8, &share);
+    BinaryWriter writer;
+    writer.PutEvents(share);
+    const uint64_t share_bytes = writer.size();
     EXPECT_LT(bytes, report->correction_steps * share_bytes)
         << name << ": " << report->correction_steps << " corrections, "
         << bytes << " B";
