@@ -437,7 +437,7 @@ WindowAssembler::Outcome WindowAssembler::TryAssemble(WindowAssembly* out) {
   }
 
   // Multi-query serving: a slice that should carry an active extra slot
-  // but does not (a local missed the kQueryAdd broadcast) is opened, so its
+  // but does not (a local missed the schedule snapshot) is opened, so its
   // raw events feed every active slot; the root re-broadcasts the slot
   // schedule with the repaired window.
   const size_t nslots = slot_bank_ == nullptr ? 0 : slot_bank_->size();

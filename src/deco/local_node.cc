@@ -18,14 +18,16 @@ constexpr uint64_t kPeerDeltaDivisor = 8;
 DecoLocalNode::DecoLocalNode(NetworkFabric* fabric, NodeId id, Clock* clock,
                              RunContext* run, const Topology& topology,
                              const IngestConfig& ingest,
-                             const QueryConfig& query, DecoScheme scheme,
-                             DecoLocalOptions options)
+                             const QueryRegistry* registry,
+                             DecoScheme scheme, DecoLocalOptions options,
+                             bool account_tenants)
     : Actor(fabric, id, clock, run),
       topology_(topology),
       ingest_config_(ingest),
-      query_(query),
+      registry_(registry),
       scheme_(scheme),
-      options_(options) {}
+      options_(options),
+      account_tenants_(account_tenants) {}
 
 Status DecoLocalNode::SendOrCrash(Message msg) {
   const bool to_root = msg.dst == topology_.root;
@@ -241,28 +243,20 @@ Status DecoLocalNode::ProduceWindow(uint64_t w, const SlicePlan& plan) {
   }
 
   // Slice: incremental local aggregation (the decentralized work), in
-  // place over the retained buffer. With a serving registry the shared
-  // slice store computes every active aggregate slot in the same pass;
-  // slot 0 rides in the summary's `partial` exactly as before, the others
-  // travel as tagged extras.
+  // place over the retained buffer. The shared slice store computes every
+  // active aggregate slot in the same pass; slot 0 rides in the summary's
+  // `partial`, the others travel as tagged extras.
   {
     const size_t begin = cursor_;
     DECO_ASSIGN_OR_RETURN(const size_t n, TakeRegion(plan.slice));
     const Event* events = retained_events() + begin;
+    slice_store_.BeginPane(w);
+    slice_store_.Accumulate(events, n);
     SliceSummary summary;
-    Message msg;
-    if (serve_ != nullptr) {
-      slice_store_.BeginPane(w);
-      for (size_t i = 0; i < n; ++i) slice_store_.Accumulate(events[i].value);
-      summary.partial = slice_store_.primary();
-      summary.extras = slice_store_.TakeExtras();
-    } else {
-      summary.partial = func_->CreatePartial();
-      for (size_t i = 0; i < n; ++i) {
-        func_->Accumulate(&summary.partial, events[i].value);
-      }
-    }
+    summary.partial = slice_store_.primary();
+    summary.extras = slice_store_.TakeExtras();
     summary.event_count = n;
+    Message msg;
     if (n > 0) {
       msg.MergeLatencyMeta(CreateMean(begin, n), n);
       summary.min_ts = events[0].timestamp;
@@ -274,7 +268,7 @@ Status DecoLocalNode::ProduceWindow(uint64_t w, const SlicePlan& plan) {
     summary.event_rate = source_->TotalRate();
     BinaryWriter writer;
     EncodeSliceSummary(summary, &writer);
-    if (serve_ != nullptr) {
+    if (account_tenants_) {
       size_t extras_bytes = 0;
       for (const SlotPartial& extra : summary.extras) {
         extras_bytes += SlotPartialWireSize(extra);
@@ -372,22 +366,10 @@ Status DecoLocalNode::HandleControl(const Message& msg) {
     }
     case MessageType::kCorrectionRequest:
       return HandleCorrectionRequest(msg);
-    case MessageType::kQueryAdd:
-    case MessageType::kQueryRemove: {
-      if (serve_ == nullptr) return Status::OK();
-      BinaryReader reader(msg.payload);
-      DECO_ASSIGN_OR_RETURN(QueryUpdate update, DecodeQueryUpdate(&reader));
-      // Not epoch-gated: the schedule is keyed by absolute pane indices,
-      // which survive correction rollbacks, and activation/retirement are
-      // idempotent — a stale or replayed update cannot corrupt it.
-      slice_store_.ApplyUpdate(update);
-      DECO_LOG(DEBUG) << "local " << id_ << ": query " << update.query_id
-                      << (update.add ? " adds" : " removes") << " slot "
-                      << update.slot << " at pane " << update.effective_pane;
-      return Status::OK();
-    }
     case MessageType::kQueryConfig: {
-      if (serve_ == nullptr) return Status::OK();
+      // Not epoch-gated: the schedule is keyed by absolute pane indices,
+      // which survive correction rollbacks, and each snapshot replaces the
+      // whole schedule, so a replayed one cannot corrupt it.
       BinaryReader reader(msg.payload);
       DECO_ASSIGN_OR_RETURN(ServeSnapshot snapshot,
                             DecodeServeSnapshot(&reader));
@@ -508,15 +490,11 @@ Status DecoLocalNode::BlockUntil(Pred predicate) {
 
 Status DecoLocalNode::Run() {
   source_ = std::make_unique<IngestSource>(ingest_config_, clock_);
-  DECO_ASSIGN_OR_RETURN(func_,
-                        MakeAggregate(query_.aggregate, query_.quantile_q));
-  if (serve_ != nullptr) {
-    DECO_RETURN_NOT_OK(slice_store_.Init(serve_));
-    DECO_RETURN_NOT_OK(accounting_.Init(serve_, metrics()));
-    pane_length_ = serve_->PaneLength();
-  } else {
-    pane_length_ = ProtocolWindowLength(query_.window);
+  DECO_RETURN_NOT_OK(slice_store_.Init(registry_));
+  if (account_tenants_) {
+    DECO_RETURN_NOT_OK(accounting_.Init(registry_, metrics()));
   }
+  pane_length_ = registry_->PaneLength();
   DECO_ASSIGN_OR_RETURN(self_ordinal_, topology_.OrdinalOf(id_));
   peer_eos_.assign(topology_.num_locals(), false);
 

@@ -6,7 +6,6 @@
 #include "deco/planner.h"
 #include "node/actor.h"
 #include "node/ingest.h"
-#include "node/query.h"
 #include "node/topology.h"
 #include "serve/accounting.h"
 #include "serve/registry.h"
@@ -63,16 +62,16 @@ struct DecoLocalOptions {
 /// \brief Deco local node actor.
 class DecoLocalNode final : public Actor {
  public:
+  /// \param registry the served query set (DESIGN.md §11), a one-entry
+  ///        registry for a single query; must match the root's and
+  ///        outlive the actor. Not owned.
+  /// \param account_tenants charges every slice to the registry's tenants
+  ///        (`serve.tenant.*` counters, serve/accounting.h).
   DecoLocalNode(NetworkFabric* fabric, NodeId id, Clock* clock,
                 RunContext* run, const Topology& topology,
-                const IngestConfig& ingest, const QueryConfig& query,
-                DecoScheme scheme, DecoLocalOptions options = {});
-
-  /// \brief Installs the multi-query serving registry (DESIGN.md §11);
-  /// must be called before the actor starts, must match the root's, and
-  /// must outlive the actor. Null (the default) computes only the
-  /// constructor query's slice — the pre-serving behavior.
-  void set_serve(const QueryRegistry* registry) { serve_ = registry; }
+                const IngestConfig& ingest, const QueryRegistry* registry,
+                DecoScheme scheme, DecoLocalOptions options = {},
+                bool account_tenants = false);
 
  protected:
   Status Run() override;
@@ -154,22 +153,19 @@ class DecoLocalNode final : public Actor {
 
   Topology topology_;
   IngestConfig ingest_config_;
-  QueryConfig query_;
+  const QueryRegistry* registry_;
   DecoScheme scheme_;
   DecoLocalOptions options_;
+  bool account_tenants_;
 
   std::unique_ptr<IngestSource> source_;
-  std::unique_ptr<AggregateFunction> func_;
 
   // Multi-query serving layer (DESIGN.md §11): the shared slice store
   // computes every active aggregate slot in one pass over each pane; the
-  // accounting splits the produced bytes/ops across tenants. Unused when
-  // `serve_` is null.
-  const QueryRegistry* serve_ = nullptr;
+  // accounting, when on, splits the produced bytes/ops across tenants.
   SliceStore slice_store_;
   ServeAccounting accounting_;
-  // Shared pane length: the registry's gcd when serving, else the
-  // constructor query's protocol window length.
+  // Shared pane length: the gcd of the registry's protocol window lengths.
   uint64_t pane_length_ = 0;
 
   // Raw events not yet covered by a root watermark, in stream order:

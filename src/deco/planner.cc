@@ -49,10 +49,6 @@ SlicePlan PlanAsync(uint64_t predicted, uint64_t delta) {
   return plan;
 }
 
-SlicePlan PlanMon(uint64_t measured, uint64_t delta) {
-  return PlanSync(measured, delta);
-}
-
 SlicePlan PlanAsyncSlack(uint64_t predicted, uint64_t delta) {
   // Ships extra events beyond the predicted size so the standing
   // root-buffer slack lands at the recentering target of the steady-state

@@ -40,11 +40,6 @@ SlicePlan PlanSync(uint64_t predicted, uint64_t delta);
 /// keep each at least `Δ` so the region retains its slack.
 SlicePlan PlanAsync(uint64_t predicted, uint64_t delta);
 
-/// \brief Deco_mon layout: measured size `l` with a small raw edge of `±δ`
-/// around the boundary — slice `l − δ`, end buffer `2δ` (the sync layout
-/// applied to the measured size).
-SlicePlan PlanMon(uint64_t measured, uint64_t delta);
-
 /// \brief First Deco_async window after start or a correction rollback:
 /// ships `⌈Δ/2⌉` extra raw events beyond the predicted size. The surplus
 /// becomes the root's standing "previous root buffer" slack (paper Eq. 12,
@@ -59,7 +54,7 @@ SlicePlan PlanAsyncSlack(uint64_t predicted, uint64_t delta);
 uint64_t AsyncFrontSize(uint64_t predicted, uint64_t delta);
 
 /// \brief End-buffer size of the async layout:
-/// `max(2*delta, predicted/64)`. The root recenters its per-node
+/// `max(2*delta, predicted/32)`. The root recenters its per-node
 /// carryover around half this value.
 uint64_t AsyncEndSize(uint64_t predicted, uint64_t delta);
 

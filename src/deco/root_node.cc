@@ -19,11 +19,11 @@ constexpr uint64_t kBootstrapSlackDivisor = 8;
 
 DecoRootNode::DecoRootNode(NetworkFabric* fabric, NodeId id, Clock* clock,
                            RunContext* run, const Topology& topology,
-                           const QueryConfig& query, DecoScheme scheme,
+                           const QueryRegistry* registry, DecoScheme scheme,
                            RunReport* report, DecoRootOptions options)
     : Actor(fabric, id, clock, run),
       topology_(topology),
-      query_(query),
+      registry_(registry),
       scheme_(scheme),
       report_(report),
       options_(options) {}
@@ -39,36 +39,25 @@ bool DecoRootNode::RatesComplete(uint64_t w) const {
 }
 
 Status DecoRootNode::Run() {
-  DECO_ASSIGN_OR_RETURN(func_,
-                        MakeAggregate(query_.aggregate, query_.quantile_q));
-  if (!func_->IsDecomposable()) {
+  // Fails on an empty registry; the primary query is slot 0.
+  DECO_RETURN_NOT_OK(slot_bank_.Init(registry_));
+  if (!slot_bank_.func(0)->IsDecomposable()) {
     return Status::NotSupported(
         "Deco decentralizes only (self-)decomposable aggregates; holistic "
         "functions are processed centrally (paper footnote 2) — use the "
         "Central scheme");
   }
-  if (serve_ == nullptr) {
-    // Legacy construction path: serve the constructor's query through an
-    // internal single-entry registry.
-    ServedQuery primary;
-    primary.query = query_;
-    DECO_RETURN_NOT_OK(fallback_registry_.Add(std::move(primary)));
-    serve_ = &fallback_registry_;
-  }
-  pane_length_ = serve_->PaneLength();
-  if (pane_length_ == 0) {
-    return Status::InvalidArgument("serve registry has no queries");
-  }
-  DECO_RETURN_NOT_OK(slot_bank_.Init(serve_));
+  pane_length_ = registry_->PaneLength();
   serve_sync_needed_ =
-      slot_bank_.size() > 1 || serve_->HasRuntimeSchedule();
-  track_consumption_ = query_.window.type != WindowType::kSliding &&
-                       pane_length_ == query_.window.length;
+      slot_bank_.size() > 1 || registry_->HasRuntimeSchedule();
+  const QueryConfig& primary = registry_->queries()[0].query;
+  track_consumption_ = primary.window.type != WindowType::kSliding &&
+                       pane_length_ == primary.window.length;
   serve_states_.clear();
   serve_triggers_.clear();
   report_->query_results.clear();
-  for (size_t qi = 0; qi < serve_->queries().size(); ++qi) {
-    const ServedQuery& q = serve_->queries()[qi];
+  for (size_t qi = 0; qi < registry_->queries().size(); ++qi) {
+    const ServedQuery& q = registry_->queries()[qi];
     ServeQueryState state;
     state.composer = std::make_unique<QueryComposer>(
         q, slot_bank_.func(q.slot), pane_length_);
@@ -93,7 +82,7 @@ Status DecoRootNode::Run() {
                    });
   const size_t m = topology_.num_locals();
   assembler_ =
-      std::make_unique<WindowAssembler>(m, func_.get(), pane_length_);
+      std::make_unique<WindowAssembler>(m, slot_bank_.func(0), pane_length_);
   assembler_->set_expect_front(scheme_ == DecoScheme::kAsync);
   assembler_->set_provenance(provenance_);
   assembler_->set_slot_bank(&slot_bank_);
@@ -354,8 +343,8 @@ Status DecoRootNode::StartCorrection() {
   ++epoch_;
   if (serve_sync_needed_) {
     // Re-broadcast the authoritative slot schedule with the rollback: if
-    // the correction was triggered by a local that missed a query
-    // add/remove, this heals it before the re-produced panes arrive.
+    // the correction was triggered by a local that missed a schedule
+    // snapshot, this heals it before the re-produced panes arrive.
     DECO_RETURN_NOT_OK(SendServeSnapshot(SIZE_MAX));
   }
   for (size_t n = 0; n < topology_.num_locals(); ++n) {
@@ -419,7 +408,7 @@ Status DecoRootNode::HandleRejoin(size_t node, const RateReport& report) {
       MembershipEvent{NowNanos(), node, /*rejoined=*/true});
   metrics()->counter("root.nodes_rejoined")->Increment();
   if (serve_sync_needed_) {
-    // The reborn local lost every in-flight add/remove broadcast; restore
+    // The reborn local lost every in-flight schedule snapshot; restore
     // its slot schedule before re-soliciting its retained stream.
     DECO_RETURN_NOT_OK(SendServeSnapshot(node));
   }
@@ -451,7 +440,7 @@ Status DecoRootNode::EmitProtocolWindow(const WindowAssembly& assembly,
   }
 
   for (size_t qi = 0; qi < serve_states_.size(); ++qi) {
-    const ServedQuery& q = serve_->queries()[qi];
+    const ServedQuery& q = registry_->queries()[qi];
     const Partial& partial =
         assembly.slots.empty() ? assembly.partial : assembly.slots[q.slot];
     std::optional<ComposedWindow> win = serve_states_[qi].composer->AddPane(
@@ -497,24 +486,21 @@ Status DecoRootNode::ProcessServeTriggers(uint64_t pane) {
   // The effective pane must clear every local's planning horizon: locals
   // may already be producing (async runs ahead of the assignments), so the
   // transition lands a safety margin past both the assembly frontier and
-  // the assignment frontier. A local that still misses the broadcast
+  // the assignment frontier. A local that still misses the snapshot
   // produces a slice without the expected slot partial; the root repairs
   // that window by opening the slice, whose raw events feed every slot.
   constexpr uint64_t kActivationMargin = 8;
+  bool fired = false;
   while (!serve_triggers_.empty() && serve_triggers_.front().pane <= pane) {
     const ServeTrigger trigger = serve_triggers_.front();
     serve_triggers_.pop_front();
-    const ServedQuery& q = serve_->queries()[trigger.query];
+    fired = true;
+    const ServedQuery& q = registry_->queries()[trigger.query];
     const uint64_t horizon =
         std::max(assignment_window_, assembler_->next_window());
     const uint64_t effective =
         std::max(trigger.pane, horizon + kActivationMargin);
     QueryRunResult& qr = report_->query_results[trigger.query];
-    QueryUpdate update;
-    update.query_id = q.id;
-    update.slot = q.slot;
-    update.effective_pane = effective;
-    update.add = trigger.add;
     if (trigger.add) {
       slot_bank_.schedule()->Activate(q.slot, effective);
       serve_states_[trigger.query].composer->set_start_pane(effective);
@@ -528,7 +514,7 @@ Status DecoRootNode::ProcessServeTriggers(uint64_t pane) {
       bool still_needed = false;
       for (size_t qj = 0; qj < serve_states_.size(); ++qj) {
         if (qj == trigger.query) continue;
-        const ServedQuery& other = serve_->queries()[qj];
+        const ServedQuery& other = registry_->queries()[qj];
         if (other.slot != q.slot) continue;
         const QueryRunResult& other_r = report_->query_results[qj];
         if (other_r.activated && other_r.end_pane > effective) {
@@ -536,38 +522,15 @@ Status DecoRootNode::ProcessServeTriggers(uint64_t pane) {
           break;
         }
       }
-      update.slot_retired = !still_needed;
-      if (update.slot_retired) {
-        slot_bank_.schedule()->Retire(q.slot, effective);
-      }
+      if (!still_needed) slot_bank_.schedule()->Retire(q.slot, effective);
       serve_states_[trigger.query].composer->Close(effective);
       qr.end_pane = effective;
       DECO_LOG(DEBUG) << "root: query " << q.id << " (" << q.spec
                       << ") retires at pane " << effective
-                      << (update.slot_retired ? " (slot retired)" : "");
+                      << (still_needed ? "" : " (slot retired)");
     }
-    DECO_RETURN_NOT_OK(BroadcastQueryUpdate(update));
   }
-  return Status::OK();
-}
-
-Status DecoRootNode::BroadcastQueryUpdate(const QueryUpdate& update) {
-  BinaryWriter writer;
-  EncodeQueryUpdate(update, &writer);
-  const std::string payload = writer.buffer();
-  for (size_t n = 0; n < topology_.num_locals(); ++n) {
-    if (assembler_->IsRemoved(n)) continue;  // resynced via rejoin snapshot
-    Message msg;
-    msg.type = update.add ? MessageType::kQueryAdd
-                          : MessageType::kQueryRemove;
-    msg.dst = topology_.locals[n];
-    msg.window_index = update.effective_pane;
-    msg.epoch = epoch_;
-    msg.payload = payload;
-    Status status = Send(std::move(msg));
-    if (!status.ok() && !status.IsNodeFailed()) return status;
-  }
-  return Status::OK();
+  return fired ? SendServeSnapshot(SIZE_MAX) : Status::OK();
 }
 
 Status DecoRootNode::SendServeSnapshot(size_t node) {

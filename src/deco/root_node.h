@@ -10,7 +10,6 @@
 #include "deco/predictor.h"
 #include "metrics/report.h"
 #include "node/actor.h"
-#include "node/query.h"
 #include "node/topology.h"
 #include "serve/composer.h"
 #include "serve/registry.h"
@@ -57,12 +56,15 @@ struct DecoRootOptions {
 /// \brief Deco root actor.
 class DecoRootNode final : public Actor {
  public:
+  /// \param registry the served query set (DESIGN.md §11), a one-entry
+  ///        registry for a single query; its first query is the primary.
+  ///        Must outlive the actor. Not owned.
   /// \param report filled on the actor thread; read after `Join`. Not
   ///        owned.
   DecoRootNode(NetworkFabric* fabric, NodeId id, Clock* clock,
                RunContext* run, const Topology& topology,
-               const QueryConfig& query, DecoScheme scheme, RunReport* report,
-               DecoRootOptions options = {});
+               const QueryRegistry* registry, DecoScheme scheme,
+               RunReport* report, DecoRootOptions options = {});
 
   /// \brief Installs a provenance collection point (src/obs/provenance.h);
   /// must be called before the actor starts. The root shares it with its
@@ -70,12 +72,6 @@ class DecoRootNode final : public Actor {
   /// (correction solicits, incarnation reports, emission). May be null
   /// (the default — no recording); not owned.
   void set_provenance(ProvenanceTracker* tracker) { provenance_ = tracker; }
-
-  /// \brief Installs the multi-query serving registry (DESIGN.md §11);
-  /// must be called before the actor starts and must outlive it. Null (the
-  /// default) serves the constructor's single query through an internal
-  /// registry — behaviorally identical to the pre-serving protocol.
-  void set_serve(const QueryRegistry* registry) { serve_ = registry; }
 
  protected:
   Status Run() override;
@@ -98,14 +94,14 @@ class DecoRootNode final : public Actor {
   /// Fires every pending runtime add/remove whose requested pane is at or
   /// before the pane about to be emitted: picks the effective pane (past
   /// every local's planning horizon), updates the slot schedule and the
-  /// query's composer, and broadcasts `kQueryAdd`/`kQueryRemove`.
+  /// query's composer, and sends the locals the new schedule.
   Status ProcessServeTriggers(uint64_t pane);
-  Status BroadcastQueryUpdate(const QueryUpdate& update);
 
   /// Sends the authoritative slot schedule (`kQueryConfig` payload) to one
-  /// local, or to all of them (`node == SIZE_MAX`). Re-broadcast on every
-  /// correction and rejoin so a lost add/remove cannot wedge a local on a
-  /// stale slot set.
+  /// local, or to all of them (`node == SIZE_MAX`): the one way a local
+  /// learns its slots. Sent with every runtime add/remove, and again on
+  /// every correction and rejoin, so a lost snapshot cannot wedge a local
+  /// on a stale slot set.
   Status SendServeSnapshot(size_t node);
 
   /// Repairs the window `TryAssemble` just failed in place (DESIGN.md
@@ -156,12 +152,11 @@ class DecoRootNode final : public Actor {
   bool RatesComplete(uint64_t w) const;
 
   Topology topology_;
-  QueryConfig query_;
+  const QueryRegistry* registry_;
   DecoScheme scheme_;
   RunReport* report_;
   DecoRootOptions options_;
 
-  std::unique_ptr<AggregateFunction> func_;
   std::unique_ptr<WindowAssembler> assembler_;
   std::vector<LocalWindowPredictor> predictors_;
   // `options_.delta_multiplier`, or the fleet-derived one when that is 0.
@@ -190,8 +185,6 @@ class DecoRootNode final : public Actor {
   // The protocol assembles *panes* of `pane_length_` events (the gcd over
   // all registered queries); each query re-composes its windows from the
   // panes of its aggregate slot.
-  const QueryRegistry* serve_ = nullptr;
-  QueryRegistry fallback_registry_;  ///< single-query default
   SlotBank slot_bank_;
   uint64_t pane_length_ = 0;
   // Per-node consumption is tracked only when panes and primary windows

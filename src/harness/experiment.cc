@@ -246,11 +246,13 @@ Result<RunReport> RunExperiment(const ExperimentConfig& input) {
 
   // Multi-query serving (DESIGN.md §11): build the registry (admission
   // control rejects over-budget sets loudly, before any actor exists).
-  // Entry 0 overrides `input.query` as the primary for the whole run.
+  // Entry 0 overrides `input.query` as the primary for the whole run. A
+  // run given no query set serves `input.query` alone, through a
+  // one-entry registry outside the admission budget.
   const bool serving = !input.serve.queries.empty();
   ServeAdmission admission = input.serve.admission;
   admission.num_locals = input.num_locals;
-  QueryRegistry registry(admission);
+  QueryRegistry registry(serving ? admission : ServeAdmission{});
   if (serving) {
     for (const ServedQuery& q : input.serve.queries) {
       DECO_RETURN_NOT_OK(registry.Add(q));
@@ -259,9 +261,13 @@ Result<RunReport> RunExperiment(const ExperimentConfig& input) {
       // Baselines have no shared slice store: loop-per-query fallback.
       return RunServeFallback(input, registry);
     }
+  } else {
+    ServedQuery primary;
+    primary.query = input.query;
+    DECO_RETURN_NOT_OK(registry.Add(std::move(primary)));
   }
   ExperimentConfig config = input;
-  if (serving) config.query = registry.queries()[0].query;
+  config.query = registry.queries()[0].query;
 
   // Everything the run counts and records (DESIGN.md §5). Declared first
   // so it outlives every actor, controller and ops-plane object that
@@ -413,17 +419,17 @@ Result<RunReport> RunExperiment(const ExperimentConfig& input) {
         scheme = DecoScheme::kMonLocal;
       }
       auto deco_root = std::make_unique<DecoRootNode>(
-          &fabric, topology.root, clock, &run, topology, config.query,
-          scheme, &report, config.root_options);
+          &fabric, topology.root, clock, &run, topology, &registry, scheme,
+          &report, config.root_options);
       deco_root->set_provenance(provenance_tracker.get());
-      if (serving) deco_root->set_serve(&registry);
       add_root(std::move(deco_root));
       for (size_t i = 0; i < config.num_locals; ++i) {
-        auto local = std::make_unique<DecoLocalNode>(
+        // Tenants are charged only in runs given a query set, so a
+        // single-query run grows no `serve.tenant.*` counters.
+        runtime.AddActor(std::make_unique<DecoLocalNode>(
             &fabric, topology.locals[i], clock, &run, topology,
-            ingest_for(i), config.query, scheme, config.local_options);
-        if (serving) local->set_serve(&registry);
-        runtime.AddActor(std::move(local));
+            ingest_for(i), &registry, scheme, config.local_options,
+            /*account_tenants=*/serving));
       }
       break;
     }

@@ -20,16 +20,10 @@ const char* MessageTypeToString(MessageType type) {
       return "query-config";
     case MessageType::kRateExchange:
       return "rate-exchange";
-    case MessageType::kStartWindow:
-      return "start-window";
     case MessageType::kShutdown:
       return "shutdown";
     case MessageType::kRejoin:
       return "rejoin";
-    case MessageType::kQueryAdd:
-      return "query-add";
-    case MessageType::kQueryRemove:
-      return "query-remove";
   }
   return "unknown";
 }

@@ -41,14 +41,13 @@ enum class MessageType : uint8_t {
   /// Local → root: corrected partial result plus the window's last event.
   kCorrectionResult = 5,
 
-  /// Root → local: query definition (window spec, aggregate) at startup.
+  /// Root → local: the served query set's slot schedule (`ServeSnapshot`),
+  /// the one way a local learns which aggregate slots to compute at which
+  /// panes (multi-query serving layer, DESIGN.md §11).
   kQueryConfig = 6,
 
   /// Local ↔ local: event-rate exchange (Deco_monlocal microbenchmark).
   kRateExchange = 7,
-
-  /// Root → local: begin the next global window (synchronous schemes).
-  kStartWindow = 8,
 
   /// Clean end-of-stream marker.
   kShutdown = 9,
@@ -58,20 +57,12 @@ enum class MessageType : uint8_t {
   /// Payload: `RateReport` with the node's current rate and cumulative
   /// stream position.
   kRejoin = 10,
-
-  /// Root → local: a query was admitted at runtime; the payload
-  /// (`QueryUpdate`) names the aggregate slot the local must start
-  /// computing and the first protocol window (pane) it takes effect in
-  /// (multi-query serving layer, DESIGN.md §11).
-  kQueryAdd = 11,
-
-  /// Root → local: a query was retired at runtime; payload (`QueryUpdate`)
-  /// names the slot and the first pane it no longer applies to.
-  kQueryRemove = 12,
 };
 
-/// Number of `MessageType` values; sizes per-type counter arrays.
-inline constexpr size_t kNumMessageTypes = 13;
+/// One past the largest `MessageType` value; sizes per-type counter
+/// arrays. Values never change (the sim's delivery hash folds them in), so
+/// a retired value leaves a gap.
+inline constexpr size_t kNumMessageTypes = 11;
 
 /// \brief Returns a short name for logging ("event-batch", ...).
 const char* MessageTypeToString(MessageType type);

@@ -50,30 +50,6 @@ size_t SlotPartialWireSize(const SlotPartial& extra) {
   return sizeof(uint32_t) + extra.partial.WireSize();
 }
 
-void EncodeQueryUpdate(const QueryUpdate& update, BinaryWriter* writer) {
-  writer->PutU32(update.query_id);
-  writer->PutU32(update.slot);
-  writer->PutU64(update.effective_pane);
-  writer->PutU8(update.add ? 1 : 0);
-  writer->PutU8(update.slot_retired ? 1 : 0);
-}
-
-Result<QueryUpdate> DecodeQueryUpdate(BinaryReader* reader) {
-  QueryUpdate update;
-  DECO_ASSIGN_OR_RETURN(update.query_id, reader->GetU32());
-  DECO_ASSIGN_OR_RETURN(uint32_t slot, reader->GetU32());
-  if (slot > UINT16_MAX) {
-    return Status::InvalidArgument("query update slot id out of range");
-  }
-  update.slot = static_cast<uint16_t>(slot);
-  DECO_ASSIGN_OR_RETURN(update.effective_pane, reader->GetU64());
-  DECO_ASSIGN_OR_RETURN(uint8_t add, reader->GetU8());
-  update.add = add != 0;
-  DECO_ASSIGN_OR_RETURN(uint8_t retired, reader->GetU8());
-  update.slot_retired = retired != 0;
-  return update;
-}
-
 void EncodeWindowAssignment(const WindowAssignment& assignment,
                             BinaryWriter* writer) {
   writer->PutU64(assignment.window_index);

@@ -64,33 +64,6 @@ Result<SliceSummary> DecodeSliceSummary(BinaryReader* reader);
 /// bytes/pane one additional aggregate slot costs on a slice message.
 size_t SlotPartialWireSize(const SlotPartial& extra);
 
-/// \brief `kQueryAdd` / `kQueryRemove` payload: root → local runtime change
-/// to the served query set (multi-query serving layer, DESIGN.md §11).
-///
-/// The root picks `effective_pane` far enough ahead of every local's
-/// planning horizon that all slices for panes >= `effective_pane` carry
-/// (add) or stop carrying (remove) the slot. A lost add is healed by the
-/// correction path: the root detects the missing slot partial, corrects the
-/// pane from raw events (exact for every slot), and re-broadcasts the
-/// registry snapshot.
-struct QueryUpdate {
-  uint32_t query_id = 0;
-  uint16_t slot = 0;
-
-  /// First protocol window (pane) the change applies to.
-  uint64_t effective_pane = 0;
-
-  /// True for `kQueryAdd`, false for `kQueryRemove`.
-  bool add = true;
-
-  /// Remove only: no other active query shares the slot at or after
-  /// `effective_pane`, so locals stop computing it entirely.
-  bool slot_retired = false;
-};
-
-void EncodeQueryUpdate(const QueryUpdate& update, BinaryWriter* writer);
-Result<QueryUpdate> DecodeQueryUpdate(BinaryReader* reader);
-
 /// \brief `kWindowAssignment` payload: root → local window-planning values
 /// for the next global window.
 struct WindowAssignment {

@@ -8,8 +8,8 @@
 /// \file query.h
 /// \brief The streamed query a topology executes: a count window plus an
 /// aggregation function. Every node is built with it; no message carries
-/// it (a local's runtime query changes arrive as slot updates,
-/// `QueryUpdate`).
+/// it (a local learns runtime query changes as the root's slot schedule,
+/// `ServeSnapshot`).
 
 namespace deco {
 

@@ -18,11 +18,13 @@
 ///
 /// The registry is built once before the run, validated by admission
 /// control, and then shared read-only by the harness, the root and the
-/// locals. Runtime add/remove is *declarative*: a query scheduled with
-/// `add_pane`/`remove_pane` is known to the registry up front, but locals
-/// only learn of it when the root broadcasts `kQueryAdd`/`kQueryRemove`
-/// at the effective pane the root picks — the execution path exercises the
-/// real runtime protocol, the registry just makes the run reproducible.
+/// locals. Every Deco run serves one: a run given no query set serves its
+/// single query through a one-entry registry. Runtime add/remove is
+/// *declarative*: a query scheduled with `add_pane`/`remove_pane` is known
+/// to the registry up front, but locals only learn of it when the root
+/// sends its slot schedule (`kQueryConfig`) with the effective pane the
+/// root picks — the execution path exercises the real runtime protocol,
+/// the registry just makes the run reproducible.
 
 namespace deco {
 
@@ -105,12 +107,6 @@ class QueryRegistry {
 
   /// \brief True when any query has a scheduled runtime add or remove.
   bool HasRuntimeSchedule() const;
-
-  /// \brief True when the layer is doing more than the legacy single
-  /// always-on query.
-  bool MultiQuery() const {
-    return queries_.size() > 1 || HasRuntimeSchedule();
-  }
 
   /// \brief Estimated steady-state extra wire bytes per stream event from
   /// the non-primary slots (the quantity `max_extra_bytes_per_event`

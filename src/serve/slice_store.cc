@@ -105,7 +105,7 @@ Status BuildSlotFuncs(const QueryRegistry* registry,
 }
 
 // Activation intervals for the slots of queries active from pane 0. The
-// scheduled queries stay inactive until the runtime protocol announces
+// scheduled queries stay inactive until the root's schedule announces
 // their root-chosen effective pane.
 void SeedSchedule(const QueryRegistry* registry, SlotSchedule* schedule) {
   schedule->Reset(registry->slots().size());
@@ -144,7 +144,14 @@ void SliceStore::Accumulate(double value) {
   for (uint16_t slot : active_) {
     funcs_[slot]->Accumulate(&partials_[slot], value);
   }
-  agg_ops_ += active_.size();
+}
+
+void SliceStore::Accumulate(const Event* events, size_t n) {
+  for (uint16_t slot : active_) {
+    const AggregateFunction& func = *funcs_[slot];
+    Partial* partial = &partials_[slot];
+    for (size_t i = 0; i < n; ++i) func.Accumulate(partial, events[i].value);
+  }
 }
 
 std::vector<SlotPartial> SliceStore::TakeExtras() {
@@ -157,16 +164,6 @@ std::vector<SlotPartial> SliceStore::TakeExtras() {
     extras.push_back(std::move(extra));
   }
   return extras;
-}
-
-void SliceStore::ApplyUpdate(const QueryUpdate& update) {
-  if (update.add) {
-    schedule_.Activate(update.slot, update.effective_pane);
-  } else if (update.slot_retired) {
-    schedule_.Retire(update.slot, update.effective_pane);
-  }
-  // A remove that does not retire the slot changes nothing on the local:
-  // some other query still needs the slot's partials.
 }
 
 void SliceStore::ApplySnapshot(const ServeSnapshot& snapshot) {

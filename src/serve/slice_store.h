@@ -23,7 +23,8 @@
 ///
 /// Three pieces live here:
 ///   - `SlotSchedule`: which slots are active at which panes (half-open
-///     activation intervals, updated by runtime add/remove);
+///     activation intervals, updated by runtime add/remove and shipped to
+///     the locals whole, as a `ServeSnapshot`);
 ///   - `SliceStore` (local side): accumulates one pane into every active
 ///     slot in a single pass;
 ///   - `SlotBank` (root side): the slot aggregate functions plus the
@@ -65,10 +66,11 @@ class SlotSchedule {
   std::vector<std::vector<Interval>> intervals_;
 };
 
-/// \brief `kQueryConfig` re-sync payload: the root's authoritative pane
-/// length + slot schedule, broadcast at startup, on correction rollback
-/// and on rejoin so a lost `kQueryAdd`/`kQueryRemove` cannot wedge a
-/// local on a stale slot set.
+/// \brief `kQueryConfig` payload: the root's authoritative pane length +
+/// slot schedule. The root sends it at startup, with every runtime
+/// add/remove, on correction rollback and on rejoin; a local replaces its
+/// whole schedule with it, so a lost snapshot cannot wedge a local on a
+/// stale slot set for longer than the next one.
 struct ServeSnapshot {
   uint64_t pane_length = 0;
   SlotSchedule schedule;
@@ -106,8 +108,8 @@ class SlotBank {
 class SliceStore {
  public:
   /// \brief Builds slot functions from the registry; initially activates
-  /// only the slots of queries active from pane 0 — scheduled queries
-  /// arrive later via `kQueryAdd`.
+  /// only the slots of queries active from pane 0 — a scheduled query's
+  /// slot activates when a `kQueryConfig` snapshot schedules it.
   Status Init(const QueryRegistry* registry);
 
   /// \brief Starts accumulation for `pane`: resolves the active slot set
@@ -117,6 +119,10 @@ class SliceStore {
   /// \brief Folds one event value into every active slot.
   void Accumulate(double value);
 
+  /// \brief Folds `n` events into every active slot: slot by slot, each in
+  /// stream order, so the partials equal `n` calls of `Accumulate(double)`.
+  void Accumulate(const Event* events, size_t n);
+
   /// \brief Slot 0's partial for the current pane.
   const Partial& primary() const { return partials_[0]; }
 
@@ -124,27 +130,16 @@ class SliceStore {
   /// order.
   std::vector<SlotPartial> TakeExtras();
 
-  /// \brief Applies a runtime add/remove broadcast from the root.
-  void ApplyUpdate(const QueryUpdate& update);
-
-  /// \brief Applies an authoritative schedule re-sync.
+  /// \brief Replaces the whole slot schedule with the root's: the one way
+  /// a local learns of a runtime add or remove, and of the schedule again
+  /// after a correction or a rejoin.
   void ApplySnapshot(const ServeSnapshot& snapshot);
-
-  /// \brief Aggregate accumulations performed (events × active slots);
-  /// the serving layer's CPU proxy for accounting.
-  uint64_t agg_ops() const { return agg_ops_; }
-
-  size_t num_slots() const { return funcs_.size(); }
-  bool ActiveAt(uint16_t slot, uint64_t pane) const {
-    return schedule_.ActiveAt(slot, pane);
-  }
 
  private:
   std::vector<std::unique_ptr<AggregateFunction>> funcs_;
   SlotSchedule schedule_;
   std::vector<Partial> partials_;
   std::vector<uint16_t> active_;  ///< active slots of the current pane
-  uint64_t agg_ops_ = 0;
 };
 
 }  // namespace deco

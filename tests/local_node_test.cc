@@ -15,6 +15,7 @@ namespace {
 class LocalNodeProtocolTest : public ::testing::Test {
  protected:
   static constexpr double kRate = 100'000.0;
+  static constexpr uint64_t kWindow = 10'000;
 
   void Start(DecoScheme scheme, uint64_t events = 50'000,
              DecoLocalOptions options = {}) {
@@ -32,12 +33,15 @@ class LocalNodeProtocolTest : public ::testing::Test {
     ingest.events_to_produce = events;
     ingest.batch_size = 512;
 
-    QueryConfig query;
-    query.window = WindowSpec::CountTumbling(10'000);
+    if (registry_.queries().empty()) {
+      ServedQuery query;
+      query.query.window = WindowSpec::CountTumbling(kWindow);
+      ASSERT_TRUE(registry_.Add(std::move(query)).ok());
+    }
 
     local_ = std::make_unique<DecoLocalNode>(
         fabric_.get(), topology_.locals[0], SystemClock::Default(), &run_,
-        topology_, ingest, query, scheme, options);
+        topology_, ingest, &registry_, scheme, options);
     local_->Start();
   }
 
@@ -104,6 +108,21 @@ class LocalNodeProtocolTest : public ::testing::Test {
     ASSERT_TRUE(fabric_->Send(std::move(msg)).ok());
   }
 
+  // Sends the root's slot schedule (`kQueryConfig`).
+  void SendSchedule(const SlotSchedule& schedule) {
+    ServeSnapshot snapshot;
+    snapshot.pane_length = kWindow;
+    snapshot.schedule.CopyFrom(schedule);
+    BinaryWriter writer;
+    EncodeServeSnapshot(snapshot, &writer);
+    Message msg;
+    msg.type = MessageType::kQueryConfig;
+    msg.src = topology_.root;
+    msg.dst = topology_.locals[0];
+    msg.payload = writer.Release();
+    ASSERT_TRUE(fabric_->Send(std::move(msg)).ok());
+  }
+
   // Receives the next correction response and decodes it.
   CorrectionResponse ReceiveCorrection() {
     auto msg = ReceiveOfType(MessageType::kCorrectionResult);
@@ -116,6 +135,9 @@ class LocalNodeProtocolTest : public ::testing::Test {
   RunContext run_;
   std::unique_ptr<NetworkFabric> fabric_;
   Topology topology_;
+  // Served by the local; a one-query registry unless a test fills it
+  // before `Start`.
+  QueryRegistry registry_;
   std::unique_ptr<DecoLocalNode> local_;
 };
 
@@ -312,7 +334,9 @@ TEST_F(LocalNodeProtocolTest, CorrectionAtStreamEndMarksCompletePrefixOnly) {
 }
 
 TEST_F(LocalNodeProtocolTest, AsyncCorrectionShipsOneShareNotEveryWindow) {
-  Start(DecoScheme::kAsync, 100'000);
+  DecoLocalOptions options;
+  options.max_unverified_windows = 4;
+  Start(DecoScheme::kAsync, 100'000, options);
   ASSERT_TRUE(ReceiveOfType(MessageType::kEventRate).has_value());
   SendAssignment(0, 5000, 100);
   // With no further assignment the node runs max_unverified_windows ahead
@@ -375,6 +399,52 @@ TEST_F(LocalNodeProtocolTest, EndOfStreamAnnounced) {
   // Only 900 events remain for the 4900-event slice.
   EXPECT_EQ(DecodeSliceSummary(&reader).value().event_count, 900u);
   EXPECT_TRUE(ReceiveOfType(MessageType::kShutdown).has_value());
+}
+
+// A local learns its slots one way: each `kQueryConfig` snapshot replaces
+// its whole schedule. A scheduled query's slot stays off until a snapshot
+// activates it at pane 2; slices from window 2 on carry its extra, and a
+// second snapshot that retires the slot at pane 4 stops them.
+TEST_F(LocalNodeProtocolTest, ScheduleSnapshotActivatesAndRetiresSlot) {
+  ServedQuery sum;
+  sum.query.window = WindowSpec::CountTumbling(kWindow);
+  ServedQuery max = sum;
+  max.query.aggregate = AggregateKind::kMax;
+  max.add_pane = 2;
+  ASSERT_TRUE(registry_.Add(sum).ok());
+  ASSERT_TRUE(registry_.Add(max).ok());
+  ASSERT_EQ(registry_.slots().size(), 2u);
+  Start(DecoScheme::kSync);
+  ASSERT_TRUE(ReceiveOfType(MessageType::kEventRate).has_value());
+
+  SlotSchedule schedule;
+  schedule.Reset(2);
+  schedule.Activate(1, 2);
+  SendSchedule(schedule);
+  for (uint64_t w = 0; w < 6; ++w) {
+    if (w == 4) {
+      schedule.Retire(1, 4);
+      SendSchedule(schedule);
+    }
+    SendAssignment(w, 5000, 100);
+    auto msg = ReceiveOfType(MessageType::kPartialResult);
+    ASSERT_TRUE(msg.has_value());
+    ASSERT_EQ(msg->window_index, w);
+    BinaryReader reader(msg->payload);
+    const SliceSummary slice = DecodeSliceSummary(&reader).value();
+    ASSERT_EQ(slice.event_count, 4900u);
+    if (w < 2 || w >= 4) {
+      EXPECT_TRUE(slice.extras.empty()) << "window " << w;
+      continue;
+    }
+    ASSERT_EQ(slice.extras.size(), 1u) << "window " << w;
+    EXPECT_EQ(slice.extras[0].slot, 1u);
+    // The slot's partial is the max over the events the sum covers.
+    const Partial& extra = slice.extras[0].partial;
+    EXPECT_EQ(extra.kind, AggregateKind::kMax);
+    EXPECT_EQ(extra.count, 4900u);
+    EXPECT_GE(extra.max, slice.partial.sum / 4900.0);
+  }
 }
 
 TEST_F(LocalNodeProtocolTest, MonSendsRateReportPerWindow) {

@@ -151,13 +151,6 @@ TEST(PlannerTest, AsyncSlackShipsSurplus) {
             (steady.end_buffer - steady.front_buffer) / 2);
 }
 
-TEST(PlannerTest, MonMatchesSyncLayout) {
-  const SlicePlan mon = PlanMon(50'000, 200);
-  const SlicePlan sync = PlanSync(50'000, 200);
-  EXPECT_EQ(mon.slice, sync.slice);
-  EXPECT_EQ(mon.end_buffer, sync.end_buffer);
-}
-
 // Property sweep: layouts never lose events and never underflow.
 class PlannerProperty
     : public ::testing::TestWithParam<std::pair<uint64_t, uint64_t>> {};

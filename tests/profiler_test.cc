@@ -71,14 +71,14 @@ TEST(ProfilerTest, HandlerAttributionSumsToThreadCpu) {
 TEST(ProfilerTest, OpenHandlerIsClosedByFinish) {
   Profiler profiler(/*count_allocs=*/false);
   Profiler::ThreadSlot* slot = profiler.RegisterThread("worker");
-  slot->HandlerBegin(MessageType::kStartWindow);
+  slot->HandlerBegin(MessageType::kRateExchange);
   BurnCpu(kNanosPerMilli);
   slot->Finish();  // no HandlerEnd: Finish must close the interval
 
   const ProfileReport report = profiler.Collect();
   ASSERT_EQ(report.threads.size(), 1u);
   ASSERT_EQ(report.threads[0].handlers.size(), 1u);
-  EXPECT_EQ(report.threads[0].handlers[0].type, MessageType::kStartWindow);
+  EXPECT_EQ(report.threads[0].handlers[0].type, MessageType::kRateExchange);
   EXPECT_GE(report.threads[0].handlers[0].cpu_nanos,
             static_cast<uint64_t>(kNanosPerMilli) / 2);
 }

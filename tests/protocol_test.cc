@@ -300,34 +300,6 @@ TEST(ProtocolTest, ManyStreamPayloadsRoundTripAndEveryPrefixFails) {
   ExpectEveryPrefixFails(response_writer.buffer(), DecodeCorrectionResponse);
 }
 
-TEST(ProtocolTest, QueryUpdateRoundTrip) {
-  QueryUpdate remove;
-  remove.query_id = 7;
-  remove.slot = 513;
-  remove.effective_pane = 49;
-  remove.add = false;
-  remove.slot_retired = true;
-  QueryUpdate add;
-  add.query_id = 8;
-  add.slot = 2;
-  add.effective_pane = 1ULL << 40;
-
-  for (const QueryUpdate& update : {remove, add}) {
-    BinaryWriter writer;
-    EncodeQueryUpdate(update, &writer);
-    // query id, slot, effective pane, add, slot_retired
-    EXPECT_EQ(writer.buffer().size(), 18u);
-    BinaryReader reader(writer.buffer());
-    const QueryUpdate decoded = DecodeQueryUpdate(&reader).value();
-    EXPECT_EQ(decoded.query_id, update.query_id);
-    EXPECT_EQ(decoded.slot, update.slot);
-    EXPECT_EQ(decoded.effective_pane, update.effective_pane);
-    EXPECT_EQ(decoded.add, update.add);
-    EXPECT_EQ(decoded.slot_retired, update.slot_retired);
-    ExpectEveryPrefixFails(writer.buffer(), DecodeQueryUpdate);
-  }
-}
-
 // ------------------------------------------------------------ Apportion
 
 TEST(ApportionTest, SumsExactlyToTotal) {

@@ -21,11 +21,13 @@ class RootNodeProtocolTest : public ::testing::Test {
     topology_.root = fabric_->RegisterNode("root");
     topology_.locals = {fabric_->RegisterNode("a"),
                         fabric_->RegisterNode("b")};
-    QueryConfig query;
-    query.window = WindowSpec::CountTumbling(kWindow);
+    ServedQuery query;
+    query.query.window = WindowSpec::CountTumbling(kWindow);
+    registry_ = QueryRegistry();
+    ASSERT_TRUE(registry_.Add(std::move(query)).ok());
     root_ = std::make_unique<DecoRootNode>(
         fabric_.get(), topology_.root, SystemClock::Default(), &run_,
-        topology_, query, scheme, &report_, options);
+        topology_, &registry_, scheme, &report_, options);
     root_->Start();
     next_id_.assign(2, 0);
   }
@@ -203,6 +205,7 @@ class RootNodeProtocolTest : public ::testing::Test {
   RunContext run_;
   std::unique_ptr<NetworkFabric> fabric_;
   Topology topology_;
+  QueryRegistry registry_;
   std::unique_ptr<DecoRootNode> root_;
   RunReport report_;
   std::vector<uint64_t> next_id_;
@@ -565,12 +568,13 @@ TEST_F(RootNodeProtocolTest, HolisticAggregateIsRejected) {
   fabric_ = std::make_unique<NetworkFabric>(SystemClock::Default(), 3);
   topology_.root = fabric_->RegisterNode("root");
   topology_.locals = {fabric_->RegisterNode("a")};
-  QueryConfig query;
-  query.window = WindowSpec::CountTumbling(kWindow);
-  query.aggregate = AggregateKind::kMedian;
+  ServedQuery query;
+  query.query.window = WindowSpec::CountTumbling(kWindow);
+  query.query.aggregate = AggregateKind::kMedian;
+  ASSERT_TRUE(registry_.Add(std::move(query)).ok());
   root_ = std::make_unique<DecoRootNode>(
       fabric_.get(), topology_.root, SystemClock::Default(), &run_,
-      topology_, query, DecoScheme::kSync, &report_);
+      topology_, &registry_, DecoScheme::kSync, &report_);
   root_->Start();
   root_->Join();
   EXPECT_TRUE(root_->status().IsNotSupported());
