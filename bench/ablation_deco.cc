@@ -7,6 +7,12 @@
 //     (`FleetDeltaMultiplier`, 2.81 for the 2 locals here).
 //  2. The delta history length m (paper §4.2.2): small m reacts fast but
 //     noisily, large m smooths.
+//  3. Deco_async's run-ahead depth (`max_unverified_windows`): how many
+//     windows a local may plan past its last assignment. Measured at this
+//     bench's shape and at one whose 1,000-event shares fill faster than
+//     a 2 ms root round trip, where a shallow pipeline waits on the root.
+//     Both run paced at 1M events/s per local, so a --sim run reports
+//     virtual throughput and latency.
 // Output: corrections per 100 windows and network cost per cell.
 
 #include "bench/bench_util.h"
@@ -31,6 +37,27 @@ ExperimentConfig MakeConfig(double multiplier, size_t history_m,
   config.root_options.delta_multiplier = multiplier;
   config.root_options.predictor_history_m = history_m;
   return config;
+}
+
+ExperimentConfig MakeDepthConfig(bool round_trip_bound, uint64_t depth,
+                                 double change, uint64_t events) {
+  ExperimentConfig config = MakeConfig(0.0, 4, change, events);
+  config.scheme = Scheme::kDecoAsync;
+  config.cpu_events_per_sec = 1'000'000;
+  config.local_options.max_unverified_windows = depth;
+  if (round_trip_bound) {
+    config.query.window = WindowSpec::CountTumbling(3'000);
+    config.num_locals = 3;
+    config.link_latency_nanos = kNanosPerMilli;
+  }
+  return config;
+}
+
+double CorrectionsPer100(const RunReport& report) {
+  return report.windows_emitted == 0
+             ? 0.0
+             : 100.0 * static_cast<double>(report.correction_steps) /
+                   static_cast<double>(report.windows_emitted);
 }
 
 std::string CellLabel(double multiplier, size_t m) {
@@ -74,24 +101,47 @@ int main(int argc, char** argv) {
         auto result = RunExperiment(config);
         if (!result.ok()) continue;
         report = std::move(result).value();
-        const double corr100 =
-            report.windows_emitted == 0
-                ? 0.0
-                : 100.0 * static_cast<double>(report.correction_steps) /
-                      static_cast<double>(report.windows_emitted);
         recorder.AddReport(label, report);
-        recorder.AddMetric(label, "corrections_per_100_windows", corr100);
+        recorder.AddMetric(label, "corrections_per_100_windows",
+                           CorrectionsPer100(report));
       }
-      const double corr100 =
-          report.windows_emitted == 0
-              ? 0.0
-              : 100.0 * static_cast<double>(report.correction_steps) /
-                    static_cast<double>(report.windows_emitted);
       std::printf("%-12.2f %-10zu %16.1f %12.3f %14.3f\n",
                   multiplier == 0.0 ? FleetDeltaMultiplier(2) : multiplier, m,
-                  corr100,
+                  CorrectionsPer100(report),
                   static_cast<double>(report.network.total_bytes) / 1e6,
                   report.throughput_eps / 1e6);
+      std::fflush(stdout);
+    }
+  }
+
+  std::printf("\nAblation: Deco_async run-ahead depth (paced, 1M events/s "
+              "per local)\n");
+  std::printf("%-26s %-6s %12s %16s %12s %13s\n", "shape", "depth",
+              "bytes/event", "corrections/100w", "tput(Mev/s)",
+              "lat-mean(ms)");
+  for (bool round_trip_bound : {false, true}) {
+    for (uint64_t depth : {1, 2, 4}) {
+      const std::string label =
+          std::string(round_trip_bound ? "rtt" : "bench") +
+          "/depth=" + std::to_string(depth);
+      RunReport report;
+      for (int r = 0; r < opts.repeat; ++r) {
+        ExperimentConfig config =
+            MakeDepthConfig(round_trip_bound, depth, change, events);
+        opts.ApplyCommon(&config, label);
+        auto result = RunExperiment(config);
+        if (!result.ok()) continue;
+        report = std::move(result).value();
+        recorder.AddReport(label, report);
+        recorder.AddMetric(label, "corrections_per_100_windows",
+                           CorrectionsPer100(report));
+      }
+      std::printf("%-26s %-6llu %12.2f %16.1f %12.3f %13.3f\n",
+                  round_trip_bound ? "3 locals, w=3000, 1 ms"
+                                   : "2 locals, w=50000",
+                  static_cast<unsigned long long>(depth),
+                  report.BytesPerEvent(), CorrectionsPer100(report),
+                  report.throughput_eps / 1e6, report.latency.mean() / 1e6);
       std::fflush(stdout);
     }
   }

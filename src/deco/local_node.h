@@ -21,10 +21,11 @@
 ///              assignment → calculate (3 flows, paper §4.2.1);
 ///  - `kSync` — wait for the predicted assignment → calculate (2 flows,
 ///              blocked during root verification, §4.2.2);
-///  - `kAsync`— calculate continuously with the latest received
-///              prediction, never blocking on the root (§4.2.3), bounded
-///              by `max_unverified_windows` (backpressure / memory bound,
-///              §4.3.2);
+///  - `kAsync`— calculate with the latest received prediction instead of
+///              waiting for the current window's (§4.2.3), at most
+///              `max_unverified_windows` windows past the last assignment
+///              (one by default: the local plans window w+1 while the root
+///              verifies window w; §4.3.2 rolls those windows back);
 ///  - `kMonLocal` — Deco_mon's flow, but the local nodes exchange event
 ///              rates with each other and apportion the window
 ///              themselves (paper §5.1 microbenchmark).
@@ -43,10 +44,15 @@ enum class DecoScheme : uint8_t {
 
 /// \brief Local-node tunables.
 struct DecoLocalOptions {
-  /// Async only: how many windows may be in flight beyond the last
-  /// root-verified one before the local node blocks (memory bound, and the
-  /// staleness bound of the size/delta values the node plans with).
-  uint64_t max_unverified_windows = 4;
+  /// Async only: how many windows past its last assignment a local node
+  /// may plan before it blocks. It bounds the retained events, the
+  /// staleness of the sizes and deltas the node plans with, and the
+  /// windows a correction rolls back. Deeper runs widen every raw edge by
+  /// the lag and throw more regions away per correction: at w=10k with 8
+  /// locals, 4 ships 1.26 B/event where 1 ships 0.78 (EXPERIMENTS.md,
+  /// "Async run-ahead depth"). Raise it only where a share fills faster
+  /// than one root round trip.
+  uint64_t max_unverified_windows = 1;
 
   /// While blocked with no traffic from the root for this long, re-send
   /// the rate report as a liveness heartbeat. A node removed by a false

@@ -97,6 +97,7 @@ Status DecoRootNode::Run() {
                               options_.delta_floor, delta_multiplier_));
   last_consumed_.assign(m, 0);
   latest_rates_.assign(m, 0.0);
+  bootstrap_target_.assign(m, std::nullopt);
   asks_.assign(m, Ask{});
   last_heard_.assign(m, NowNanos());
   stall_since_ = NowNanos();
@@ -396,6 +397,8 @@ Status DecoRootNode::HandleRejoin(size_t node, const RateReport& report) {
   // Scrub every per-node trace of the pre-crash incarnation; the node's
   // durable retained queue is re-solicited by the correction below.
   assembler_->ReadmitNode(node);
+  // The fresh predictor sends the node back to bootstrap assignments, and
+  // so re-arms the async start-up step (`MaybeSendAssignments`).
   predictors_[node] = LocalWindowPredictor(
       options_.predictor_history_m, options_.delta_floor, delta_multiplier_);
   last_consumed_[node] = 0;
@@ -685,15 +688,15 @@ Status DecoRootNode::MaybeSendAssignments() {
     // it interacts with the pipeline lag and over-correcting oscillates.
     std::vector<double> adjust(m, 0.0);
     if (scheme_ == DecoScheme::kAsync) {
+      std::vector<double> target(m, 0.0);
       double total_dev = 0.0;
       size_t live = 0;
       for (size_t n = 0; n < m; ++n) {
         if (assembler_->IsRemoved(n)) continue;
         const uint64_t end = AsyncEndSize(sizes[n], deltas[n]);
         const uint64_t front = AsyncFrontSize(sizes[n], deltas[n]);
-        const double target =
-            end > front ? static_cast<double>(end - front) / 2.0 : 1.0;
-        adjust[n] = target - static_cast<double>(assembler_->carry(n));
+        target[n] = end > front ? static_cast<double>(end - front) / 2.0 : 1.0;
+        adjust[n] = target[n] - static_cast<double>(assembler_->carry(n));
         total_dev += adjust[n];
         ++live;
       }
@@ -702,6 +705,25 @@ Status DecoRootNode::MaybeSendAssignments() {
         for (size_t n = 0; n < m; ++n) {
           if (assembler_->IsRemoved(n)) continue;
           adjust[n] = 0.5 * (adjust[n] - mean_dev) + 0.15 * mean_dev;
+        }
+      }
+      // Start-up step. The bootstrap layout (delta = share/8) targets a
+      // carry of share/16, far above a predicted layout's (share/128 at a
+      // calm rate). The slices follow the new layout at once, so a carry
+      // that the gain above walks down over several windows overshoots the
+      // first predicted ones, and their repairs open every slice. A node's
+      // first predicted assignment therefore passes the whole step of its
+      // target through, once. A rollback needs none: its slack window
+      // plants the carry at the current target by itself.
+      for (size_t n = 0; n < m; ++n) {
+        if (assembler_->IsRemoved(n)) continue;
+        if (!predictors_[n].Ready()) {
+          bootstrap_target_[n] = target[n];
+        } else if (bootstrap_target_[n].has_value()) {
+          if (!last_window_corrected_) {
+            adjust[n] += target[n] - *bootstrap_target_[n];
+          }
+          bootstrap_target_[n].reset();
         }
       }
     }

@@ -3,6 +3,7 @@
 #include <deque>
 #include <map>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "deco/assembler.h"
@@ -161,6 +162,10 @@ class DecoRootNode final : public Actor {
   std::vector<LocalWindowPredictor> predictors_;
   // `options_.delta_multiplier`, or the fleet-derived one when that is 0.
   double delta_multiplier_ = 0.0;
+  // Deco_async: the carry target of each node's latest bootstrap
+  // assignment (predictor not ready), until its first predicted assignment
+  // passes the step to the predicted layout's target through.
+  std::vector<std::optional<double>> bootstrap_target_;
   std::vector<uint64_t> last_consumed_;
 
   // Latest instantaneous event rate reported by each node (via rate

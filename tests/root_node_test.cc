@@ -564,6 +564,68 @@ TEST_F(RootNodeProtocolTest, RollbackAssignmentNamesTheNextWindow) {
   EXPECT_EQ(report_.consumption.window(1)[1], 500u);
 }
 
+TEST_F(RootNodeProtocolTest, AsyncFirstPredictedAssignmentStepsTheCarryTarget) {
+  Start(DecoScheme::kAsync);
+  // A node's bootstrap assignments (no predictor history: delta 62 =
+  // 500 / 8) target a carry of (124 - 62) / 2 = 31 events. Its first
+  // predicted one (sizes 500, delta 1) targets (15 - 7) / 2 = 4. Every
+  // window below leaves the carry at the target of the assignment it
+  // answers to, so the recentering's own term is zero and `size_adjust`
+  // is the step alone.
+  SendRate(0, 0, 500.0);
+  SendRate(1, 0, 500.0);
+  auto next_adjusts = [&](uint64_t w) {
+    std::vector<int64_t> adjusts;
+    for (size_t n = 0; n < 2; ++n) {
+      auto msg = ReceiveAt(n, MessageType::kWindowAssignment);
+      EXPECT_TRUE(msg.has_value());
+      if (!msg.has_value()) return adjusts;
+      const WindowAssignment assignment = DecodeAssignmentOrDie(*msg);
+      EXPECT_EQ(assignment.window_index, w);
+      adjusts.push_back(assignment.size_adjust);
+    }
+    return adjusts;
+  };
+  // Window 0 (the slack window: no front) and window 1 each leave 30 and
+  // then 4 of every local's end events over the 500-event cut.
+  next_adjusts(0);
+  PlayBalancedWindow(0, 450, 80);
+  EXPECT_EQ(next_adjusts(1), (std::vector<int64_t>{0, 0}));
+  for (size_t n = 0; n < 2; ++n) {
+    SendRaw(n, 1, Take(n, 10), BatchRole::kFront);
+    SendSlice(n, 1, Take(n, 420));
+    SendRaw(n, 1, Take(n, 44));
+  }
+  // The first predicted assignment carries the whole step, 4 - 31.
+  EXPECT_EQ(next_adjusts(2), (std::vector<int64_t>{-27, -27}));
+  ASSERT_EQ(report_.windows_emitted, 2u);
+  EXPECT_EQ(report_.correction_steps, 0u);
+
+  // Local a restarts. Its predictor starts over, the window is emptied,
+  // and both locals resend their retained streams past window 1 (ids
+  // 1000 on): the corrected window takes 500 of each.
+  SendRate(0, 2, 500.0, MessageType::kRejoin);
+  epoch_ = 1;
+  const std::vector<CorrectionRequest> requests = ReceiveRequests();
+  ASSERT_EQ(requests.size(), 2u);
+  for (size_t n = 0; n < 2; ++n) {
+    next_id_[n] = 1000;
+    SendCorrectionResponse(n, requests[n].round, Take(n, 520), /*w=*/2);
+  }
+  next_adjusts(3);  // the rollback; a's predictor is not ready yet
+  ASSERT_EQ(report_.windows_emitted, 3u);
+  EXPECT_TRUE(report_.windows[2].corrected);
+  // The locals re-plan from the watermark with a slack window, which
+  // leaves 4 events each.
+  for (size_t n = 0; n < 2; ++n) next_id_[n] = 1500;
+  PlayBalancedWindow(3, 450, 54);
+  // a's predictor is ready again, so its step is applied once more; b's
+  // was spent.
+  EXPECT_EQ(next_adjusts(4), (std::vector<int64_t>{-27, 0}));
+  EXPECT_EQ(report_.windows_emitted, 4u);
+  EXPECT_EQ(report_.correction_steps, 1u);
+}
+
 TEST_F(RootNodeProtocolTest, HolisticAggregateIsRejected) {
   fabric_ = std::make_unique<NetworkFabric>(SystemClock::Default(), 3);
   topology_.root = fabric_->RegisterNode("root");

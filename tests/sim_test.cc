@@ -410,6 +410,11 @@ TEST(SimPropertyTest, SlowSourcesKeepEveryLocalAlive) {
   // Each local needs 200 ms of virtual time to fill its 2,000-event share,
   // longer than the 120 ms failure timeout. Locals heartbeat while they
   // pull, so the root removes none of them and all 10 windows arrive.
+  // A local reads a repair request only between the windows it produces,
+  // and the root times the repair from its request. One window ahead, an
+  // async local has at most one region left to fill before it waits on
+  // the root and reads the request, so here every correction is repaired
+  // in place rather than escalated to an emptied window.
   for (Scheme scheme :
        {Scheme::kDecoSync, Scheme::kDecoMon, Scheme::kDecoAsync}) {
     ExperimentConfig config;
@@ -429,7 +434,34 @@ TEST(SimPropertyTest, SlowSourcesKeepEveryLocalAlive) {
     const std::string name = SchemeToString(scheme);
     EXPECT_EQ(report->windows_emitted, 10u) << name;
     EXPECT_TRUE(report->membership.empty()) << name;
+    EXPECT_EQ(report->corrections_repaired, report->correction_steps)
+        << name;
   }
+}
+
+TEST(SimPropertyTest, AsyncStartsWithoutCorrecting) {
+  // CI's `paper` replay: ~33k-event local shares in 100k-event windows.
+  // The first predicted assignment moves each local's carry from the
+  // bootstrap layout's target to the predicted one's in one step, so the
+  // switch to the narrower layout overshoots no window, and no start-up
+  // repair re-ships every slice.
+  ExperimentConfig config;
+  config.sim = true;
+  config.scheme = Scheme::kDecoAsync;
+  config.seed = 7001;
+  config.query.window = WindowSpec::CountTumbling(100'000);
+  config.num_locals = 3;
+  config.streams_per_local = 4;
+  config.events_per_local = 1'000'000;
+  config.cpu_events_per_sec = 1'000'000;
+  config.link_latency_nanos = kNanosPerMilli;
+  auto report = RunExperiment(config);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  ASSERT_GE(report->windows.size(), 10u);
+  for (size_t w = 0; w < 10; ++w) {
+    EXPECT_FALSE(report->windows[w].corrected) << "window " << w;
+  }
+  EXPECT_LE(report->BytesPerEvent(), 1.0);
 }
 
 TEST(SimDeterminismTest, SimClockOnlyMovesForward) {
