@@ -18,6 +18,7 @@ CentralizedRoot::CentralizedRoot(NetworkFabric* fabric, NodeId id,
       mode_(mode),
       report_(report),
       merger_(topology.num_locals()),
+      encoded_(topology.num_locals()),
       node_counts_(topology.num_locals(), 0) {}
 
 Status CentralizedRoot::Run() {
@@ -51,7 +52,7 @@ Status CentralizedRoot::Run() {
                         << MessageTypeToString(msg->type);
       continue;
     }
-    DECO_RETURN_NOT_OK(HandleBatch(*msg));
+    DECO_RETURN_NOT_OK(HandleBatch(std::move(*msg)));
     DECO_RETURN_NOT_OK(DrainMerger());
     if (eos_count_ == topology_.num_locals() && merger_.Drained()) break;
   }
@@ -111,21 +112,30 @@ Status CentralizedRoot::RunPipelined() {
   return status;
 }
 
-Status CentralizedRoot::HandleBatch(const Message& msg) {
+Status CentralizedRoot::HandleBatch(Message msg) {
   causal_msg_id_ = MessageCausalId(msg);
-  EventBatchPayload batch;
-  if (mode_ == CentralizedMode::kDisco) {
-    DECO_ASSIGN_OR_RETURN(batch, DecodeEventBatchText(msg.payload));
-  } else {
-    BinaryReader reader(msg.payload);
-    DECO_ASSIGN_OR_RETURN(batch, DecodeEventBatch(&reader));
-  }
   DECO_ASSIGN_OR_RETURN(size_t ordinal, topology_.OrdinalOf(msg.src));
-  merger_.Append(ordinal, std::move(batch.events),
-                 msg.lat_mean_create_nanos);
-  if (batch.end_of_stream) {
-    ++eos_count_;
-    merger_.MarkEos(ordinal);
+  encoded_[ordinal].push_back(std::move(msg));
+  return DecodeNext(ordinal);
+}
+
+Status CentralizedRoot::DecodeNext(size_t node) {
+  std::deque<Message>& queue = encoded_[node];
+  while (merger_.Empty(node) && !queue.empty()) {
+    const Message& msg = queue.front();
+    EventBatchPayload batch;
+    if (mode_ == CentralizedMode::kDisco) {
+      DECO_ASSIGN_OR_RETURN(batch, DecodeEventBatchText(msg.payload));
+    } else {
+      BinaryReader reader(msg.payload);
+      DECO_ASSIGN_OR_RETURN(batch, DecodeEventBatch(&reader));
+    }
+    merger_.Append(node, std::move(batch.events), msg.lat_mean_create_nanos);
+    if (batch.end_of_stream) {
+      ++eos_count_;
+      merger_.MarkEos(node);
+    }
+    queue.pop_front();
   }
   return Status::OK();
 }
@@ -135,6 +145,7 @@ Status CentralizedRoot::DrainMerger() {
   double create_nanos = 0.0;
   size_t from_node = 0;
   while (merger_.PopNext(&event, &create_nanos, &from_node)) {
+    DECO_RETURN_NOT_OK(DecodeNext(from_node));
     if (windower_ == nullptr) {
       DECO_RETURN_NOT_OK(
           ProcessEventBuffered(event, create_nanos, from_node));

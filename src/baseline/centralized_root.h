@@ -67,7 +67,11 @@ class CentralizedRoot final : public Actor {
   /// threads to send, receive, and process events", paper §5.1).
   Status RunPipelined();
 
-  Status HandleBatch(const Message& msg);
+  /// Queues a received batch, still encoded, behind its local's others.
+  Status HandleBatch(Message msg);
+  /// Decodes `node`'s queued batches into the merge until one holds
+  /// events or none is left.
+  Status DecodeNext(size_t node);
   Status DrainMerger();
   Status ProcessEventBuffered(const Event& event, double create_nanos,
                               size_t from_node);
@@ -83,6 +87,12 @@ class CentralizedRoot final : public Actor {
 
   std::unique_ptr<AggregateFunction> func_;
   RootMerger merger_;
+  // Each local's received batches not yet in the merge, still encoded: a
+  // local's next batch is decoded only once the merge has drained its
+  // previous one. A local ships its throttle credit in one burst, which
+  // decoded on receipt would wait in the merge as 32-byte events for a
+  // slower local.
+  std::vector<std::deque<Message>> encoded_;
 
   // Buffered (Central) path.
   EventVec window_buffer_;

@@ -44,6 +44,9 @@ class RootMerger {
   /// \brief Events currently buffered across all queues.
   size_t buffered() const { return buffered_; }
 
+  /// \brief True when `node` has no buffered event left to merge.
+  bool Empty(size_t node) const { return nodes_[node].batches.empty(); }
+
  private:
   struct Batch {
     EventVec events;

@@ -104,7 +104,7 @@ bool DecoLocalNode::PullIntoRetained(size_t limit) {
   if (pulled == 0) return false;
   metrics()->counter("local.events_ingested")->Add(
       static_cast<int64_t>(pulled));
-  retained_create_.resize(retained_.size(), static_cast<double>(create_time));
+  create_runs_.push_back({retained_.size(), static_cast<double>(create_time)});
   return true;
 }
 
@@ -141,17 +141,29 @@ size_t DecoLocalNode::DropRetained(const EventKey& wm, size_t limit) {
   return dropped;
 }
 
+std::vector<DecoLocalNode::CreateRun>::const_iterator
+DecoLocalNode::CreateRunAt(size_t i) const {
+  return std::upper_bound(
+      create_runs_.begin(), create_runs_.end(), i,
+      [](size_t index, const CreateRun& run) { return index < run.end; });
+}
+
 void DecoLocalNode::CompactRetained() {
   retained_.erase(retained_.begin(), retained_.begin() + retained_front_);
-  retained_create_.erase(retained_create_.begin(),
-                         retained_create_.begin() + retained_front_);
+  create_runs_.erase(create_runs_.begin(), CreateRunAt(retained_front_));
+  for (CreateRun& run : create_runs_) run.end -= retained_front_;
   retained_front_ = 0;
 }
 
 double DecoLocalNode::CreateMean(size_t begin, size_t n) const {
-  const double* create = retained_create_.data() + retained_front_ + begin;
+  size_t i = retained_front_ + begin;
+  const size_t end = i + n;
   double sum = 0.0;
-  for (size_t i = 0; i < n; ++i) sum += create[i];
+  for (auto run = CreateRunAt(i); i < end; ++run) {
+    for (const size_t stop = std::min(end, run->end); i < stop; ++i) {
+      sum += run->stamp;
+    }
+  }
   return sum / static_cast<double>(n);
 }
 

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <map>
+#include <vector>
 
 #include "deco/assembler.h"
 #include "deco/planner.h"
@@ -113,6 +114,16 @@ class DecoLocalNode final : public Actor {
   /// Erases the dropped prefix, moving the retained events to the front.
   void CompactRetained();
 
+  /// The creation time of one pull's events: the pull's stamp, and the
+  /// `retained_` index one past its last event.
+  struct CreateRun {
+    size_t end = 0;
+    double stamp = 0.0;
+  };
+
+  /// The first creation run that ends after `retained_` index `i`.
+  std::vector<CreateRun>::const_iterator CreateRunAt(size_t i) const;
+
   /// Mean latency side-channel creation time of retained events
   /// `[begin, begin + n)`, summed one event at a time in stream order.
   double CreateMean(size_t begin, size_t n) const;
@@ -175,14 +186,14 @@ class DecoLocalNode final : public Actor {
   uint64_t pane_length_ = 0;
 
   // Raw events not yet covered by a root watermark, in stream order:
-  // `retained_[retained_front_, end)`. Ingest pulls append to it in place;
-  // `retained_create_` holds each event's latency side-channel creation
-  // time at the same index. Dropped events stay in front until they
-  // outnumber the live ones or a pull would otherwise grow the buffer;
-  // then both arrays are compacted.
+  // `retained_[retained_front_, end)`. Ingest pulls append to it in place.
+  // Dropped events stay in front until they outnumber the live ones or a
+  // pull would otherwise grow the buffer; then the buffer is compacted.
   EventVec retained_;
-  std::vector<double> retained_create_;
   size_t retained_front_ = 0;
+  // The latency side channel's creation times, one run per pull, in
+  // stream order. A run that ends in a compacted prefix is dropped.
+  std::vector<CreateRun> create_runs_;
   // Index (from `retained_front_`) of the first retained event not yet
   // assigned to a region.
   size_t cursor_ = 0;

@@ -60,8 +60,8 @@ Status NetworkFabric::SetNodeNetConfig(NodeId node,
   if (config.egress_bytes_per_sec == 0) {
     nodes_[node]->egress_bucket.reset();
   } else {
-    nodes_[node]->egress_bucket =
-        std::make_unique<TokenBucket>(config.egress_bytes_per_sec, clock_);
+    nodes_[node]->egress_bucket = std::make_unique<TokenBucket>(
+        config.egress_bytes_per_sec, kEgressBurstBytes, clock_);
   }
   return Status::OK();
 }

@@ -8,11 +8,12 @@
 
 namespace deco {
 
-TokenBucket::TokenBucket(uint64_t rate_per_sec, Clock* clock)
+TokenBucket::TokenBucket(uint64_t rate_per_sec, uint64_t capacity,
+                         Clock* clock)
     : rate_(rate_per_sec),
-      capacity_(rate_per_sec),
+      capacity_(capacity),
       clock_(clock),
-      tokens_(static_cast<double>(rate_per_sec)),
+      tokens_(static_cast<double>(capacity)),
       last_refill_(clock->NowNanos()) {}
 
 void TokenBucket::RefillLocked() {

@@ -35,12 +35,16 @@ struct LinkConfig {
 struct NodeNetConfig {
   /// Egress bandwidth cap in bytes per second; 0 means unlimited. Senders
   /// block when the cap is exceeded, which is how NIC backpressure
-  /// propagates into the node runtime.
+  /// propagates into the node runtime. The cap binds from the first byte:
+  /// the bucket holds one MTU (`kEgressBurstBytes`), not a second's worth.
   uint64_t egress_bytes_per_sec = 0;
 };
 
-/// \brief Classic token bucket: capacity of one second's worth of tokens,
-/// refilled continuously from a monotonic clock.
+/// The egress bucket's capacity and starting burst: one Ethernet MTU.
+constexpr uint64_t kEgressBurstBytes = 1500;
+
+/// \brief Classic token bucket, refilled continuously from a monotonic
+/// clock. It starts full.
 ///
 /// Thread-safe. `AcquireBlocking` sleeps the calling thread until enough
 /// tokens accumulate — only meaningful with a real clock; deterministic
@@ -48,8 +52,13 @@ struct NodeNetConfig {
 class TokenBucket {
  public:
   /// \param rate_per_sec token refill rate (bytes/sec); must be > 0
+  /// \param capacity the most tokens the bucket holds
   /// \param clock time source; not owned, must outlive the bucket
-  TokenBucket(uint64_t rate_per_sec, Clock* clock);
+  TokenBucket(uint64_t rate_per_sec, uint64_t capacity, Clock* clock);
+
+  /// \brief A bucket holding one second's worth of tokens.
+  TokenBucket(uint64_t rate_per_sec, Clock* clock)
+      : TokenBucket(rate_per_sec, rate_per_sec, clock) {}
 
   /// \brief Takes `n` tokens, sleeping as needed. `n` larger than the
   /// bucket capacity is allowed: the debt is paid across multiple refills.

@@ -3,12 +3,6 @@
 #include <algorithm>
 
 namespace deco {
-namespace {
-
-// Ring slots: the producer fills one while the puller copies out of others.
-constexpr size_t kRingChunks = 4;
-
-}  // namespace
 
 IngestSource::IngestSource(const IngestConfig& config, Clock* clock)
     : config_(config), clock_(clock), streams_(config.streams) {
@@ -17,13 +11,15 @@ IngestSource::IngestSource(const IngestConfig& config, Clock* clock)
         std::make_unique<TokenBucket>(config_.cpu_events_per_sec, clock_);
   }
   rate_ = streams_.TotalRate();
-  // The ring holds at most one batch, and never more than the budget.
-  const size_t capacity = static_cast<size_t>(std::max<uint64_t>(
+  // A batch never spans more than the budget.
+  const size_t batch = static_cast<size_t>(std::max<uint64_t>(
       1, std::min<uint64_t>(config_.batch_size, config_.events_to_produce)));
-  chunks_ = std::min(kRingChunks, capacity);
-  chunk_events_ = capacity / chunks_;
-  ring_events_.resize(chunks_ * chunk_events_);
-  ring_rates_.resize(chunks_ * chunk_events_);
+  const size_t batch_chunks = std::min(kBatchChunks, batch);
+  chunk_events_ = batch / batch_chunks;
+  max_chunks_ = kMaxRunAheadBatches * batch_chunks;
+  limit_ = batch_chunks;
+  chunks_.resize(max_chunks_);
+  ring_.resize(max_chunks_);
   producer_ = std::thread([this] { Produce(); });
 }
 
@@ -36,19 +32,38 @@ IngestSource::~IngestSource() {
   producer_.join();
 }
 
+size_t IngestSource::chunks_allocated() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return allocated_;
+}
+
 void IngestSource::Produce() {
   const uint64_t budget = config_.events_to_produce;
   for (uint64_t chunk = 0, made = 0; made < budget; ++chunk) {
+    size_t buffer = 0;
     {
       std::unique_lock<std::mutex> lock(mu_);
-      released_cv_.wait(
-          lock, [&] { return stop_ || chunk - released_ < chunks_; });
+      if (chunk - released_ >= limit_) {
+        idled_ = true;
+        released_cv_.wait(
+            lock, [&] { return stop_ || chunk - released_ < limit_; });
+      }
       if (stop_) return;
+      // Chunk `chunk - allocated_` is released, and the chunks after it
+      // hold every other allocated buffer.
+      buffer = allocated_ < limit_
+                   ? allocated_++
+                   : ring_[(chunk - allocated_) % max_chunks_];
+      ring_[chunk % max_chunks_] = buffer;
     }
     const size_t n =
         static_cast<size_t>(std::min<uint64_t>(chunk_events_, budget - made));
-    const size_t at = (chunk % chunks_) * chunk_events_;
-    streams_.NextBatch(n, ring_events_.data() + at, ring_rates_.data() + at);
+    Chunk& slot = chunks_[buffer];
+    if (slot.events.size() < n) {  // first use
+      slot.events.resize(n);
+      slot.rates.resize(n);
+    }
+    streams_.NextBatch(n, slot.events.data(), slot.rates.data());
     made += n;
     {
       std::lock_guard<std::mutex> lock(mu_);
@@ -84,12 +99,23 @@ size_t IngestSource::Pull(size_t n, EventVec* out,
     const size_t offset = static_cast<size_t>(produced_ % chunk_events_);
     if (offset == 0) {
       std::unique_lock<std::mutex> lock(mu_);
-      filled_cv_.wait(lock, [&] { return filled_ > chunk; });
+      if (filled_ <= chunk) {
+        // The puller caught up. A pull of several chunks that finds the
+        // ring empty after the producer sat idle at its limit would have
+        // found this chunk ready with more run-ahead.
+        if (idled_ && take > chunk_events_) {
+          limit_ = std::min(2 * limit_, max_chunks_);
+        }
+        idled_ = false;
+        filled_cv_.wait(lock, [&] { return filled_ > chunk; });
+      }
     }
-    const size_t at = (chunk % chunks_) * chunk_events_ + offset;
+    // Published under `mu_`, and not rewritten until this chunk is
+    // released.
+    const Chunk& slot = chunks_[ring_[chunk % max_chunks_]];
     const size_t m = std::min(take - done, chunk_events_ - offset);
-    std::copy_n(ring_events_.data() + at, m, out->data() + base + done);
-    rate_ = ring_rates_[at + m - 1];
+    std::copy_n(slot.events.data() + offset, m, out->data() + base + done);
+    rate_ = slot.rates[offset + m - 1];
     done += m;
     produced_ += m;
     if (offset + m == chunk_events_) {

@@ -45,16 +45,26 @@ struct IngestConfig {
 /// \brief Budgeted, throttled, merged event source of a local node.
 ///
 /// The node's sensor streams run on a producer thread of their own, the
-/// paper's datastream node (Fig. 1). It fills a small ring of chunks with
-/// the merged events and, for each event, the generator's `TotalRate()`
-/// right after it, and stops at the event budget. `Pull` throttles and
-/// stamps the creation time on the calling thread, then copies out of the
-/// ring, so the caller sees exactly the events and rates the generator
-/// produced, bit for bit. The producer is not an actor: under the
-/// simulator it is no task and touches no scheduler state, and a task
-/// waiting on it keeps the virtual CPU.
+/// paper's datastream node (Fig. 1). It fills a ring of chunks with the
+/// merged events and, for each event, the generator's `TotalRate()` right
+/// after it, and stops at the event budget. The producer may run one batch
+/// ahead of `Pull` at first; the limit doubles, up to
+/// `kMaxRunAheadBatches` batches, each time a pull larger than one chunk
+/// has to wait for a chunk after the producer sat idle at its limit.
+/// Chunks are allocated on first use, so the ring never holds more than
+/// the limit or the budget. `Pull` throttles and stamps the creation time
+/// on the calling thread, then copies out of the ring, so the caller sees
+/// exactly the events and rates the generator produced, bit for bit. The
+/// producer is not an actor: under the simulator it is no task and touches
+/// no scheduler state, and a task waiting on it keeps the virtual CPU.
 class IngestSource {
  public:
+  /// Ring chunks per batch: the producer fills one while the puller
+  /// copies out of others. A batch smaller than this is one event a chunk.
+  static constexpr size_t kBatchChunks = 4;
+  /// The most batches the producer may run ahead of `Pull`.
+  static constexpr size_t kMaxRunAheadBatches = 8;
+
   IngestSource(const IngestConfig& config, Clock* clock);
 
   /// \brief Stops and joins the producer thread.
@@ -84,7 +94,18 @@ class IngestSource {
 
   const IngestConfig& config() const { return config_; }
 
+  /// \brief Ring chunks the producer has allocated so far: its run-ahead
+  /// in chunks, up to `kMaxRunAheadBatches` batches' worth.
+  size_t chunks_allocated() const;
+
  private:
+  /// One ring chunk: consecutive events of the stream and the generator
+  /// rate right after each of them.
+  struct Chunk {
+    std::vector<Event> events;
+    std::vector<double> rates;
+  };
+
   double multiplier() const {
     return config_.rate_multiplier == nullptr
                ? 1.0
@@ -105,18 +126,26 @@ class IngestSource {
   // Touched only by the producer thread once it has started.
   StreamSet streams_;
 
-  // The ring: chunk k of the stream lives in slot k % chunks_, and holds
-  // chunk_events_ events and the generator rate after each of them.
-  size_t chunks_ = 0;
+  // The ring. Chunk k of the stream holds `chunk_events_` events (the last
+  // chunk may hold fewer) in buffer `ring_[k % max_chunks_]` of `chunks_`.
+  // The run-ahead limit grows from one batch to `max_chunks_` chunks.
+  // Buffers are allocated on first use: below the limit chunk k takes a
+  // new buffer, at it the buffer of chunk k - limit, which the puller has
+  // released.
   size_t chunk_events_ = 0;
-  std::vector<Event> ring_events_;
-  std::vector<double> ring_rates_;
+  size_t max_chunks_ = 0;
+  std::vector<Chunk> chunks_;
+  std::vector<size_t> ring_;
 
-  std::mutex mu_;
+  mutable std::mutex mu_;
   std::condition_variable filled_cv_;    // the puller waits for a chunk
   std::condition_variable released_cv_;  // the producer waits for a slot
   uint64_t filled_ = 0;    // chunks the producer has published
   uint64_t released_ = 0;  // chunks the puller has copied out
+  size_t limit_ = 0;       // the run-ahead limit, in chunks
+  size_t allocated_ = 0;   // buffers of `chunks_` in use
+  // The producer waited at its limit since the puller last waited.
+  bool idled_ = false;
   bool stop_ = false;
 
   std::thread producer_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <vector>
 
 #include "deco/local_node.h"
 #include "node/runtime.h"
@@ -18,7 +19,8 @@ class LocalNodeProtocolTest : public ::testing::Test {
   static constexpr uint64_t kWindow = 10'000;
 
   void Start(DecoScheme scheme, uint64_t events = 50'000,
-             DecoLocalOptions options = {}) {
+             DecoLocalOptions options = {},
+             Clock* clock = SystemClock::Default()) {
     fabric_ = std::make_unique<NetworkFabric>(SystemClock::Default(), 3);
     topology_.root = fabric_->RegisterNode("root");
     topology_.locals = {fabric_->RegisterNode("local")};
@@ -40,8 +42,8 @@ class LocalNodeProtocolTest : public ::testing::Test {
     }
 
     local_ = std::make_unique<DecoLocalNode>(
-        fabric_.get(), topology_.locals[0], SystemClock::Default(), &run_,
-        topology_, ingest, &registry_, scheme, options);
+        fabric_.get(), topology_.locals[0], clock, &run_, topology_, ingest,
+        &registry_, scheme, options);
     local_->Start();
   }
 
@@ -385,6 +387,56 @@ TEST_F(LocalNodeProtocolTest, RollbackReplansFromWatermark) {
   BinaryReader reader(slice->payload);
   const SliceSummary summary = DecodeSliceSummary(&reader).value();
   EXPECT_EQ(summary.min_ts, end_batch.events[100].timestamp);
+}
+
+// The latency side channel keeps one creation stamp per pull. A region
+// built from the tail of a pull that a compaction cut, a whole later pull
+// and fresh pulls must ship the mean a per-event array gives, summed one
+// event at a time in stream order, bit for bit.
+TEST_F(LocalNodeProtocolTest, CreateMeanSpansPullsAndACompactedRun) {
+  // Wall-clock-sized stamps, so a sum of thousands of them rounds.
+  const TimeNanos t0 = 1'700'000'000'000'000'000;
+  ManualClock clock(t0);
+  Start(DecoScheme::kSync, 50'000, {}, &clock);
+  ASSERT_TRUE(ReceiveOfType(MessageType::kEventRate).has_value());
+  SendAssignment(0, 5000, 100);  // pulls [0, 5100) at t0
+  ASSERT_TRUE(ReceiveOfType(MessageType::kPartialResult).has_value());
+  ASSERT_TRUE(ReceiveOfType(MessageType::kEventBatch).has_value());
+
+  // Each correction pulls its shortfall in one pull: [5100, 5300) at t1,
+  // then [5300, 5600) at t2.
+  const TimeNanos t1 = t0 + kNanosPerMilli;
+  const TimeNanos t2 = t1 + kNanosPerMilli;
+  clock.SetNanos(t1);
+  SendCorrectionRequest(0, 0, 5300, 1);
+  const CorrectionResponse first = ReceiveCorrection();
+  ASSERT_EQ(first.events.size(), 5300u);
+  clock.SetNanos(t2);
+  SendCorrectionRequest(0, 0, 5600, 1);
+  ASSERT_EQ(ReceiveCorrection().events.size(), 5600u);
+
+  // A rollback to event 5199 drops 5200 of the 5600 retained events, which
+  // compacts the buffer inside the t1 pull. Window 1 is then planned from
+  // the 100 events left of it, the 300 of t2 and 4,500 pulled at t3.
+  const TimeNanos t3 = t2 + kNanosPerMilli;
+  clock.SetNanos(t3);
+  const Event& cut = first.events[5199];
+  SendAssignment(1, 5000, 100, /*epoch=*/1,
+                 EventKey{cut.timestamp, cut.stream_id, cut.id});
+  auto slice = ReceiveOfType(MessageType::kPartialResult);
+  ASSERT_TRUE(slice.has_value());
+  ASSERT_EQ(slice->window_index, 1u);
+  ASSERT_EQ(slice->lat_event_count, 4900u);
+
+  std::vector<double> create(100, static_cast<double>(t1));
+  create.insert(create.end(), 300, static_cast<double>(t2));
+  create.insert(create.end(), 4500, static_cast<double>(t3));
+  double sum = 0.0;
+  for (double stamp : create) sum += stamp;
+  EXPECT_EQ(slice->lat_mean_create_nanos,
+            sum / static_cast<double>(create.size()));
+  // The stamps differ, so the mean is none of them.
+  EXPECT_NE(slice->lat_mean_create_nanos, static_cast<double>(t3));
 }
 
 TEST_F(LocalNodeProtocolTest, EndOfStreamAnnounced) {

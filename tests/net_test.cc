@@ -449,6 +449,39 @@ TEST(FabricSimTest, EgressCapThrottlesSender) {
   EXPECT_LE(elapsed, 201 * kNanosPerMilli);
 }
 
+TEST(FabricSimTest, EgressCapBindsFromTheFirstSecond) {
+  // The egress bucket holds one MTU, not a second of tokens: a node's
+  // first second of traffic at the cap takes that second, less the MTU,
+  // instead of leaving at once.
+  SimScheduler sim(1);
+  NetworkFabric fabric(sim.clock(), 1);
+  fabric.SetSimScheduler(&sim);
+  const NodeId a = fabric.RegisterNode("a");
+  const NodeId b = fabric.RegisterNode("b");
+  NodeNetConfig net;
+  net.egress_bytes_per_sec = 50'000;
+  ASSERT_TRUE(fabric.SetNodeNetConfig(a, net).ok());
+  TimeNanos elapsed = 0;
+  const SimTaskId sender = sim.AddTask("sender");
+  std::thread t([&] {
+    sim.TaskMain(sender, [&] {
+      const TimeNanos start = sim.clock()->NowNanos();
+      for (int i = 0; i < 10; ++i) {
+        ASSERT_TRUE(fabric
+                        .Send(MakeMessage(a, b, MessageType::kEventBatch,
+                                          5'000 - Message::kHeaderBytes))
+                        .ok());
+      }
+      elapsed = sim.clock()->NowNanos() - start;
+    });
+  });
+  EXPECT_TRUE(sim.RunUntilTaskDone(sender).ok());
+  t.join();
+  // (50'000 - 1'500) bytes at 50'000 B/s: 0.97 s.
+  EXPECT_GE(elapsed, 970 * kNanosPerMilli);
+  EXPECT_LE(elapsed, 971 * kNanosPerMilli);
+}
+
 TEST(FabricSimTest, FlowControlBlocksEventBatchesOnly) {
   // Simulation-driven: at virtual 20ms the sixth batch is *provably*
   // still blocked (flow control is the only thing that can stop the

@@ -410,6 +410,65 @@ TEST(IngestSourceTest, GoldenDigestsMatchTheGenerator) {
   EXPECT_EQ(IngestSourceDigest(EightCollidingStreams()).digest, kEightDigest);
 }
 
+// Local 1 of paper-async with the digest's budget and a 256-event batch:
+// 64-event chunks, one batch of run-ahead at first and at most
+// `kMaxRunAheadBatches` batches.
+IngestConfig SmallChunkPaperLocal() {
+  IngestConfig config;
+  config.streams = MakeIngestConfig(PaperAsyncLocals(), 1).streams;
+  config.events_to_produce = kDigestEvents;
+  config.batch_size = 256;
+  return config;
+}
+
+constexpr size_t kSmallChunk = 256 / IngestSource::kBatchChunks;
+constexpr size_t kSmallCap =
+    IngestSource::kMaxRunAheadBatches * IngestSource::kBatchChunks;
+
+// The golden digest, each of its chunks pulled as back-to-back pulls of at
+// most `piece` events after the producer had time to fill its ring and sit
+// idle at its limit. Returns the most chunks the ring had allocated.
+size_t PiecewiseDigest(IngestSource* source, size_t piece, uint64_t* digest) {
+  size_t most = 0;
+  TimeNanos created = 0;
+  *digest = FoldDigest(
+                [&](size_t want, EventVec* out) {
+                  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+                  size_t got = 0;
+                  while (got < want) {
+                    const size_t n = source->Pull(
+                        std::min(piece, want - got), out, &created);
+                    if (n == 0) break;
+                    got += n;
+                    most = std::max(most, source->chunks_allocated());
+                  }
+                  return got;
+                },
+                [source] { return source->TotalRate(); })
+                .digest;
+  return most;
+}
+
+// Whole-batch pulls that find the ring empty after the producer idled
+// double its run-ahead, up to the cap; the events and rates stay the
+// generator's.
+TEST(IngestSourceTest, RunAheadGrowsOnWholeBatchPullsUpToTheCap) {
+  IngestSource source(SmallChunkPaperLocal(), SystemClock::Default());
+  uint64_t digest = 0;
+  const size_t most = PiecewiseDigest(&source, 256, &digest);
+  EXPECT_EQ(digest, kPaperDigest);
+  EXPECT_EQ(most, kSmallCap);
+}
+
+// Pulls within one chunk never grow it, however long the producer idles.
+TEST(IngestSourceTest, SubChunkPullsKeepOneBatchOfRunAhead) {
+  IngestSource source(SmallChunkPaperLocal(), SystemClock::Default());
+  uint64_t digest = 0;
+  const size_t most = PiecewiseDigest(&source, kSmallChunk - 1, &digest);
+  EXPECT_EQ(digest, kPaperDigest);
+  EXPECT_EQ(most, IngestSource::kBatchChunks);
+}
+
 IngestConfig LargeBudget(uint64_t seed) {
   IngestConfig config;
   for (StreamId s = 0; s < 3; ++s) {
